@@ -28,6 +28,7 @@ from . import risk as risk_mod
 from .errors import NumericalError
 from .mc import TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths
 from .models import load_model_config, model_hash
+from .noise import validate_seed
 from .portfolio import DiscountCurve, load_curve
 
 _FORMATS = ("csv", "json")
@@ -118,7 +119,7 @@ def _require(cfg: dict, key: str, caster, what: str):
 def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0))
+    return validate_seed(cfg.get("seed", 0))
 
 
 def _resolve_threads(args, cfg: dict) -> int:

@@ -3,7 +3,9 @@
 Closed forms for the three solved model families, change of variables for
 monotone maps, a conservative finite-difference solver for the forward
 (Fokker-Planck) equation, a backward solver for conditional expectations,
-and quadrature composition of transition densities.
+and quadrature composition of transition densities. The forward and
+backward solvers and pricing.pv_pde share one banded theta step,
+_theta_step; each builds its own coefficients and runs its own checks.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalError
 from .mc import TimeGrid, fmt17
@@ -271,6 +272,8 @@ class AnalyticDensity1D:
         return self.pdf(np.asarray(s, dtype=float))
 
     def _moment(self, g) -> float:
+        from scipy import integrate
+
         lo, hi = self.support
         val, _err = integrate.quad(lambda x: g(x) * float(self.pdf(np.array([x]))[0]),
                                    lo, hi, limit=200)
@@ -529,15 +532,22 @@ def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
     return lower, diag, upper
 
 
-def _theta_step(p: np.ndarray, lower, diag, upper, dt: float, theta: float) -> np.ndarray:
-    from scipy.linalg import solve_banded
+def _theta_step(u: np.ndarray, lower, diag, upper, dt: float, m: int,
+                source=None) -> np.ndarray:
+    """Step m of du/dt = L u (+ source/dt) for a tridiagonal L, with the
+    Rannacher (1984) schedule: two fully implicit startup steps, then
+    trapezoidal stepping. source is added to the right-hand side as is.
+    """
+    from scipy.linalg import solve_banded  # looked up per call, not at import
 
-    n = p.size
-    Lp = diag * p
-    Lp[:-1] += upper[:-1] * p[1:]
-    Lp[1:] += lower[1:] * p[:-1]
-    rhs = p + (1.0 - theta) * dt * Lp
-    ab = np.zeros((3, n))
+    theta = 1.0 if m < 2 else 0.5
+    Lu = diag * u
+    Lu[:-1] += upper[:-1] * u[1:]
+    Lu[1:] += lower[1:] * u[:-1]
+    rhs = u + (1.0 - theta) * dt * Lu
+    if source is not None:
+        rhs += source
+    ab = np.zeros((3, u.size))
     ab[0, 1:] = -theta * dt * upper[:-1]
     ab[1, :] = 1.0 - theta * dt * diag
     ab[2, :-1] = -theta * dt * lower[1:]
@@ -574,8 +584,7 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     for m in range(grid.n_steps):
         tau = grid.time(m) + 0.5 * grid.dt
         lower, diag, upper = _flux_coefficients(model, s, tau, h)
-        theta = 1.0 if m < 2 else 0.5
-        p = _theta_step(p, lower, diag, upper, grid.dt, theta)
+        p = _theta_step(p, lower, diag, upper, grid.dt, m)
 
         peak = float(p.max())
         if float(p.min()) < -1e-6 * peak:
@@ -609,6 +618,10 @@ def _model_scalar_params(model: ModelSpec) -> dict:
 def _log_space_model(model: ModelSpec) -> ModelSpec:
     from .models import make_bm
 
+    if "curve" in model.config:
+        raise ValueError(
+            f"log-space evolution needs a flat curve; the non-flat curve "
+            f"{model.config['curve']} makes the log drift r(t) - sigma^2/2 time-dependent")
     params = _model_scalar_params(model)
     if "mu" not in params or "sigma" not in params:
         raise ValueError("log-space evolution needs scalar mu/sigma parameters")
@@ -624,9 +637,9 @@ def _spread_for(model: ModelSpec, S0: float, horizon: float) -> tuple[float, flo
         mean, var = vasicek_moments(horizon, S0, params["a"], params["b"],
                                     params["sigma"])
         return mean, math.sqrt(var)
-    raise ValueError(
-        f"no default domain rule for model kind {model.kind!r}; "
-        "pass an explicit DensityGrid initial condition")
+    override = " (drift overridden)" if model.config.get("drift_override") else ""
+    raise ValueError(f"no default domain rule for model kind {model.kind!r}{override}: "
+                     "grids are sized from closed-form bm/gbm/vasicek spreads")
 
 
 def default_domain(model: ModelSpec, S0: float, horizon: float,
@@ -732,8 +745,6 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     if not np.all(np.isfinite(u)):
         raise ValueError("terminal values must be finite")
 
-    from scipy.linalg import solve_banded
-
     n = s.size
     dt = (t1 - t0) / n_steps
     tv0 = float(np.abs(np.diff(u)).sum())
@@ -752,16 +763,7 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
         diag[0], upper[0] = -mu[0] / h, mu[0] / h
         diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
 
-        theta = 1.0 if m < 2 else 0.5
-        Au = diag * u
-        Au[:-1] += upper[:-1] * u[1:]
-        Au[1:] += lower[1:] * u[:-1]
-        rhs = u + (1 - theta) * dt * Au
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -theta * dt * upper[:-1]
-        ab[1, :] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * lower[1:]
-        u = solve_banded((1, 1), ab, rhs)
+        u = _theta_step(u, lower, diag, upper, dt, m)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
         tv = float(np.abs(np.diff(u)).sum())

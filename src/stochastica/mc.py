@@ -9,6 +9,10 @@ with no higher-order corrections. Noise is addressed positionally per
 is a pure function of (model, S0, grid, n_paths, seed): bit-identical
 across reruns, chunk sizes and thread counts.
 
+One stepping core, _euler_march, holds the time loop for simulate_paths,
+simulate_terminal, ito_check and the Euler route of pricing.pv_mc; each
+caller sees the states through a per-step callback.
+
 Reductions materialize one value per path and sum once with numpy's
 pairwise summation; partial sums are never accumulated across chunks,
 which is what keeps results byte-stable under --threads.
@@ -163,6 +167,34 @@ def _resolve_threads(threads) -> int:
     return threads
 
 
+def _step_count(span: float, dt: float) -> int:
+    """Number of steps of length dt in span; span/dt must be a positive integer."""
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
+        raise ValueError(f"horizon/dt = {steps!r} must be a positive integer")
+    return round(steps)
+
+
+def _euler_march(model: ModelSpec, S0: np.ndarray, grid: TimeGrid, seed: int,
+                 lo: int, hi: int, visit=None) -> np.ndarray:
+    """March paths lo..hi from S0 across the grid: draw, Euler update and
+    finiteness check per step. Returns the final states; visit(m, S), when
+    given, reads the (hi-lo, dim) state at every step m = 0..n_steps.
+    """
+    S = np.broadcast_to(S0, (hi - lo, model.dim)).copy()
+    sqdt = np.sqrt(grid.dt)
+    if visit is not None:
+        visit(0, S)
+    for m in range(grid.n_steps):
+        xi = noise.normal_block(seed, noise.EULER, grid.n_steps, m,
+                                lo, hi, model.noise_dim)
+        S = _euler_inplace(model, grid.time(m), S, xi, grid.dt, sqdt)
+        _check_finite_step(S, m + 1, lo)
+        if visit is not None:
+            visit(m + 1, S)
+    return S
+
+
 def _run_chunks(n_paths: int, threads: int, work) -> None:
     """Apply work(lo, hi) over path chunks, optionally on a thread pool.
 
@@ -197,17 +229,12 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
             f"batch would need {need} bytes of path storage (> {memory_limit}); "
             "reduce n_paths or use simulate_terminal for streaming statistics")
     out = np.empty((n_paths, grid.n_steps + 1, model.dim))
-    out[:, 0, :] = S0
-    sqdt = np.sqrt(grid.dt)
 
     def work(lo: int, hi: int) -> None:
-        S = out[lo:hi, 0, :].copy()
-        for m in range(grid.n_steps):
-            xi = noise.normal_block(seed, noise.EULER, grid.n_steps, m,
-                                    lo, hi, model.noise_dim)
-            S = _euler_inplace(model, grid.time(m), S, xi, grid.dt, sqdt)
-            _check_finite_step(S, m + 1, lo)
-            out[lo:hi, m + 1, :] = S
+        def visit(m: int, S: np.ndarray) -> None:
+            out[lo:hi, m, :] = S
+
+        _euler_march(model, S0, grid, seed, lo, hi, visit)
 
     _run_chunks(n_paths, threads, work)
     return PathBatch(grid=grid, paths=out, seed=seed, model_hash=model_hash(model))
@@ -232,20 +259,13 @@ def simulate_terminal(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     S0 = _initial_state(model, S0)
     terminal = np.empty((n_paths, model.dim))
     saved = {c: np.empty((n_paths, model.dim)) for c in checkpoints}
-    sqdt = np.sqrt(grid.dt)
 
     def work(lo: int, hi: int) -> None:
-        S = np.broadcast_to(S0, (hi - lo, model.dim)).copy()
-        if 0 in saved:
-            saved[0][lo:hi] = S
-        for m in range(grid.n_steps):
-            xi = noise.normal_block(seed, noise.EULER, grid.n_steps, m,
-                                    lo, hi, model.noise_dim)
-            S = _euler_inplace(model, grid.time(m), S, xi, grid.dt, sqdt)
-            _check_finite_step(S, m + 1, lo)
-            if m + 1 in saved:
-                saved[m + 1][lo:hi] = S
-        terminal[lo:hi] = S
+        def visit(m: int, S: np.ndarray) -> None:
+            if m in saved:
+                saved[m][lo:hi] = S
+
+        terminal[lo:hi] = _euler_march(model, S0, grid, seed, lo, hi, visit)
 
     _run_chunks(n_paths, threads, work)
     return terminal, saved
@@ -395,10 +415,7 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
     predicted_drift = float(dfdt + mu @ grad + 0.5 * np.sum(diffusion * hess))
     predicted_vol = float(np.linalg.norm(sig.T @ grad))
 
-    xi = noise.normal_block(seed, noise.EULER, 1, 0, 0, n_paths, model.noise_dim)
-    S1 = _euler_inplace(model, t0, np.broadcast_to(S0, (n_paths, model.dim)).copy(),
-                        xi, dt, np.sqrt(dt))
-    _check_finite_step(S1, 1, 0)
+    S1 = _euler_march(model, S0, TimeGrid(t0=t0, dt=dt, n_steps=1), seed, 0, n_paths)
     dX = np.asarray(f(t0 + dt, S1), dtype=float) - float(f(t0, S0[None, :])[0])
     if dX.shape != (n_paths,):
         raise ValueError("f must return one value per path")
@@ -461,10 +478,7 @@ def scaling_check(model: ModelSpec, S0, T: float, dt: float, refine_factor: int,
         raise ValueError("scaling_check handles one-dimensional models")
     if int(refine_factor) != refine_factor or refine_factor < 2:
         raise ValueError("refine_factor must be an integer >= 2")
-    steps = T / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ValueError("T/dt must be a positive integer")
-    n1 = round(steps)
+    n1 = _step_count(T, dt)
     exact = _EXACT_MOMENTS.get(model.kind)
     params = model.config.get("params", {}) if model.config else {}
 
@@ -559,7 +573,13 @@ def read_paths_binary(path: str) -> PathBatch:
         if magic != _BINARY_MAGIC:
             raise ValueError("not a path-batch binary file")
         digest = fh.read(64).decode("ascii")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    paths = data.reshape(n_paths, n_steps + 1, dim).astype(float)
+        payload = fh.read()
+    need = n_paths * (n_steps + 1) * dim * 8
+    if len(payload) != need:
+        raise ValueError(
+            f"payload holds {len(payload)} bytes but the header counts "
+            f"({n_paths} paths x {n_steps + 1} steps x {dim} assets) need {need}")
+    paths = np.frombuffer(payload, dtype="<f8").reshape(
+        n_paths, n_steps + 1, dim).astype(float)
     return PathBatch(grid=TimeGrid(t0=t0, dt=dt, n_steps=n_steps),
                      paths=paths, seed=seed, model_hash=digest)

@@ -76,10 +76,3 @@ def normal_block(seed: int, substream: int, context: int, step: int,
                  lo: int, hi: int, width: int) -> np.ndarray:
     """Standard normal draws for paths [lo, hi); see uniform_block."""
     return ndtri(uniform_block(seed, substream, context, step, lo, hi, width))
-
-
-def chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most n_chunks contiguous, near-equal spans."""
-    n_chunks = max(1, min(n_chunks, n))
-    edges = np.linspace(0, n, n_chunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]

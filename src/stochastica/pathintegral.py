@@ -20,7 +20,7 @@ import numpy as np
 
 from . import noise
 from .errors import DegenerateKernelError, NumericalError
-from .mc import MCEstimate, _mean_and_se, fmt17
+from .mc import MCEstimate, _mean_and_se, _step_count, fmt17
 from .density import (DensityGrid, PointMass, TransitionMatrix,
                       default_domain, point_mass_on_grid, quadrature_apply,
                       trapezoid_weights, _log_space_model)
@@ -213,10 +213,7 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
             "risk_neutralize(model, curve) first")
     if not t > t0:
         raise ValueError("t must exceed t0")
-    steps = (t - t0) / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ValueError("(t - t0)/dt must be a positive integer")
-    n_steps = round(steps)
+    n_steps = _step_count(t - t0, dt)
 
     log_coords = model.kind == "gbm"
     if log_coords:
@@ -289,10 +286,7 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
         raise ValueError("T must exceed t0")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    steps = (T - t0) / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ValueError("(T - t0)/dt must be a positive integer")
-    n_steps = round(steps)
+    n_steps = _step_count(T - t0, dt)
     kernel = one_step_kernel(model, t0, dt)
 
     values = np.empty(n_paths)

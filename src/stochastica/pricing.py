@@ -5,6 +5,10 @@ Carlo over simulated paths, a backward PDE solve in log-price, and
 quadrature against a Green's function lattice. All routes price in the
 risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
+
+The Monte Carlo route steps with mc's Euler core (_euler_march) and the
+PDE route with density's theta step (_theta_step); the routes share these
+numerical primitives but never call each other.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ import numpy as np
 from scipy.special import erfc
 
 from . import noise
-from .density import GridFunction
+from .density import GridFunction, _theta_step
 from .errors import NumericalError
-from .mc import MCEstimate, _mean_and_se, _run_chunks
+from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _mean_and_se,
+                 _resolve_threads, _run_chunks, _step_count)
 from .models import ModelSpec, model_hash
 from .pathintegral import GreensFunction
 from .portfolio import DiscountCurve
@@ -103,15 +108,16 @@ def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
 
     Only price-homogeneous models can be neutralized automatically; for
     anything else pass override_drift, an explicit risk-neutral drift map
-    (t, S) -> array. Idempotent: re-applying with the same curve yields an
-    equivalent model.
+    (t, S) -> array. An overridden model has kind "custom": no closed-form,
+    exact-terminal or time-invariant shortcut applies to it. Idempotent:
+    re-applying with the same curve yields an equivalent model.
     """
     if override_drift is not None:
         config = dict(model.config)
         config["risk_neutral"] = True
         config["drift_override"] = True
         return ModelSpec(dim=model.dim, noise_dim=model.noise_dim,
-                         drift=override_drift, vol=model.vol, kind=model.kind,
+                         drift=override_drift, vol=model.vol, kind="custom",
                          config=config, price_rate=None, risk_neutral=True)
     if model.kind != "gbm":
         raise ValueError(
@@ -316,14 +322,12 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff: PayoffSpec,
     exact_terminal=False to force the Euler path route.
     """
     seed = noise.validate_seed(seed)
+    threads = _resolve_threads(threads)
     if not T > 0:
         raise ValueError("T must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    steps = T / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ValueError("T/dt must be a positive integer")
-    n_steps = round(steps)
+    n_steps = _step_count(T, dt)
     rn = risk_neutralize(model, curve) if not model.risk_neutral else model
     disc_T = curve.discount(0.0, T)
     metadata = {"risk_neutralized": True, "model_hash": model_hash(rn),
@@ -343,35 +347,26 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff: PayoffSpec,
         values = disc_T * np.asarray(payoff.terminal(s_T), dtype=float)
         metadata["sampler"] = "exact-terminal"
     else:
-        sqdt = math.sqrt(dt)
+        grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+        start = _initial_state(rn, S0)
         disc_steps = np.asarray([curve.discount(0.0, m * dt)
                                  for m in range(n_steps)])
         values = np.empty(n_paths)
 
         def work(lo: int, hi: int) -> None:
-            s = np.full((hi - lo, rn.dim), float(S0))
-            acc = np.zeros(hi - lo) if payoff.stream is not None else None
-            for m in range(n_steps):
-                t_m = m * dt
-                if acc is not None:
-                    acc += disc_steps[m] * dt * np.asarray(
-                        payoff.stream(t_m, s[:, 0]), dtype=float)
-                xi = noise.normal_block(seed, noise.EULER, n_steps, m,
-                                        lo, hi, rn.noise_dim)
-                mu = rn.drift(t_m, s)
-                sig = rn.vol(t_m, s)
-                if rn.noise_dim == 1:
-                    s = s + mu * dt + sqdt * sig[..., 0] * xi
-                else:
-                    s = s + mu * dt + sqdt * np.einsum("pnk,pk->pn", sig, xi)
-                if not np.all(np.isfinite(s)):
-                    bad = lo + int(np.argwhere(~np.isfinite(s))[0][0])
-                    raise NumericalError(
-                        f"non-finite state at path {bad}, step {m + 1}")
-            v = disc_T * np.asarray(payoff.terminal(s[:, 0]), dtype=float)
-            values[lo:hi] = v if acc is None else v + acc
+            acc = np.zeros(hi - lo)
 
-        _run_chunks(n_paths, 1 if threads is None else int(threads), work)
+            def visit(m: int, s: np.ndarray) -> None:
+                if m < n_steps:
+                    acc[:] += disc_steps[m] * dt * np.asarray(
+                        payoff.stream(m * dt, s[:, 0]), dtype=float)
+
+            s = _euler_march(rn, start, grid, seed, lo, hi,
+                             None if payoff.stream is None else visit)
+            v = disc_T * np.asarray(payoff.terminal(s[:, 0]), dtype=float)
+            values[lo:hi] = v if payoff.stream is None else v + acc
+
+        _run_chunks(n_paths, threads, work)
         metadata["sampler"] = "euler-paths"
 
     if not np.all(np.isfinite(values)):
@@ -433,8 +428,6 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     if not np.all(np.isfinite(f)):
         raise ValueError("terminal payoff must be finite on the grid")
 
-    from scipy.linalg import solve_banded
-
     dt = T / n_steps
     # ghost-node elimination coefficients for zero price-curvature edges
     alpha = 2.0 / (1.0 + 0.5 * h)
@@ -458,18 +451,9 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         diag[-1] = a[-1] * (gamma_c - 2) / (h * h) + b[-1] * gamma_c / (2 * h) - r
         lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
 
-        theta = 1.0 if m < 2 else 0.5
-        Af = diag * f
-        Af[:-1] += upper[:-1] * f[1:]
-        Af[1:] += lower[1:] * f[:-1]
-        rhs = f + (1 - theta) * dt * Af
-        if payoff.stream is not None:
-            rhs += dt * np.asarray(payoff.stream(tau, s), dtype=float)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -theta * dt * upper[:-1]
-        ab[1, :] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * lower[1:]
-        f = solve_banded((1, 1), ab, rhs)
+        source = None if payoff.stream is None \
+            else dt * np.asarray(payoff.stream(tau, s), dtype=float)
+        f = _theta_step(f, lower, diag, upper, dt, m, source)
         if not np.all(np.isfinite(f)):
             raise NumericalError(
                 f"pricing solve produced non-finite values at step {m + 1}")

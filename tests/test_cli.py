@@ -292,6 +292,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_fractional_config_seed_is_rejected(tmp_path, capsys):
+    # 7.9 must not silently become seed 7
+    cfg = write_config(tmp_path, "seed.json", dict(SIM_DOC, seed=7.9))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # a lattice two and a half sigma wide loses over 1% of the mass
     cfg = write_config(tmp_path, "leak.json", dict(

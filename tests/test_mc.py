@@ -18,6 +18,7 @@ from stochastica import (
     gbm_exact_terminal,
     ito_check,
     make_bm,
+    make_correlated_gbm,
     make_gbm,
     make_vasicek,
     mgf,
@@ -152,6 +153,19 @@ def test_simulate_terminal_matches_paths():
     np.testing.assert_array_equal(term[:, 0], batch.paths[:, -1, 0])
     np.testing.assert_array_equal(saved[4][:, 0], batch.paths[:, 4, 0])
     np.testing.assert_array_equal(saved[8][:, 0], batch.paths[:, 8, 0])
+
+
+def test_every_checkpoint_equals_its_path_column():
+    # both routes march with one Euler core; two chunks on two threads
+    m = make_correlated_gbm([0.05, 0.02], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]])
+    grid = TimeGrid(0.0, 0.25, 6)
+    n = (1 << 16) + 100
+    batch = simulate_paths(m, [100.0, 50.0], grid, n, seed=8, threads=2)
+    term, saved = simulate_terminal(m, [100.0, 50.0], grid, n, seed=8,
+                                    checkpoints=range(7), threads=2)
+    np.testing.assert_array_equal(term, batch.paths[:, -1, :])
+    for c in range(7):
+        np.testing.assert_array_equal(saved[c], batch.paths[:, c, :])
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +357,15 @@ def test_binary_roundtrip_exact(tmp_path):
     assert back.seed == batch.seed
     assert back.model_hash == batch.model_hash
     assert back.grid.dt == batch.grid.dt
+
+
+def test_binary_read_rejects_truncated_payload(tmp_path):
+    batch = simulate_paths(make_bm(0.0, 1.0), 0.0, TimeGrid(0.0, 0.5, 2), 4, seed=3)
+    out = tmp_path / "paths.bin"
+    export_paths_binary(batch, str(out))
+    out.write_bytes(out.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="88 bytes .* need 96"):
+        read_paths_binary(str(out))
 
 
 def test_mc_estimate_validation():

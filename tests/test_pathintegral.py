@@ -174,6 +174,17 @@ def test_propagate_input_validation():
         propagate(k, flat, 1)
 
 
+def test_time_dependent_override_drift_is_not_frozen():
+    # drift 0 before t = 0.5 and 1 after: the mean moves by 0.5, which a
+    # kernel frozen at t0 would miss entirely
+    curve = DiscountCurve(times=(0.0,), rates=(0.0,))
+    rn = risk_neutralize(make_bm(0.0, 1.0), curve,
+                         override_drift=lambda t, S: np.full_like(S, 0.0 if t < 0.5 else 1.0))
+    s = np.linspace(-7.0, 8.0, 801)
+    out = propagate(one_step_kernel(rn, 0.0, 1.0 / 200), point_mass_on_grid(s, 0.0), 200)
+    assert out.mean == pytest.approx(0.5, abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # Green's functions
 
@@ -234,6 +245,23 @@ def test_greens_integrate_prices_forward():
     model, curve = _rn_gbm(r, sigma)
     g = greens_function(model, curve, 0.0, S0, T, 1.0 / 64)
     assert g.integrate(lambda s: s) == pytest.approx(S0, rel=1e-4)
+
+
+def test_greens_names_a_non_flat_curve():
+    curve = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06))
+    model = risk_neutralize(make_gbm(0.1, 0.2), curve)
+    with pytest.raises(ValueError, match="non-flat curve"):
+        greens_function(model, curve, 0.0, 100.0, 1.0, 1.0 / 64)
+
+
+def test_greens_names_the_missing_domain_rule_for_an_override():
+    curve = DiscountCurve(times=(0.0,), rates=(0.05,))
+    model = risk_neutralize(make_bm(0.0, 1.0), curve,
+                            override_drift=lambda t, S: 0.05 * S)
+    with pytest.raises(ValueError, match="no default domain rule") as err:
+        greens_function(model, curve, 0.0, 1.0, 1.0, 1.0 / 64)
+    assert "drift overridden" in str(err.value)
+    assert "DensityGrid" not in str(err.value)
 
 
 def test_greens_csv_export():

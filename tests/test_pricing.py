@@ -35,6 +35,7 @@ from stochastica import (
     risk_neutralize,
     table_payoff,
 )
+from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 
 
 def quad_price(payoff_fn, S, r, sigma, t, K_break=None):
@@ -325,6 +326,54 @@ def test_pv_mc_stream_is_left_riemann_sum():
     assert est.mean == pytest.approx(want, abs=1e-12)
     assert est.std_error < 1e-12
     assert est.metadata["sampler"] == "euler-paths"
+
+
+@pytest.mark.parametrize("with_stream", [False, True])
+def test_pv_mc_euler_route_equals_payoff_of_simulated_paths(with_stream):
+    # pv_mc steps with the same Euler core as simulate_terminal, so pricing
+    # the simulated states by hand reproduces it bit for bit
+    curve = DiscountCurve(times=(0.0, 0.5), rates=(0.03, 0.07))
+    stream = (lambda t, s: 0.01 * s + t) if with_stream else None
+    payoff = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
+                        stream=stream)
+    model = make_gbm(0.1, 0.2)
+    dt, n_steps, n_paths = 1.0 / 16, 16, 3000
+    est = pv_mc(model, curve, payoff, 100.0, 1.0, dt, n_paths, seed=17,
+                exact_terminal=False)
+
+    rn = risk_neutralize(model, curve)
+    terminal, saved = simulate_terminal(rn, 100.0, TimeGrid(0.0, dt, n_steps),
+                                        n_paths, 17, checkpoints=range(n_steps))
+    values = curve.discount(0.0, 1.0) * payoff.terminal(terminal[:, 0])
+    if with_stream:
+        acc = np.zeros(n_paths)
+        for m in range(n_steps):
+            acc += curve.discount(0.0, m * dt) * dt * stream(m * dt, saved[m][:, 0])
+        values = values + acc
+    assert (est.mean, est.std_error) == _mean_and_se(values)
+
+
+def test_pv_mc_rejects_zero_threads():
+    curve = DiscountCurve(times=(0.0,), rates=(0.05,))
+    for exact in (None, False):
+        with pytest.raises(ValueError, match="threads"):
+            pv_mc(make_gbm(0.1, 0.2), curve, call_payoff(100.0), 100.0, 1.0,
+                  0.25, 100, seed=0, threads=0, exact_terminal=exact)
+
+
+def test_overridden_drift_never_takes_the_exact_sampler():
+    # the exact lognormal sampler would ignore the override and price at
+    # the curve's rate (about 10.4) instead of the 30% drift
+    curve = DiscountCurve(times=(0.0,), rates=(0.05,))
+    rn = risk_neutralize(make_gbm(0.05, 0.2), curve,
+                         override_drift=lambda t, S: 0.30 * S)
+    assert rn.kind == "custom"
+    est = pv_mc(rn, curve, call_payoff(100.0), 100.0, 1.0, 1.0 / 64, 50_000,
+                seed=3)
+    assert est.metadata["sampler"] == "euler-paths"
+    grown = bs_price(BSParams(S=100.0, K=100.0, r=0.30, sigma=0.2, t=1.0))
+    want = grown * math.exp(0.30 - 0.05)
+    assert abs(est.mean - want) < 4.0 * est.std_error
 
 
 def test_pv_mc_validation():
