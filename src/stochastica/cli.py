@@ -26,7 +26,8 @@ from . import pathintegral as pi_mod
 from . import pricing as pricing_mod
 from . import risk as risk_mod
 from .errors import NumericalError
-from .mc import TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths
+from .mc import (TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths,
+                 _resolve_threads as _resolve_mc_threads)
 from .models import load_model_config, model_hash
 from .noise import validate_seed
 from .portfolio import DiscountCurve, load_curve
@@ -123,12 +124,25 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _resolve_threads(args, cfg: dict) -> int:
-    if args.threads is not None:
-        return args.threads
-    if "threads" in cfg:
-        return int(cfg["threads"])
+    """--threads, else config.threads, else STOCHASTICA_THREADS, else the
+    library default (the CPUs this process may use)."""
     env = os.environ.get("STOCHASTICA_THREADS")
-    return int(env) if env else 1
+    if args.threads is not None:
+        source, value = "--threads", args.threads
+    elif "threads" in cfg:
+        source, value = "config.threads", cfg["threads"]
+    elif env:
+        source, value = "STOCHASTICA_THREADS", env
+        try:
+            value = int(env)
+        except ValueError:
+            pass        # the string itself is rejected below
+    else:
+        return _resolve_mc_threads(None)
+    try:
+        return _resolve_mc_threads(value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _resolve_format(args, cfg: dict, default: str) -> str:
@@ -624,7 +638,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=_FORMATS,
                         help="output format (default depends on command)")
         sp.add_argument("--threads", type=int,
-                        help="worker cap; results do not depend on it")
+                        help="worker threads (default: config.threads, else "
+                             "STOCHASTICA_THREADS, else the CPUs this process "
+                             "may use); results do not depend on it")
         sp.set_defaults(handler=fn)
     return parser
 

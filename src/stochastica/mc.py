@@ -14,12 +14,18 @@ simulate_terminal, ito_check and the Euler route of pricing.pv_mc; each
 caller sees the states through a per-step callback.
 
 Reductions materialize one value per path and sum once with numpy's
-pairwise summation; partial sums are never accumulated across chunks,
+pairwise summation; partial sums are never accumulated across spans,
 which is what keeps results byte-stable under --threads.
+
+A batch is cut into near-equal path spans that run on `threads` threads,
+the calling thread included; threads=None (the default) means the CPUs
+this process may use. Model drift/vol maps and payoff callables therefore
+run on worker threads and must be pure functions of their arguments.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +37,10 @@ from .errors import NumericalError
 from .models import ModelSpec, model_hash
 
 _DEFAULT_MEMORY_LIMIT = 4 << 30  # bytes of path storage allowed in one batch
-_CHUNK = 1 << 16                 # paths per work unit when chunking
+_CHUNK = 1 << 16                 # most paths in one span of work
+# Fewest paths worth a span of their own: on smaller spans a second thread
+# loses more to interpreter-lock hand-offs per step than it gains.
+_MIN_SPAN = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -106,9 +115,11 @@ def _check_finite_step(S: np.ndarray, step: int, lo: int) -> None:
     bad = ~np.isfinite(S)
     if bad.any():
         path = lo + int(np.argwhere(bad)[0][0])
-        raise NumericalError(
+        err = NumericalError(
             f"non-finite state at path {path}, step {step}; "
             "reduce dt or check the model's drift/vol maps")
+        err.where = (step, path)    # lets _run_chunks report the earliest
+        raise err
 
 
 def evolve_step(model: ModelSpec, t: float, S, xi, dt: float):
@@ -159,12 +170,17 @@ def _initial_state(model: ModelSpec, S0) -> np.ndarray:
 
 
 def _resolve_threads(threads) -> int:
+    """Worker count: an integer >= 1, or None for the CPUs this process may
+    use (its affinity set, else the CPU count, else 1)."""
     if threads is None:
-        return 1
-    threads = int(threads)
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    return int(threads)
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -195,20 +211,52 @@ def _euler_march(model: ModelSpec, S0: np.ndarray, grid: TimeGrid, seed: int,
     return S
 
 
-def _run_chunks(n_paths: int, threads: int, work) -> None:
-    """Apply work(lo, hi) over path chunks, optionally on a thread pool.
+def _spans(n_paths: int, threads: int) -> list[tuple[int, int]]:
+    """Near-equal path spans [lo, hi) covering 0..n_paths.
 
-    Chunk boundaries are fixed by _CHUNK regardless of thread count; the
-    draws themselves are positional, so the partition never matters.
+    The count is the smallest multiple of threads that keeps every span
+    within _CHUNK paths, lowered so no span falls under _MIN_SPAN paths
+    (a tiny batch stays in one span).
     """
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            work(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(lambda span: work(*span), spans):
-            pass
+    count = threads * -(-n_paths // (threads * _CHUNK))
+    count = max(1, min(count, n_paths // _MIN_SPAN))
+    bounds = [i * n_paths // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_chunks(n_paths: int, threads: int, work) -> None:
+    """Apply work(lo, hi) over the path spans, on up to `threads` threads.
+
+    The spans are cut into one contiguous group per thread; the calling
+    thread runs the first group while pool workers run the rest. Draws are
+    positional, so neither the spans nor the thread count change a value.
+    A NumericalError does not stop the other spans: once all have run, the
+    earliest failure by (step, path) is raised, so the error, too, is the
+    same for every split.
+    """
+    spans = _spans(n_paths, threads)
+    n_groups = min(threads, len(spans))
+    groups = [spans[g * len(spans) // n_groups:(g + 1) * len(spans) // n_groups]
+              for g in range(n_groups)]
+    failures = []
+
+    def run(group) -> None:
+        for lo, hi in group:
+            try:
+                work(lo, hi)
+            except NumericalError as err:
+                failures.append((getattr(err, "where", (np.inf, lo)), err))
+
+    if n_groups == 1:
+        run(spans)
+    else:
+        with ThreadPoolExecutor(max_workers=n_groups - 1) as pool:
+            futures = [pool.submit(run, group) for group in groups[1:]]
+            run(groups[0])
+            for future in futures:
+                future.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,

@@ -68,11 +68,16 @@ def uniform_block(seed: int, substream: int, context: int, step: int,
     block = a // 4
     gen = _keyed_generator(seed, substream, context, step, block)
     raw = gen.random_raw(b - 4 * block)[a - 4 * block:]
-    u = ((raw >> _SHIFT) + 0.5) * _U53
+    # ((raw >> 11) + 0.5) * 2**-53, computed in place in one float buffer
+    np.right_shift(raw, _SHIFT, out=raw)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _U53
     return u.reshape(hi - lo, width)
 
 
 def normal_block(seed: int, substream: int, context: int, step: int,
                  lo: int, hi: int, width: int) -> np.ndarray:
     """Standard normal draws for paths [lo, hi); see uniform_block."""
-    return ndtri(uniform_block(seed, substream, context, step, lo, hi, width))
+    u = uniform_block(seed, substream, context, step, lo, hi, width)
+    return ndtri(u, out=u)

@@ -162,8 +162,9 @@ def fixed_loan_coupon(X: float, X_r: float, r: float, dt: float, T: float) -> fl
     """Level coupon c paid at dt, 2dt, ..., N*dt with residual X_r at T=(N+1)dt.
 
     Solves X = c * sum_{n=1..N} e^{-r n dt} + X_r e^{-rT} for c. The r=0
-    limit (X - X_r)/N is used below |r*T| < 1e-10; elsewhere expm1 keeps
-    the closed form cancellation-free.
+    limit (X - X_r)/N is used below |r*T| < 1e-17, where the discounting
+    it drops is under one rounding of X; elsewhere expm1 keeps the closed
+    form cancellation-free.
     """
     X = _require_finite("X", X)
     X_r = _require_finite("X_r", X_r)
@@ -181,7 +182,7 @@ def fixed_loan_coupon(X: float, X_r: float, r: float, dt: float, T: float) -> fl
             f"T/dt = {ratio!r} must be an integer >= 2; "
             f"nearest valid dt = {T / max(2, n_periods)!r}")
     N = n_periods - 1
-    if abs(r * T) < 1e-10:
+    if abs(r * T) < 1e-17:
         return (X - X_r) / N
     disc_T = math.exp(-r * T)
     # denominator e^{-r dt} - e^{-r T} = e^{-rT} * expm1(r*(T-dt))

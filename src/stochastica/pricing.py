@@ -309,18 +309,30 @@ def _can_sample_terminal_exactly(model: ModelSpec, payoff: PayoffSpec) -> bool:
     return isinstance(params.get("sigma"), (int, float))
 
 
-def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff: PayoffSpec,
-          S0: float, T: float, dt: float, n_paths: int, seed, *,
-          threads=None, exact_terminal: bool | None = None) -> MCEstimate:
-    """Discounted Monte Carlo value of a payoff at horizon T.
+def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
+          dt: float, n_paths: int, seed, *, threads=None,
+          exact_terminal: bool | None = None):
+    """Discounted Monte Carlo value of a payoff, or of a payoff strip, at T.
+
+    payoff is one PayoffSpec, which returns one MCEstimate, or a sequence
+    of them (a strip), which returns a tuple with one MCEstimate per
+    payoff from a single simulation; each equals, bit for bit, what a
+    call with that payoff alone returns.
 
     The model is risk-neutralized internally (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
     left endpoints. For plain terminal payoffs under one-factor
     proportional dynamics the terminal value is drawn from its exact
     lognormal law instead of stepping (metadata sampler flag); pass
-    exact_terminal=False to force the Euler path route.
+    exact_terminal=False to force the Euler path route. Paths run on
+    `threads` threads (default: the CPUs this process may use), so payoff
+    callables must be pure.
     """
+    single = isinstance(payoff, PayoffSpec)
+    payoffs = (payoff,) if single else tuple(payoff)
+    if not payoffs or not all(isinstance(p, PayoffSpec) for p in payoffs):
+        raise ValueError("payoff must be a PayoffSpec or a non-empty "
+                         "sequence of them")
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
     if not T > 0:
@@ -333,47 +345,63 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff: PayoffSpec,
     metadata = {"risk_neutralized": True, "model_hash": model_hash(rn),
                 "dt": dt, "n_steps": n_steps, "discount": disc_T}
 
-    use_exact = _can_sample_terminal_exactly(rn, payoff) \
-        if exact_terminal is None else bool(exact_terminal)
-    if use_exact:
-        if not _can_sample_terminal_exactly(rn, payoff):
+    if exact_terminal is None:
+        exact = [_can_sample_terminal_exactly(rn, p) for p in payoffs]
+    else:
+        if exact_terminal and not all(_can_sample_terminal_exactly(rn, p)
+                                      for p in payoffs):
             raise ValueError("exact terminal sampling needs a one-factor "
                              "proportional model and a pure terminal payoff")
+        exact = [bool(exact_terminal)] * len(payoffs)
+    values = [None] * len(payoffs)
+
+    if any(exact):
         sigma = float(rn.config["params"]["sigma"])
         growth = curve.integral(0.0, T)
         z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
         s_T = S0 * np.exp(growth - 0.5 * sigma * sigma * T
                           + sigma * math.sqrt(T) * z)
-        values = disc_T * np.asarray(payoff.terminal(s_T), dtype=float)
-        metadata["sampler"] = "exact-terminal"
-    else:
+        for i, e in enumerate(exact):
+            if e:
+                values[i] = disc_T * np.asarray(payoffs[i].terminal(s_T), dtype=float)
+
+    euler = [i for i, e in enumerate(exact) if not e]
+    if euler:
         grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
         start = _initial_state(rn, S0)
         disc_steps = np.asarray([curve.discount(0.0, m * dt)
                                  for m in range(n_steps)])
-        values = np.empty(n_paths)
+        streams = [i for i in euler if payoffs[i].stream is not None]
+        for i in euler:
+            values[i] = np.empty(n_paths)
 
         def work(lo: int, hi: int) -> None:
-            acc = np.zeros(hi - lo)
+            acc = {i: np.zeros(hi - lo) for i in streams}
 
             def visit(m: int, s: np.ndarray) -> None:
                 if m < n_steps:
-                    acc[:] += disc_steps[m] * dt * np.asarray(
-                        payoff.stream(m * dt, s[:, 0]), dtype=float)
+                    for i in streams:
+                        acc[i][:] += disc_steps[m] * dt * np.asarray(
+                            payoffs[i].stream(m * dt, s[:, 0]), dtype=float)
 
             s = _euler_march(rn, start, grid, seed, lo, hi,
-                             None if payoff.stream is None else visit)
-            v = disc_T * np.asarray(payoff.terminal(s[:, 0]), dtype=float)
-            values[lo:hi] = v if payoff.stream is None else v + acc
+                             visit if streams else None)
+            for i in euler:
+                v = disc_T * np.asarray(payoffs[i].terminal(s[:, 0]), dtype=float)
+                values[i][lo:hi] = v + acc[i] if i in acc else v
 
         _run_chunks(n_paths, threads, work)
-        metadata["sampler"] = "euler-paths"
 
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("payoff produced non-finite values")
-    mean, se = _mean_and_se(values)
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      metadata=metadata)
+    estimates = []
+    for v, e in zip(values, exact):
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("payoff produced non-finite values")
+        mean, se = _mean_and_se(v)
+        estimates.append(MCEstimate(
+            mean=mean, std_error=se, n_paths=n_paths,
+            metadata=dict(metadata,
+                          sampler="exact-terminal" if e else "euler-paths")))
+    return estimates[0] if single else tuple(estimates)
 
 
 # ---------------------------------------------------------------------------

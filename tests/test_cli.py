@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from stochastica import BSParams, bs_price
-from stochastica.cli import emit_json, main
+from stochastica import BSParams, bs_price, mc
+from stochastica.cli import _build_parser, _resolve_threads, emit_json, main
 
 
 def write_config(tmp_path, name, doc):
@@ -125,6 +125,42 @@ def test_threads_env_variable_is_read(tmp_path, capsys, monkeypatch):
     assert with_env == capsys.readouterr().out
     monkeypatch.setenv("STOCHASTICA_THREADS", "abc")
     assert main(["simulate", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("where,value,source", [
+    ("env", "abc", "STOCHASTICA_THREADS"),
+    ("env", "2.7", "STOCHASTICA_THREADS"),
+    ("env", "0", "STOCHASTICA_THREADS"),
+    ("config", 2.7, "config.threads"),
+    ("config", True, "config.threads"),
+    ("config", 0, "config.threads"),
+    ("flag", "0", "--threads"),
+])
+def test_invalid_threads_exit_2_naming_their_source(tmp_path, capsys,
+                                                    monkeypatch, where, value,
+                                                    source):
+    doc = dict(SIM_DOC, threads=value) if where == "config" else SIM_DOC
+    cfg = write_config(tmp_path, "sim.json", doc)
+    argv = ["simulate", "--config", cfg]
+    if where == "env":
+        monkeypatch.setenv("STOCHASTICA_THREADS", value)
+    if where == "flag":
+        argv += ["--threads", value]
+    assert main(argv) == 2
+    assert f"error: {source}: threads must be" in capsys.readouterr().err
+
+
+def test_threads_resolve_flag_then_config_then_env_then_cpus(monkeypatch):
+    args = _build_parser().parse_args(["check"])
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.delenv("STOCHASTICA_THREADS", raising=False)
+    assert _resolve_threads(args, {}) == 3
+    monkeypatch.setenv("STOCHASTICA_THREADS", "2")
+    assert _resolve_threads(args, {}) == 2
+    assert _resolve_threads(args, {"threads": 4}) == 4
+    args.threads = 5
+    assert _resolve_threads(args, {"threads": "bad"}) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from stochastica import (
     simulate_paths,
     simulate_terminal,
 )
+from stochastica import mc, noise
 from stochastica.errors import NumericalError
 from stochastica.mc import fmt17
 
@@ -101,6 +102,83 @@ def test_thread_count_never_changes_results():
     a = simulate_paths(m, 100.0, grid, n, seed=3, threads=1)
     b = simulate_paths(m, 100.0, grid, n, seed=3, threads=4)
     np.testing.assert_array_equal(a.paths, b.paths)
+
+
+def test_default_threads_match_one_thread_bit_for_bit():
+    # 70,000 paths make two spans at one thread and at any other count
+    m = make_gbm(0.05, 0.2)
+    grid = TimeGrid(0.0, 0.125, 8)
+    n = 70000
+    a = simulate_paths(m, 100.0, grid, n, seed=3, threads=1)
+    b = simulate_paths(m, 100.0, grid, n, seed=3)
+    np.testing.assert_array_equal(a.paths, b.paths)
+    term1, saved1 = simulate_terminal(m, 100.0, grid, n, seed=3,
+                                      checkpoints=(2, 5), threads=1)
+    term, saved = simulate_terminal(m, 100.0, grid, n, seed=3, checkpoints=(2, 5))
+    np.testing.assert_array_equal(term, term1)
+    for c in (2, 5):
+        np.testing.assert_array_equal(saved[c], saved1[c])
+
+
+def test_default_threads_follow_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert mc._resolve_threads(None) == 3
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert mc._resolve_threads(None) == 1
+
+
+@pytest.mark.parametrize("bad", [0, -2, True, 2.7, 2.0, "2"])
+def test_threads_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="threads"):
+        mc._resolve_threads(bad)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 64, 65536, 100000, 131072, 10**6])
+def test_spans_cover_every_path_once(n, threads):
+    spans = mc._spans(n, threads)
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [hi - lo for lo, hi in spans]
+    assert min(sizes) >= 1 and max(sizes) <= mc._CHUNK
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_spans_are_balanced_over_the_threads():
+    assert mc._spans(100000, 2) == [(0, 50000), (50000, 100000)]
+    assert mc._spans(131072, 2) == [(0, 65536), (65536, 131072)]
+    assert len(mc._spans(10**6, 3)) == 18
+    assert mc._spans(1000, 4) == [(0, 1000)]
+    assert mc._spans(2 * mc._MIN_SPAN - 1, 2) == [(0, 2 * mc._MIN_SPAN - 1)]
+
+
+def test_worker_span_error_reaches_the_caller():
+    # only the path with the largest first draw leaves [.., threshold] after
+    # one step and overflows at step 2; it lies in the second span, run by a
+    # pool worker, while paths of the first span overflow later, at step 3
+    n, grid = 2 * mc._MIN_SPAN, TimeGrid(0.0, 1.0, 3)
+    half = mc._MIN_SPAN
+    assert mc._spans(n, 2) == [(0, half), (half, n)]
+    for seed in range(20):
+        xi = noise.normal_block(seed, noise.EULER, 3, 0, 0, n, 1)[:, 0]
+        if int(np.argmax(xi)) >= half:
+            break
+    target = int(np.argmax(xi))
+    assert target >= half
+    threshold = 0.5 * (xi[target] + np.partition(xi, -2)[-2])
+
+    def drift(t, s):
+        return np.where(s > threshold, np.inf, 0.0)
+
+    bad = ModelSpec(dim=1, noise_dim=1, drift=drift,
+                    vol=lambda t, s: np.ones(s.shape + (1,)))
+    with pytest.raises(NumericalError, match="step 3"):
+        simulate_terminal(bad, 0.0, grid, half, seed)
+    for threads in (1, 2, 3):
+        with pytest.raises(NumericalError, match=f"path {target}, step 2"):
+            simulate_terminal(bad, 0.0, grid, n, seed, threads=threads)
 
 
 def test_gbm_terminal_mean():

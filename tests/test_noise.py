@@ -1,5 +1,7 @@
 """Counter-based noise source: addressability, determinism, distribution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -73,3 +75,27 @@ def test_step_blocks_do_not_overlap():
     a = noise.normal_block(42, noise.EULER, 128, 0, 0, 333, 2)
     b = noise.normal_block(42, noise.EULER, 128, 1, 0, 333, 2)
     assert not np.any(np.all(a == b, axis=1))
+
+
+# sha256 of the little-endian bytes of fixed blocks: the draws and the
+# (0, 1) -> normal transform must never change, whatever the buffering
+_DIGESTS = [
+    ((2024, noise.EULER, 64, 5, 0, 1000, 1),
+     "b1ceb28c05514dabce0aebca61f8c5a66708bb6cd737733a22e8c7cc39953da4",
+     "c83f8cfbcf5156f8a47912aa6f163382ff7a71b4c9408b61d032f046a4c94e79"),
+    ((7, noise.TERMINAL, 1, 0, 1233, 5001, 3),
+     "78d3b19c50b835e9d6fa8f860c664f2ea59ffe0cee6048721b3b1ac427359b3e",
+     "a0bafc37b7ae7f105d32352bd1ec3caf648930f0e53ac121d71e3fade32ab6f8"),
+    ((2**64 - 1, noise.KERNEL, 256, 255, 65535, 65539, 2),
+     "044d7707d6af74c3a24edadfedfb63a634029e5c1c31077ab9e4adf59dec9626",
+     "e115876f31ce2895dbf5cf5844ac9b114ad11ac1a8edcca4402c04e18a0c8c01"),
+]
+
+
+@pytest.mark.parametrize("address,normal,uniform", _DIGESTS)
+def test_pinned_block_digests(address, normal, uniform):
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+    assert digest(noise.normal_block(*address)) == normal
+    assert digest(noise.uniform_block(*address)) == uniform

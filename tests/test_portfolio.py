@@ -127,6 +127,14 @@ def test_coupon_balance_identity(X, share, r, N, dt):
     assert abs(pv - X) <= 1e-12 * max(1.0, abs(X))
 
 
+def test_coupon_at_a_tiny_rate_still_discounts():
+    # r*T = 4e-12 used to take the r = 0 limit, which drops a 2e-12
+    # discount: the coupon must still price the loan to X within 1e-12
+    X, r, dt = 1.0, 1e-12, 2.0
+    c = fixed_loan_coupon(X, 0.0, r, dt, 2 * dt)
+    assert abs(c * math.exp(-r * dt) - X) <= 1e-12
+
+
 def test_schedule_prices_to_notional():
     X, X_r, r, dt, T = 250.0, 40.0, 0.06, 0.5, 4.0
     curve = DiscountCurve.flat(r)

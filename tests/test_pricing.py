@@ -6,6 +6,7 @@ independent of every closed form in the package.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from stochastica import (
     risk_neutralize,
     table_payoff,
 )
+from stochastica import mc
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 
 
@@ -312,6 +314,78 @@ def test_pv_mc_thread_count_does_not_change_values():
     a = pv_mc(*args, seed=5, threads=1, exact_terminal=False)
     b = pv_mc(*args, seed=5, threads=3, exact_terminal=False)
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+def test_pv_mc_default_threads_match_one_thread():
+    # 70,000 paths make two spans at one thread and at any other count
+    curve = DiscountCurve(times=(0.0,), rates=(0.05,))
+    args = (make_gbm(0.12, 0.2), curve, call_payoff(100.0), 100.0, 1.0, 0.25,
+            70_000)
+    for exact in (False, None):
+        a = pv_mc(*args, seed=5, threads=1, exact_terminal=exact)
+        b = pv_mc(*args, seed=5, exact_terminal=exact)
+        assert a.mean == b.mean and a.std_error == b.std_error
+
+
+_STREAM = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
+                     stream=lambda t, s: 0.01 * s + t)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("curve", [DiscountCurve.flat(0.05),
+                                   DiscountCurve(times=(0.0, 0.5),
+                                                 rates=(0.03, 0.07))],
+                         ids=["flat", "two-rate"])
+@pytest.mark.parametrize("route,strip", [
+    ("euler", (call_payoff(90.0), put_payoff(110.0), digital_payoff(100.0))),
+    ("euler", (call_payoff(100.0), _STREAM, put_payoff(95.0))),
+    ("exact", (call_payoff(90.0), put_payoff(110.0), digital_payoff(100.0))),
+    ("default", (call_payoff(100.0), _STREAM)),
+], ids=["euler", "euler-stream", "exact", "mixed"])
+def test_pv_mc_strip_equals_one_call_per_payoff(route, strip, curve, threads):
+    # 32,768 paths make two spans on two threads
+    exact = {"euler": False, "exact": True, "default": None}[route]
+    args = (make_gbm(0.1, 0.2), curve)
+    rest = (100.0, 1.0, 1.0 / 8, 32_768, 21)
+    got = pv_mc(*args, strip, *rest, threads=threads, exact_terminal=exact)
+    assert isinstance(got, tuple) and len(got) == len(strip)
+    for est, payoff in zip(got, strip):
+        one = pv_mc(*args, payoff, *rest, threads=threads, exact_terminal=exact)
+        assert est.mean == one.mean and est.std_error == one.std_error
+        assert est.metadata == one.metadata
+
+
+def test_pv_mc_strip_under_thread_switch_stress():
+    # five spans on five threads (more than the cores) write disjoint
+    # slices of shared arrays while the interpreter switches threads often
+    curve = DiscountCurve.flat(0.05)
+    strip = (call_payoff(100.0), _STREAM)
+    n = 5 * mc._MIN_SPAN + 3
+    args = (make_gbm(0.1, 0.2), curve, strip, 100.0, 1.0, 1.0 / 4, n, 9)
+    want = pv_mc(*args, threads=1, exact_terminal=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = pv_mc(*args, threads=5, exact_terminal=False)
+            assert [(e.mean, e.std_error) for e in got] == \
+                [(e.mean, e.std_error) for e in want]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pv_mc_strip_validation():
+    curve = DiscountCurve.flat(0.05)
+    args = (make_gbm(0.1, 0.2), curve)
+    rest = (100.0, 1.0, 0.25, 100, 0)
+    one = pv_mc(*args, [call_payoff(100.0)], *rest)
+    assert isinstance(one, tuple) and len(one) == 1
+    with pytest.raises(ValueError, match="payoff"):
+        pv_mc(*args, [], *rest)
+    with pytest.raises(ValueError, match="payoff"):
+        pv_mc(*args, [call_payoff(100.0), 3.0], *rest)
+    with pytest.raises(ValueError, match="exact terminal"):
+        pv_mc(*args, [call_payoff(100.0), _STREAM], *rest, exact_terminal=True)
 
 
 def test_pv_mc_stream_is_left_riemann_sum():
