@@ -4,8 +4,10 @@ Closed forms for the three solved model families, change of variables for
 monotone maps, a conservative finite-difference solver for the forward
 (Fokker-Planck) equation, a backward solver for conditional expectations,
 and quadrature composition of transition densities. The forward and
-backward solvers and pricing.pv_pde share one banded theta step,
-_theta_step; each builds its own coefficients and runs its own checks.
+backward solvers and pricing.pv_pde share one theta step, _ThetaSystem:
+the tridiagonal system I - theta*dt*L is factored (LAPACK gttrf) at most
+once per theta and each step is one gttrs solve. Each solver builds its
+own coefficients and runs its own checks.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -40,8 +42,46 @@ def trapezoid_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
+def _int_at_least(name: str, value, low: int) -> int:
+    """value as an int; anything but an integer >= low is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Grid densities
+
+
+def _check_densities(s: np.ndarray, p: np.ndarray) -> None:
+    """The checks of a density on grid s, for one slice p of shape (n,) or
+    for stacked slices (k, n) at once: values finite, no value below
+    -_NEG_CLAMP of its slice's peak, trapezoid mass within _MASS_TOL of 1.
+    Negatives that pass are zeroed in place. A failure is reported for the
+    first failing slice, by the first check it fails, as a lone check of
+    that slice would report it.
+    """
+    rows = np.atleast_2d(p)
+    with np.errstate(invalid="ignore"):
+        nonfinite = ~np.isfinite(rows).all(axis=1)
+        peak = rows.max(axis=1, initial=0.0, keepdims=True)
+        bad = rows < -_NEG_CLAMP * np.maximum(peak, 1e-300)
+        negative = bad.any(axis=1)
+        mass = (trapezoid_weights(s) * np.where(rows < 0, 0.0, rows)).sum(axis=1)
+        off = np.abs(mass - 1.0) > _MASS_TOL
+    failing = np.flatnonzero(nonfinite | negative | off)
+    if failing.size:
+        k = failing[0]
+        if nonfinite[k]:
+            raise ValueError("density values must be finite")
+        if negative[k]:
+            j = np.flatnonzero(bad[k])[0]
+            raise ValueError(
+                f"density is negative at S={s[j]!r} (value {rows[k, j]!r})")
+        raise ValueError(
+            f"density mass {float(mass[k])!r} outside [1-{_MASS_TOL}, 1+{_MASS_TOL}]")
+    rows[rows < 0] = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,18 +100,7 @@ class DensityGrid:
             raise ValueError("s_values and p_values must be 1-D arrays of equal length >= 3")
         if np.any(np.diff(s) <= 0):
             raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("density values must be finite")
-        peak = float(p.max(initial=0.0))
-        bad = p < -_NEG_CLAMP * max(peak, 1e-300)
-        if bad.any():
-            raise ValueError(
-                f"density is negative at S={s[bad][0]!r} (value {p[bad][0]!r})")
-        p[p < 0] = 0.0
-        mass = float(np.sum(trapezoid_weights(s) * p))
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ValueError(
-                f"density mass {mass!r} outside [1-{_MASS_TOL}, 1+{_MASS_TOL}]")
+        _check_densities(s, p)
         s = s.copy()
         for arr in (s, p):
             arr.setflags(write=False)
@@ -532,26 +561,55 @@ def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
     return lower, diag, upper
 
 
-def _theta_step(u: np.ndarray, lower, diag, upper, dt: float, m: int,
-                source=None) -> np.ndarray:
-    """Step m of du/dt = L u (+ source/dt) for a tridiagonal L, with the
-    Rannacher (1984) schedule: two fully implicit startup steps, then
-    trapezoidal stepping. source is added to the right-hand side as is.
-    """
-    from scipy.linalg import solve_banded  # looked up per call, not at import
+class _ThetaSystem:
+    """Theta stepping of du/dt = L u (+ source/dt) for a fixed tridiagonal L.
 
-    theta = 1.0 if m < 2 else 0.5
-    Lu = diag * u
-    Lu[:-1] += upper[:-1] * u[1:]
-    Lu[1:] += lower[1:] * u[:-1]
-    rhs = u + (1.0 - theta) * dt * Lu
-    if source is not None:
-        rhs += source
-    ab = np.zeros((3, u.size))
-    ab[0, 1:] = -theta * dt * upper[:-1]
-    ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    step(u, m) is step m of the Rannacher (1984) schedule: two fully
+    implicit startup steps, then trapezoidal stepping. I - theta*dt*L is
+    factored with LAPACK gttrf the first time a theta is needed and each
+    step is one gttrs solve, the same pivoted elimination (and the same
+    bits) as scipy.linalg.solve_banded's gtsv. Coefficient and right-hand
+    side checks match solve_banded's: non-finite input is a ValueError, a
+    singular system a LinAlgError.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 dt: float):
+        self.lower, self.diag, self.upper, self.dt = lower, diag, upper, dt
+        self._factors = {}
+
+    def _factor(self, theta: float):
+        from scipy.linalg import lapack  # looked up per call, not at import
+
+        dt = self.dt
+        dl = -theta * dt * self.lower[1:]
+        d = 1.0 - theta * dt * self.diag
+        du = -theta * dt * self.upper[:-1]
+        if not all(np.isfinite(a).all() for a in (dl, d, du)):
+            raise ValueError("array must not contain infs or NaNs")
+        *factors, info = lapack.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                                       overwrite_du=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return factors
+
+    def step(self, u: np.ndarray, m: int, source=None) -> np.ndarray:
+        """u advanced by step m; source is added to the right-hand side as is."""
+        from scipy.linalg import lapack
+
+        theta = 1.0 if m < 2 else 0.5
+        Lu = self.diag * u
+        Lu[:-1] += self.upper[:-1] * u[1:]
+        Lu[1:] += self.lower[1:] * u[:-1]
+        rhs = u + (1.0 - theta) * self.dt * Lu
+        if source is not None:
+            rhs += source
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        if theta not in self._factors:
+            self._factors[theta] = self._factor(theta)
+        x, _info = lapack.dgttrs(*self._factors[theta], rhs, overwrite_b=1)
+        return x
 
 
 def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
@@ -576,7 +634,8 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
             "initial density does not vanish at the domain edges "
             "(boundary > 1e-8 of peak); widen the grid")
 
-    mass0 = float(np.sum(trapezoid_weights(s) * p))
+    w = trapezoid_weights(s)
+    mass0 = float(np.sum(w * p))
     tv0 = float(np.abs(np.diff(p)).sum())
     mhash = initial.model_hash or model_hash(model)
     out = [DensityGrid(s_values=s, p_values=p, t=grid.t0, model_hash=mhash)]
@@ -584,7 +643,7 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     for m in range(grid.n_steps):
         tau = grid.time(m) + 0.5 * grid.dt
         lower, diag, upper = _flux_coefficients(model, s, tau, h)
-        p = _theta_step(p, lower, diag, upper, grid.dt, m)
+        p = _ThetaSystem(lower, diag, upper, grid.dt).step(p, m)
 
         peak = float(p.max())
         if float(p.min()) < -1e-6 * peak:
@@ -597,7 +656,7 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
             raise NumericalError(
                 f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
                 f"{m + 1}: unstable resolution; retry with dt <= {grid.dt / 4:.6g}")
-        mass = float(np.sum(trapezoid_weights(s) * p))
+        mass = float(np.sum(w * p))
         if abs(mass - mass0) > _MASS_TOL:
             raise NumericalError(
                 f"mass drifted to {mass!r} at step {m + 1}; the domain or "
@@ -689,6 +748,7 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     Proportional (gbm-kind) models run on a log-price grid and the result
     is mapped back, so the returned grid is log-uniform in that case.
     """
+    n_steps = _int_at_least("n_steps", n_steps, 1)
     t0 = float(initial.t)
     if not t1 > t0:
         raise ValueError("t1 must exceed the initial density's time")
@@ -737,6 +797,7 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
         raise ValueError("backward solver handles one-dimensional models")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
+    n_steps = _int_at_least("n_steps", n_steps, 1)
     s = np.asarray(s_values, dtype=float)
     h = _require_uniform(s)
     u = np.asarray(terminal(s) if callable(terminal) else terminal, dtype=float)
@@ -763,7 +824,7 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
         diag[0], upper[0] = -mu[0] / h, mu[0] / h
         diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
 
-        u = _theta_step(u, lower, diag, upper, dt, m)
+        u = _ThetaSystem(lower, diag, upper, dt).step(u, m)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
         tv = float(np.abs(np.diff(u)).sum())

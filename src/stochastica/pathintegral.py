@@ -21,9 +21,9 @@ import numpy as np
 from . import noise
 from .errors import DegenerateKernelError, NumericalError
 from .mc import MCEstimate, _mean_and_se, _step_count, fmt17
-from .density import (DensityGrid, PointMass, TransitionMatrix,
+from .density import (DensityGrid, TransitionMatrix,
                       default_domain, point_mass_on_grid, quadrature_apply,
-                      trapezoid_weights, _log_space_model)
+                      trapezoid_weights, _check_densities, _log_space_model)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -114,33 +114,36 @@ def _is_time_invariant(model: ModelSpec) -> bool:
     return model.kind in ("bm", "gbm", "vasicek", "custom-grid")
 
 
-def _propagate_sequence(kernel: ShortTimeKernel, initial: DensityGrid,
-                        n_steps: int) -> list[DensityGrid]:
-    p = initial.p_values
+def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
+                        rows: np.ndarray) -> None:
+    """Fill rows[1:] with the lattice steps from rows[0], the density on
+    grid s at time t0, then run the density checks once over the new rows.
+
+    Aborts when the cumulative mass truncated at the grid edges exceeds 1%.
+    """
+    p = rows[0]
     peak = float(p.max())
     if max(p[0], p[-1]) > 1e-8 * peak:
         raise ValueError(
             "initial density does not vanish at the domain edges "
             "(boundary > 1e-8 of peak); widen the grid")
-    s = initial.s_values
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
-    out = [initial]
     leak = 0.0
     tm = None
-    for m in range(n_steps):
-        t_m = initial.t + m * kernel.dt
+    for m in range(rows.shape[0] - 1):
+        t_m = t0 + m * kernel.dt
         if tm is None or not _is_time_invariant(kernel.model):
             tm = kernel_matrix(kernel, t_m, s)
         leak += float(np.sum(w * p * (1.0 - tm.raw_row_mass))) / mass0
         if leak > _LEAK_LIMIT:
+            _check_densities(s, rows[1:m + 1])   # a bad slice is reported first
             raise NumericalError(
                 f"boundary leak reached {leak:.3%} of the mass by step {m + 1}; "
                 "the grid is too narrow for this horizon")
-        p = quadrature_apply(w, p, tm.matrix)
-        out.append(DensityGrid(s_values=s, p_values=p, t=t_m + kernel.dt,
-                               model_hash=initial.model_hash))
-    return out
+        rows[m + 1] = quadrature_apply(w, p, tm.matrix)
+        p = rows[m + 1]
+    _check_densities(s, rows[1:])
 
 
 def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
@@ -154,7 +157,14 @@ def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
         raise ValueError("n_steps must be a non-negative integer")
     if n_steps == 0:
         return initial
-    return _propagate_sequence(kernel, initial, int(n_steps))[-1]
+    n_steps = int(n_steps)
+    rows = np.empty((n_steps + 1, initial.s_values.size))
+    rows[0] = initial.p_values
+    _propagate_sequence(kernel, initial.s_values, initial.t, rows)
+    # t_{n-1} + dt, as the step loop counts time, not t0 + n*dt
+    t_last = initial.t + (n_steps - 1) * kernel.dt + kernel.dt
+    return DensityGrid(s_values=initial.s_values, p_values=rows[-1], t=t_last,
+                       model_hash=initial.model_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +244,14 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     row_mass = float(np.sum(w * row))
     if row_mass <= 0:
         raise NumericalError("grid does not cover the one-step transition")
-    first = DensityGrid(s_values=grid, p_values=row / row_mass, t=t0 + dt,
-                        model_hash=mhash)
+    transition = np.empty((n_steps + 1, grid.size))
+    transition[0] = start.p_values
+    transition[1] = row / row_mass
+    _check_densities(grid, transition[1])
     if n_steps > 1:
-        seq = [start] + _propagate_sequence(kernel, first, n_steps - 1)
-    else:
-        seq = [start, first]
+        _propagate_sequence(kernel, grid, t0 + dt, transition[1:])
 
     times = t0 + dt * np.arange(n_steps + 1)
-    transition = np.stack([d.p_values for d in seq])
     discounts = np.asarray([curve.discount(t0, tm) for tm in times])
     price_values = np.exp(grid) if log_coords else grid
     return GreensFunction(t0=t0, S0=float(S0), times=times,

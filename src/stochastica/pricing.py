@@ -7,8 +7,9 @@ risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
 
 The Monte Carlo route steps with mc's Euler core (_euler_march) and the
-PDE route with density's theta step (_theta_step); the routes share these
-numerical primitives but never call each other.
+PDE route with density's factored theta system (_ThetaSystem), whose
+coefficients are built and factored once for a scalar sigma; the routes
+share these numerical primitives but never call each other.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import noise
-from .density import GridFunction, _theta_step
+from .density import GridFunction, _int_at_least, _ThetaSystem
 from .errors import NumericalError
 from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _mean_and_se,
                  _resolve_threads, _run_chunks, _step_count)
@@ -412,8 +413,8 @@ def _resolve_sigma(sigma) -> Callable[[float, np.ndarray], np.ndarray]:
     if callable(sigma):
         return lambda t, s: np.asarray(sigma(t, s), dtype=float)
     sig = float(sigma)
-    if sig <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sig) and sig > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     return lambda t, s: np.full_like(np.asarray(s, dtype=float), sig)
 
 
@@ -423,16 +424,23 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     """Backward solve of the pricing PDE; returns the t=0 value function.
 
     Log-price coordinates make the diffusion coefficient constant for
-    constant sigma. Two fully implicit startup steps damp the payoff kink
-    before trapezoidal time stepping takes over; edge rows impose zero
-    curvature in price. The grid is centered on ln S0 and snapped so the
-    strike (when present) falls on a node.
+    constant sigma: a scalar sigma builds (and factors) the system once, a
+    callable sigma(t, S) rebuilds it every step. Two fully implicit startup
+    steps damp the payoff kink before trapezoidal time stepping takes over;
+    edge rows impose zero curvature in price. The grid is centered on ln S0
+    and snapped so the strike (when present) falls on a node. n_steps must
+    be a positive integer, n_nodes an integer >= 5 and half_width finite
+    and positive.
     """
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
     r = curve.rates[0]
     if not (S0 > 0 and T > 0):
         raise ValueError("S0 and T must be positive")
+    n_steps = _int_at_least("n_steps", n_steps, 1)
+    n_nodes = _int_at_least("n_nodes", n_nodes, 5)
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
     sig_fn = _resolve_sigma(sigma)
     x0 = math.log(S0)
     sig0 = float(np.max(sig_fn(0.0, np.asarray([S0]))))
@@ -463,8 +471,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     gamma_c = 2.0 / (1.0 - 0.5 * h)
     delta_c = -(1.0 + 0.5 * h) / (1.0 - 0.5 * h)
 
-    for m in range(n_steps):
-        tau = T - (m + 0.5) * dt
+    def system(tau: float) -> _ThetaSystem:
         sig_m = sig_fn(tau, s)
         a = 0.5 * sig_m ** 2
         b = r - 0.5 * sig_m ** 2
@@ -478,10 +485,15 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         upper[0] = a[0] * (1 + beta) / (h * h) + b[0] * (1 - beta) / (2 * h)
         diag[-1] = a[-1] * (gamma_c - 2) / (h * h) + b[-1] * gamma_c / (2 * h) - r
         lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
+        return _ThetaSystem(lower, diag, upper, dt)
 
+    fixed = None if callable(sigma) else system(T)
+    for m in range(n_steps):
+        tau = T - (m + 0.5) * dt
         source = None if payoff.stream is None \
             else dt * np.asarray(payoff.stream(tau, s), dtype=float)
-        f = _theta_step(f, lower, diag, upper, dt, m, source)
+        step_system = fixed if fixed is not None else system(tau)
+        f = step_system.step(f, m, source)
         if not np.all(np.isfinite(f)):
             raise NumericalError(
                 f"pricing solve produced non-finite values at step {m + 1}")

@@ -26,7 +26,7 @@ from stochastica import (
     make_vasicek,
     point_mass_on_grid,
 )
-from stochastica.density import trapezoid_weights
+from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
 from stochastica.errors import NumericalError
 
 
@@ -112,6 +112,40 @@ def test_density_grid_validation():
     bad[100] = -0.1
     with pytest.raises(ValueError):
         DensityGrid(s_values=s, p_values=bad, t=1.0)
+
+
+def test_stacked_density_checks_report_the_first_bad_slice():
+    s = np.linspace(-4, 4, 201)
+    p = np.exp(-0.5 * s * s) / math.sqrt(2 * math.pi)
+    tiny_negative = p.copy()
+    tiny_negative[0] = -1e-15
+    negative = p.copy()
+    negative[150] = -0.1
+    nonfinite = p.copy()
+    nonfinite[7] = np.nan
+    for rows in ([p, negative, nonfinite, 2 * p], [p, 2 * p, negative],
+                 [tiny_negative, nonfinite, negative]):
+        stacked = np.array(rows)
+        bad = next(r for r in rows if not _lone_check_passes(s, r))
+        with pytest.raises(ValueError) as lone:
+            DensityGrid(s_values=s, p_values=bad, t=0.0)
+        with pytest.raises(ValueError) as together:
+            _check_densities(s, stacked)
+        assert str(together.value) == str(lone.value)
+    # negatives within the clamp are zeroed in place, as DensityGrid does
+    stacked = np.array([p, tiny_negative])
+    _check_densities(s, stacked)
+    assert stacked[1, 0] == 0.0
+    assert np.array_equal(stacked[1],
+                          DensityGrid(s_values=s, p_values=tiny_negative, t=0.0).p_values)
+
+
+def _lone_check_passes(s, p):
+    try:
+        DensityGrid(s_values=s, p_values=p, t=0.0)
+    except ValueError:
+        return False
+    return True
 
 
 def test_point_mass_on_grid_concentration():
@@ -252,6 +286,86 @@ def test_forward_solver_requires_vanishing_edges():
     broad = DensityGrid(s_values=s, p_values=p, t=0.0)
     with pytest.raises(ValueError, match="edge|boundary|grid"):
         fokker_planck_forward(model, broad, TimeGrid(0.0, 0.01, 10))
+
+
+def _solve_banded_step(u, lower, diag, upper, dt, m, source=None):
+    """One theta step written out with scipy.linalg.solve_banded."""
+    from scipy.linalg import solve_banded
+
+    theta = 1.0 if m < 2 else 0.5
+    Lu = diag * u
+    Lu[:-1] += upper[:-1] * u[1:]
+    Lu[1:] += lower[1:] * u[:-1]
+    rhs = u + (1.0 - theta) * dt * Lu
+    if source is not None:
+        rhs += source
+    ab = np.zeros((3, u.size))
+    ab[0, 1:] = -theta * dt * upper[:-1]
+    ab[1, :] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * lower[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("n", [401, 4097])
+@pytest.mark.parametrize("m", [0, 1, 2, 7])      # theta = 1, 1, 1/2, 1/2
+def test_theta_system_step_equals_solve_banded_bit_for_bit(n, m):
+    rng = np.random.default_rng(n + m)
+    lower = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(-1.0, 1.0, n)
+    diag = -(np.abs(lower) + np.abs(upper)) - rng.uniform(0.0, 1.0, n)
+    dt = 0.7
+    system = _ThetaSystem(lower, diag, upper, dt)
+    for k in range(3):          # later steps reuse the factors of the first
+        u = rng.normal(size=n)
+        source = rng.normal(size=n) if k == 1 else None
+        want = _solve_banded_step(u.copy(), lower, diag, upper, dt, m, source)
+        got = system.step(u, m, None if source is None else source.copy())
+        assert np.array_equal(got, want)
+
+
+def test_theta_system_rejects_what_solve_banded_rejects():
+    n = 50
+    lower, upper, diag = np.full(n, 1.0), np.full(n, 1.0), np.full(n, -2.0)
+    u = np.ones(n)
+    u_nan = u.copy()
+    u_nan[9] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _ThetaSystem(lower, diag, upper, 0.1).step(u_nan, 0)
+    bad_diag = diag.copy()
+    bad_diag[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _ThetaSystem(lower, bad_diag, upper, 0.1).step(u, 0)
+    # I - dt*L with L = I/dt is the zero matrix
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _ThetaSystem(np.zeros(n), np.full(n, 10.0), np.zeros(n), 0.1).step(u, 0)
+
+
+def test_fokker_planck_forward_matches_solve_banded_steps():
+    # the forward march is one theta step per time step, nothing more
+    from stochastica.density import _flux_coefficients
+
+    model = make_vasicek(1.2, 0.04, 0.015)
+    s = np.linspace(-0.08, 0.16, 401)
+    initial = point_mass_on_grid(s, 0.03)
+    grid = TimeGrid(0.0, 1.0 / 40, 40)
+    out = fokker_planck_forward(model, initial, grid)
+    p = initial.p_values.copy()
+    for m in range(grid.n_steps):
+        lower, diag, upper = _flux_coefficients(model, s, grid.time(m) + 0.5 * grid.dt,
+                                                s[1] - s[0])
+        p = _solve_banded_step(p, lower, diag, upper, grid.dt, m)
+        p[p < 0] = 0.0
+        assert np.array_equal(out[m + 1].p_values, p)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 1.5, True])
+def test_solvers_reject_a_bad_step_count(n_steps):
+    model = make_bm(0.0, 0.5)
+    s = np.linspace(-4.0, 4.0, 201)
+    with pytest.raises(ValueError, match="n_steps"):
+        kolmogorov_backward(model, lambda x: x, s, 0.0, 1.0, n_steps=n_steps)
+    with pytest.raises(ValueError, match="n_steps"):
+        evolve_density(model, PointMass(center=0.0), 1.0, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,38 @@ def test_propagate_agrees_with_composed_matrices():
     np.testing.assert_allclose(pc, p2, rtol=1e-9, atol=1e-12)
 
 
+def test_propagate_equals_step_by_step_composition_bit_for_bit():
+    # compose_transition and propagate share quadrature_apply, so chaining
+    # one-step compositions reproduces the lattice to the last bit
+    for model, s in ((make_bm(0.1, 0.3), np.linspace(-2.0, 2.2, 401)),
+                     (make_vasicek(1.0, 0.05, 0.02), np.linspace(-0.03, 0.09, 301))):
+        initial = point_mass_on_grid(s, float(s[s.size // 2]))
+        k = one_step_kernel(model, 0.0, 1.0 / 16)
+        tm = kernel_matrix(k, 0.0, s)
+        chained = initial
+        for _ in range(16):
+            chained = compose_transition(chained, tm)
+        out = propagate(k, initial, 16)
+        assert np.array_equal(out.p_values, chained.p_values)
+        assert np.array_equal(out.s_values, s)
+        assert out.t == 15 * (1.0 / 16) + 1.0 / 16
+
+
+def test_greens_slices_equal_step_by_step_composition_bit_for_bit():
+    rn, curve = _rn_gbm(0.05, 0.2)
+    g = greens_function(rn, curve, 0.0, 100.0, 1.0, 1.0 / 32, n_nodes=401)
+    x = g.native_values
+    k = one_step_kernel(make_bm(0.05 - 0.5 * 0.2 ** 2, 0.2), 0.0, 1.0 / 32)
+    tm = kernel_matrix(k, 0.0, x)
+    assert g.transition.shape == (33, x.size)
+    assert np.array_equal(g.transition[0],
+                          point_mass_on_grid(x, math.log(100.0)).p_values)
+    chained = DensityGrid(s_values=x, p_values=g.transition[1], t=1.0 / 32)
+    for m in range(2, 33):
+        chained = compose_transition(chained, tm)
+        assert np.array_equal(g.transition[m], chained.p_values)
+
+
 def test_propagate_aborts_when_grid_too_narrow():
     s = np.linspace(-1.5, 1.5, 301)
     initial = point_mass_on_grid(s, 0.0)

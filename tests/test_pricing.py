@@ -508,6 +508,50 @@ def test_pv_pde_validation():
         pv_pde(call_payoff(100.0), flat, 0.2, 100.0, 0.0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_nodes": 2}, "n_nodes"),
+    ({"n_nodes": 4}, "n_nodes"),
+    ({"n_nodes": 100.5}, "n_nodes"),
+    ({"half_width": 0.0}, "half_width"),
+    ({"half_width": -8.0}, "half_width"),
+    ({"half_width": math.inf}, "half_width"),
+    ({"n_steps": 0}, "n_steps"),
+    ({"n_steps": 1.5}, "n_steps"),
+    ({"n_steps": -4}, "n_steps"),
+    ({"sigma": math.nan}, "sigma"),
+    ({"sigma": math.inf}, "sigma"),
+])
+def test_pv_pde_rejects_bad_grid_arguments_by_name(kwargs, name):
+    # n_nodes=2 priced the BS 10.45 call at 15.23 and half_width=0 at 3.99
+    flat = DiscountCurve(times=(0.0,), rates=(0.05,))
+    args = {"sigma": 0.2, **kwargs}
+    sigma = args.pop("sigma")
+    with pytest.raises(ValueError, match=name):
+        pv_pde(call_payoff(100.0), flat, sigma, 100.0, 1.0, **args)
+
+
+def test_pv_pde_smallest_grid_still_prices():
+    flat = DiscountCurve(times=(0.0,), rates=(0.05,))
+    gf = pv_pde(call_payoff(100.0), flat, 0.2, 100.0, 1.0, n_nodes=5, n_steps=1)
+    assert np.all(np.isfinite(gf.values))
+
+
+@pytest.mark.parametrize("payoff", [
+    call_payoff(90.0),
+    PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
+               stream=lambda t, s: 0.01 * s),
+])
+def test_pv_pde_scalar_sigma_equals_the_same_sigma_as_a_callable(payoff):
+    # the scalar route builds and factors its system once; the callable
+    # route rebuilds and refactors it at every step
+    curve = DiscountCurve(times=(0.0,), rates=(0.03,))
+    fixed = pv_pde(payoff, curve, 0.25, 100.0, 1.5, n_nodes=1025, n_steps=128)
+    per_step = pv_pde(payoff, curve, lambda t, s: np.full_like(s, 0.25), 100.0, 1.5,
+                      n_nodes=1025, n_steps=128)
+    assert np.array_equal(fixed.s_values, per_step.s_values)
+    assert np.array_equal(fixed.values, per_step.values)
+
+
 # ---------------------------------------------------------------------------
 # Green's-function route
 
