@@ -4,7 +4,9 @@ Subcommands: simulate | density | price | greeks | hedge | index | check.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
-significant digits so outputs round-trip exactly.
+significant digits so outputs round-trip exactly; float arrays (JSON) and
+path tables (CSV) are formatted in bulk, one pass over all values with
+the same 17 digits, so the bytes match a value-by-value rendering.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
@@ -58,6 +60,24 @@ def _json_scalar(x) -> str:
     raise ValueError(f"cannot serialize {type(x).__name__} to JSON")
 
 
+def _emit_float_array(a: np.ndarray, indent: int) -> str:
+    """A non-empty float array in one pass: every value formatted once as
+    fmt17 does, non-finite ones quoted as _json_scalar does, then joined
+    from the innermost axis outwards."""
+    items = list(map("{:.17g}".format,
+                     a.astype(float, copy=False).ravel().tolist()))
+    for i in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
+        items[i] = json.dumps(items[i])
+    for depth in range(a.ndim - 1, -1, -1):
+        n = a.shape[depth]
+        inner = "  " * (indent + depth + 1)
+        head, sep = "[\n" + inner, ",\n" + inner
+        tail = "\n" + "  " * (indent + depth) + "]"
+        items = [head + sep.join(items[i:i + n]) + tail
+                 for i in range(0, len(items), n)]
+    return items[0]
+
+
 def emit_json(obj, indent: int = 0) -> str:
     """Render with sorted keys and 17-digit floats; no timestamps."""
     pad = "  " * indent
@@ -68,6 +88,9 @@ def emit_json(obj, indent: int = 0) -> str:
         parts = [f"{inner}{json.dumps(str(k))}: {emit_json(obj[k], indent + 1)}"
                  for k in sorted(obj)]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.size \
+            and obj.dtype.kind == "f":
+        return _emit_float_array(obj, indent)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -152,6 +175,14 @@ def _resolve_format(args, cfg: dict, default: str) -> str:
     return fmt
 
 
+def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
+    """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
+    n_steps) must be a positive integer either way."""
+    n = density_mod._int_at_least(f"config.{where}.n_steps",
+                                  sub.get("n_steps", n_steps), 1)
+    return float(sub.get("dt", T / n))
+
+
 def _curve_from_config(cfg: dict) -> DiscountCurve:
     doc = cfg.get("curve")
     if doc is None:
@@ -201,7 +232,7 @@ def cmd_simulate(args) -> int:
                          "std_error": [s for _, s in terminal]},
         }
         if cfg.get("include_paths", False):
-            doc["paths"] = batch.paths.tolist()
+            doc["paths"] = batch.paths
         text = emit_json(doc) + "\n"
     _write_output(text, args.out, {"command": "simulate", "seed": seed})
     return 0
@@ -283,7 +314,8 @@ def cmd_density(args) -> int:
     res = cfg.get("resolution", {})
     n_nodes = int(res.get("n_nodes", 801))
     half_width = float(res.get("half_width", 8.0))
-    n_steps = int(res.get("n_steps", 256))
+    n_steps = density_mod._int_at_least("config.resolution.n_steps",
+                                        res.get("n_steps", 256), 1)
     fmt = _resolve_format(args, cfg, "csv")
 
     s = _comparison_grid(model, S0, t, cfg, n_nodes, half_width)
@@ -308,8 +340,7 @@ def cmd_density(args) -> int:
             buf.write(f"{fmt17(sv)},{row}\n")
         text = buf.getvalue()
     else:
-        doc = {"t": t, "model_hash": mhash, "s": list(s),
-               "densities": {m: list(tables[m]) for m in methods},
+        doc = {"t": t, "model_hash": mhash, "s": s, "densities": tables,
                "l1": l1}
         text = emit_json(doc) + "\n"
     _write_output(text, args.out, {"command": "density"})
@@ -352,7 +383,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
         return {"value": float(fn(S0))}
     if method == "green":
         sub = cfg.get("green", {})
-        dt = float(sub.get("dt", T / int(sub.get("n_steps", 256))))
+        dt = _dt_from(sub, T, 256, "green")
         rn = model if model.risk_neutral \
             else pricing_mod.risk_neutralize(model, curve)
         green = pi_mod.greens_function(
@@ -363,7 +394,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
                 "mass": green.total_mass()}
     if method == "mc":
         sub = cfg.get("mc", {})
-        dt = float(sub.get("dt", T / int(sub.get("n_steps", 64))))
+        dt = _dt_from(sub, T, 64, "mc")
         est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt,
                                 int(sub.get("n_paths", 100000)), seed,
                                 threads=threads,

@@ -591,13 +591,22 @@ def fmt17(x: float) -> str:
 
 
 def export_paths_csv(batch: PathBatch, fh) -> None:
-    """Columnar CSV export: path_id, step, asset, value."""
-    fh.write("path_id,step,asset,value\n")
+    """Columnar CSV export: path_id, step, asset, value.
+
+    One %-template covers a path's steps x assets rows; "%.17g" renders
+    each value exactly as fmt17 does.
+    """
     n, steps, dim = batch.paths.shape
-    for p in range(n):
-        for m in range(steps):
-            for a in range(dim):
-                fh.write(f"{p},{m},{a},{fmt17(batch.paths[p, m, a])}\n")
+    k = steps * dim
+    template = "".join(f"%d,{m},{a},%.17g\n"
+                       for m in range(steps) for a in range(dim))
+    args = [0] * (2 * k)
+    rows = ["path_id,step,asset,value\n"]
+    for p, values in enumerate(batch.paths.reshape(n, k).tolist()):
+        args[0::2] = [p] * k
+        args[1::2] = values
+        rows.append(template % tuple(args))
+    fh.write("".join(rows))
 
 
 def export_paths_binary(batch: PathBatch, path: str) -> None:

@@ -10,7 +10,8 @@ count and chunk size.
 
 Gaussians are produced by the inverse normal CDF applied to 53-bit
 uniforms in the open interval (0, 1), so each draw depends only on its
-own address.
+own address. normal_block imports scipy.special's ndtri on its first
+call, so importing this module loads no scipy.
 
 The ``context`` integer separates streams that must not be correlated,
 e.g. grids with different step counts in a refinement study.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
-from scipy.special import ndtri
 
 # Substream tags. Consumers with independent sampling duties use
 # different tags so their draws never collide.
@@ -79,5 +79,6 @@ def uniform_block(seed: int, substream: int, context: int, step: int,
 def normal_block(seed: int, substream: int, context: int, step: int,
                  lo: int, hi: int, width: int) -> np.ndarray:
     """Standard normal draws for paths [lo, hi); see uniform_block."""
+    from scipy.special import ndtri  # loaded on first use, not at import
     u = uniform_block(seed, substream, context, step, lo, hi, width)
     return ndtri(u, out=u)

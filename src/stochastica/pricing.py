@@ -10,6 +10,9 @@ The Monte Carlo route steps with mc's Euler core (_euler_march) and the
 PDE route with density's factored theta system (_ThetaSystem), whose
 coefficients are built and factored once for a scalar sigma; the routes
 share these numerical primitives but never call each other.
+
+scipy is imported inside the functions that use it (scipy.special in
+norm_cdf), so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from . import noise
 from .density import GridFunction, _int_at_least, _ThetaSystem
@@ -148,6 +150,8 @@ def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
 
 def norm_cdf(x):
     """Standard Gaussian CDF via the complementary error function."""
+    from scipy.special import erfc  # loaded on first use, not at import
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
@@ -454,7 +458,12 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
             if abs(k_star) >= width:
                 raise ValueError("strike lies outside the grid; "
                                  "increase half_width")
-            h = k_star / round(k_star / h)
+            cells = round(k_star / h)
+            if cells == 0:
+                raise ValueError(
+                    f"strike {payoff.strike!r} lies within half a grid cell of "
+                    f"the spot {S0!r}, so the grid cannot be snapped to it")
+            h = k_star / cells
     n_half = math.ceil(width / abs(h))
     x = x0 + h * np.arange(-n_half, n_half + 1)
     s = np.exp(x)

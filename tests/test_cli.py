@@ -1,12 +1,16 @@
 """Command-line front end: determinism, formats, exit codes."""
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import stochastica
 from stochastica import BSParams, bs_price, mc
 from stochastica.cli import _build_parser, _resolve_threads, emit_json, main
 
@@ -57,6 +61,74 @@ def test_emit_json_nonfinite_floats_are_strings():
 def test_emit_json_rejects_unknown_types():
     with pytest.raises(ValueError):
         emit_json({"x": object()})
+    for obj in ([1, object()], np.array([1 + 2j]), np.array([True]),
+                np.array([0.5, object()], dtype=object),
+                [np.array(["a"], dtype=bytes)]):
+        with pytest.raises(ValueError):
+            emit_json(obj)
+
+
+def _reference_scalar(x) -> str:
+    # value-by-value rendering the bulk float-array route must reproduce
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        text = f"{float(x):.17g}"
+        return text if math.isfinite(float(x)) else json.dumps(text)
+    if isinstance(x, str):
+        return json.dumps(x)
+    raise ValueError(f"cannot serialize {type(x).__name__} to JSON")
+
+
+def _reference_emit_json(obj, indent=0):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: "
+                 f"{_reference_emit_json(obj[k], indent + 1)}"
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        parts = [f"{inner}{_reference_emit_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    return _reference_scalar(obj)
+
+
+_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+_RNG = np.random.default_rng(7)
+_EMIT_CASES = {
+    **{f"f64{shape}": _RNG.normal(size=shape) * 10.0 ** _RNG.integers(-5, 5, shape)
+       for shape in [(3,), (2, 3), (4, 5, 1), (3, 2, 2)]},
+    **{f"f32{shape}": _RNG.normal(size=shape).astype(np.float32)
+       for shape in [(3,), (2, 3), (4, 5, 1)]},
+    **{f"empty{shape}": np.zeros(shape) for shape in [(0,), (2, 0), (0, 3)]},
+    "specials": np.array(_SPECIALS),
+    "specials_2d": np.array(_SPECIALS[:6]).reshape(3, 2),
+    "specials_f32": np.array([math.nan, math.inf, -math.inf, -0.0, 1e-45, 3e38,
+                              0.1], dtype=np.float32),
+    "ints": np.arange(6).reshape(2, 3),
+    "mixed_list": [1, True, None, "s", np.int64(7), 2.5, np.float32(0.1),
+                   [], [[1.0, [math.inf]], ()]],
+    "mixed_tuple": (False, -3, np.uint8(4), ("x", [None, -0.0])),
+    "arrays_in_lists": [np.ones((2, 2)), [np.array([math.nan])], np.zeros(0)],
+    "nested_dict": {"b": {"a": np.array([[1.5, -2.0]])}, "a": [{}, {"x": 1}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMIT_CASES))
+def test_emit_json_matches_value_by_value_rendering(name):
+    obj = _EMIT_CASES[name]
+    for doc, indent in ((obj, 0), ({"k": obj}, 0), ([[obj]], 3)):
+        assert emit_json(doc, indent) == _reference_emit_json(doc, indent)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +233,45 @@ def test_threads_resolve_flag_then_config_then_env_then_cpus(monkeypatch):
     assert _resolve_threads(args, {"threads": 4}) == 4
     args.threads = 5
     assert _resolve_threads(args, {"threads": "bad"}) == 5
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    # sha256 of the bodies written by the value-by-value emitters
+    ("csv", "e97eb35cfb585a635ff760db1cc1ae1478389a92e08b5aa66379bf5a451b2f1f"),
+    ("json", "f073ff4a74355ff60b001a1e7278e5a3287700039376197566396066c70b7379"),
+])
+def test_simulate_bodies_keep_their_bytes(tmp_path, fmt, digest):
+    cfg = write_config(tmp_path, "sim.json", dict(SIM_DOC, include_paths=True))
+    out = str(tmp_path / f"sim.{fmt}")
+    assert main(["simulate", "--config", cfg, "--format", fmt, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def test_hedge_and_index_load_no_scipy(tmp_path):
+    hedge = write_config(tmp_path, "hedge.json", {"instruments": [
+        {"name": "a", "delta": 0.6, "kappa": 1.0, "gamma": 0.02},
+        {"name": "b", "delta": 0.4, "kappa": -1.0, "gamma": 0.01}]})
+    index = write_config(tmp_path, "index.json",
+                         {"prices": [1.0, 2.0], "sigmas": [0.1, 0.2]})
+    script = (
+        "import sys\n"
+        "from stochastica.cli import main\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_loaded())\n"
+        "assert main(['hedge', '--config', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
+        "assert main(['index', '--config', sys.argv[2], '--out', sys.argv[4]]) == 0\n"
+        "print(scipy_loaded())\n")
+    src = os.path.dirname(os.path.dirname(stochastica.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, hedge, index,
+         str(tmp_path / "hedge.out"), str(tmp_path / "index.out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +437,33 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     bad_json.write_text("{not json", encoding="utf-8")
     assert main(["simulate", "--config", str(bad_json)]) == 2
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("price", {"method": "green", "green": {"n_steps": 0}}, "config.green.n_steps"),
+    ("price", {"method": "mc", "mc": {"n_steps": 0}}, "config.mc.n_steps"),
+    ("price", {"method": "mc", "mc": {"n_steps": -2, "dt": 0.25}},
+     "config.mc.n_steps"),
+    ("density", {"resolution": {"n_steps": 0}}, "config.resolution.n_steps"),
+    ("density", {"resolution": {"n_steps": 2.5}}, "config.resolution.n_steps"),
+])
+def test_bad_step_counts_exit_2_naming_the_key(tmp_path, capsys, command,
+                                               extra, key):
+    # a zero step count used to divide by zero before any check
+    base = GBM_PRICE_DOC if command == "price" else {
+        "model": {"type": "bm", "params": {"mu": 0.1, "sigma": 0.3}},
+        "S0": 0.0, "t": 1.0, "method": ["analytic", "path-integral"]}
+    cfg = write_config(tmp_path, "steps.json", dict(base, **extra))
+    assert main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_pde_strike_next_to_the_spot_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "pde.json", dict(
+        GBM_PRICE_DOC, method="pde",
+        payoff={"kind": "call", "strike": 100.001}))
+    assert main(["price", "--config", cfg]) == 2
+    assert "half a grid cell" in capsys.readouterr().err
 
 
 def test_fractional_config_seed_is_rejected(tmp_path, capsys):

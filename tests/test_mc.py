@@ -1,5 +1,6 @@
 """Euler path engine: stepping, batches, estimators, scaling, exports."""
 
+import io
 import math
 
 import numpy as np
@@ -423,6 +424,35 @@ def test_csv_export_shape(tmp_path):
     fields = lines[1].split(",")
     assert fields[:3] == ["0", "0", "0"]
     assert float(fields[3]) == 0.0
+
+
+def _reference_export_paths_csv(batch, fh):
+    # the value-by-value writer the bulk export replaced
+    fh.write("path_id,step,asset,value\n")
+    n, steps, dim = batch.paths.shape
+    for p in range(n):
+        for m in range(steps):
+            for a in range(dim):
+                fh.write(f"{p},{m},{a},{fmt17(batch.paths[p, m, a])}\n")
+
+
+@pytest.mark.parametrize("model, S0", [
+    (make_gbm(0.05, 0.2), 100.0),
+    (make_correlated_gbm([0.05, 0.02], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]]),
+     [100.0, 50.0]),
+])
+def test_csv_export_matches_value_by_value_writer(model, S0):
+    batch = simulate_paths(model, S0, TimeGrid(0.0, 0.25, 4), 5, seed=23)
+    batch.paths[1, 2, -1] = np.nan
+    batch.paths[2, 3, 0] = np.inf
+    batch.paths[3, 1, -1] = -np.inf
+    batch.paths[4, 4, 0] = -0.0
+    batch.paths[0, 1, 0] = 5e-324
+    got, want = io.StringIO(), io.StringIO()
+    export_paths_csv(batch, got)
+    _reference_export_paths_csv(batch, want)
+    assert got.getvalue() == want.getvalue()
+    assert ",nan\n" in got.getvalue() and ",-0\n" in got.getvalue()
 
 
 def test_binary_roundtrip_exact(tmp_path):

@@ -508,6 +508,16 @@ def test_pv_pde_validation():
         pv_pde(call_payoff(100.0), flat, 0.2, 100.0, 0.0)
 
 
+def test_pv_pde_rejects_a_strike_within_half_a_cell_of_the_spot():
+    # snapping such a strike to a node divided by zero
+    flat = DiscountCurve(times=(0.0,), rates=(0.05,))
+    with pytest.raises(ValueError, match=r"strike 100\.001 .*half a grid cell"):
+        pv_pde(call_payoff(100.001), flat, 0.2, 100.0, 1.0)
+    want = bs_price(BSParams(S=100.0, K=100.1, r=0.05, sigma=0.2, t=1.0))
+    gf = pv_pde(call_payoff(100.1), flat, 0.2, 100.0, 1.0)
+    assert float(gf(100.0)) == pytest.approx(want, rel=1e-3)
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"n_nodes": 2}, "n_nodes"),
     ({"n_nodes": 4}, "n_nodes"),
