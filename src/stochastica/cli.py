@@ -175,11 +175,20 @@ def _resolve_format(args, cfg: dict, default: str) -> str:
     return fmt
 
 
+def _count(cfg: dict, key: str, low: int, default=None,
+           where: str = "config") -> int:
+    """cfg[key], else default, as an integer >= low; an error names the key
+    as where.key. With no default the key is required."""
+    if default is None and key not in cfg:
+        raise ValueError(f"{where}.{key} is required")
+    return density_mod._int_at_least(f"{where}.{key}", cfg.get(key, default),
+                                     low)
+
+
 def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
     """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
     n_steps) must be a positive integer either way."""
-    n = density_mod._int_at_least(f"config.{where}.n_steps",
-                                  sub.get("n_steps", n_steps), 1)
+    n = _count(sub, "n_steps", 1, n_steps, f"config.{where}")
     return float(sub.get("dt", T / n))
 
 
@@ -202,8 +211,8 @@ def cmd_simulate(args) -> int:
     S0 = _require(cfg, "S0", float, "initial state")
     grid = TimeGrid(t0=float(cfg.get("t0", 0.0)),
                     dt=_require(cfg, "dt", float, "step size"),
-                    n_steps=_require(cfg, "n_steps", int, "step count"))
-    n_paths = _require(cfg, "n_paths", int, "path count")
+                    n_steps=_count(cfg, "n_steps", 1))
+    n_paths = _count(cfg, "n_paths", 1)
     seed = _resolve_seed(args, cfg)
     threads = _resolve_threads(args, cfg)
     fmt = _resolve_format(args, cfg, "csv")
@@ -247,9 +256,9 @@ def _comparison_grid(model, S0: float, t: float, cfg: dict,
     explicit = cfg.get("grid")
     if explicit is not None:
         lo, hi = float(explicit["lo"]), float(explicit["hi"])
-        n = int(explicit.get("n", n_nodes))
-        if not hi > lo or n < 3:
-            raise ValueError("grid needs lo < hi and n >= 3")
+        n = _count(explicit, "n", 3, n_nodes, "config.grid")
+        if not hi > lo:
+            raise ValueError("config.grid needs lo < hi")
         return np.linspace(lo, hi, n)
     analytic = _analytic_density(model, S0, t)
     if analytic is None:
@@ -312,10 +321,9 @@ def cmd_density(args) -> int:
     if not methods or any(m not in _DENSITY_METHODS for m in methods):
         raise ValueError(f"method entries must come from {_DENSITY_METHODS}")
     res = cfg.get("resolution", {})
-    n_nodes = int(res.get("n_nodes", 801))
+    n_nodes = _count(res, "n_nodes", 5, 801, "config.resolution")
     half_width = float(res.get("half_width", 8.0))
-    n_steps = density_mod._int_at_least("config.resolution.n_steps",
-                                        res.get("n_steps", 256), 1)
+    n_steps = _count(res, "n_steps", 1, 256, "config.resolution")
     fmt = _resolve_format(args, cfg, "csv")
 
     s = _comparison_grid(model, S0, t, cfg, n_nodes, half_width)
@@ -377,8 +385,10 @@ def _price_one(method: str, model, curve: DiscountCurve,
             raise ValueError("the pde route prices proportional dynamics only")
         sub = cfg.get("pde", {})
         fn = pricing_mod.pv_pde(payoff, curve, _scalar_sigma(model), S0, T,
-                                n_nodes=int(sub.get("n_nodes", 4097)),
-                                n_steps=int(sub.get("n_steps", 512)),
+                                n_nodes=_count(sub, "n_nodes", 5, 4097,
+                                               "config.pde"),
+                                n_steps=_count(sub, "n_steps", 1, 512,
+                                               "config.pde"),
                                 half_width=float(sub.get("half_width", 8.0)))
         return {"value": float(fn(S0))}
     if method == "green":
@@ -388,7 +398,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
             else pricing_mod.risk_neutralize(model, curve)
         green = pi_mod.greens_function(
             rn, curve, 0.0, S0, T, dt,
-            n_nodes=int(sub.get("n_nodes", 801)),
+            n_nodes=_count(sub, "n_nodes", 5, 801, "config.green"),
             half_width=float(sub.get("half_width", 8.0)))
         return {"value": pricing_mod.pv_green(green, payoff),
                 "mass": green.total_mass()}
@@ -396,7 +406,8 @@ def _price_one(method: str, model, curve: DiscountCurve,
         sub = cfg.get("mc", {})
         dt = _dt_from(sub, T, 64, "mc")
         est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt,
-                                int(sub.get("n_paths", 100000)), seed,
+                                _count(sub, "n_paths", 1, 100000, "config.mc"),
+                                seed,
                                 threads=threads,
                                 exact_terminal=sub.get("exact_terminal"))
         return {"value": est.mean, "std_error": est.std_error,

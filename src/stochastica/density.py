@@ -19,6 +19,7 @@ the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -186,6 +187,8 @@ class TransitionMatrix:
     matrix[i, j] is the density at target node j given source node i; each
     row integrates to 1 under the target grid's trapezoid weights.
     raw_row_mass keeps the pre-normalization masses for leak accounting.
+    matrix is a dense array or a scipy.sparse array (the lattice kernels
+    are CSR); either way it is read-only once built.
     """
 
     t_from: float
@@ -198,10 +201,11 @@ class TransitionMatrix:
     def __post_init__(self):
         src = np.asarray(self.source_values, dtype=float)
         tgt = np.asarray(self.target_values, dtype=float)
-        m = np.asarray(self.matrix, dtype=float)
+        sparse = _is_sparse(self.matrix)
+        m = self.matrix if sparse else np.asarray(self.matrix, dtype=float)
         if m.shape != (src.size, tgt.size):
             raise ValueError("matrix shape must be (n_source, n_target)")
-        if np.any(m < 0):
+        if np.any((m.data if sparse else m) < 0):
             raise ValueError("transition weights must be >= 0")
         masses = m @ trapezoid_weights(tgt)
         if np.any(np.abs(masses - 1.0) > 1e-6):
@@ -228,14 +232,30 @@ class TransitionMatrix:
                    target_values=tgt, matrix=rows, raw_row_mass=raw)
 
 
-def quadrature_apply(weights: np.ndarray, p: np.ndarray,
-                     matrix: np.ndarray) -> np.ndarray:
-    """One composition step: integrate densities against a transition family.
+def _is_sparse(matrix) -> bool:
+    """Whether matrix is a scipy.sparse array. Nothing builds one without
+    importing scipy.sparse, so the check never imports it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
 
-    Shared by compose_transition and pathintegral.propagate so the two
-    code paths produce bit-identical arrays.
+
+def quadrature_apply(weights: np.ndarray, p: np.ndarray,
+                     matrix) -> np.ndarray:
+    """One composition step: q[j] = sum_i weights[i] * p[i] * matrix[i, j].
+
+    A dense matrix is a vector-matrix product. A sparse one is applied as
+    its transposed CSR form, built on the first apply and kept on the
+    matrix, so each q[j] sums only the nonzero entries of column j, in
+    source order. Shared by compose_transition and pathintegral.propagate
+    so the two code paths produce bit-identical arrays.
     """
-    return (weights * p) @ matrix
+    v = weights * p
+    if not _is_sparse(matrix):
+        return v @ matrix
+    by_target = getattr(matrix, "_by_target", None)
+    if by_target is None:
+        by_target = matrix._by_target = matrix.T.tocsr()
+    return by_target @ v
 
 
 def _grids_match(a: np.ndarray, b: np.ndarray) -> bool:

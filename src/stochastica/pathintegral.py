@@ -2,9 +2,13 @@
 
 One Euler step has a Gaussian transition law; iterating its quadrature on
 a price grid yields finite-horizon transition densities, and discounting
-yields present-value Green's functions. Kernel rows are normalized on the
-working grid, so each propagation step conserves mass exactly; the mass
-removed by window truncation is tracked as boundary leak.
+yields present-value Green's functions. A kernel row keeps only the
+targets within +-8 std of its drifted center, so kernel_matrix computes
+just those entries and stores them as a scipy.sparse CSR array (imported
+on first use), and each lattice step is one sparse product through
+density.quadrature_apply. Kernel rows are normalized on the working grid,
+so each propagation step conserves mass exactly; the mass removed by
+window truncation is tracked as boundary leak.
 
 Proportional (gbm-kind) models propagate on a log-price lattice where the
 kernel is translation invariant; results are reported on the mapped price
@@ -82,12 +86,21 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
                   target_values=None) -> TransitionMatrix:
     """Discretize the kernel on grids: rows windowed, then row-normalized.
 
-    Each row keeps only targets within +-8 std of its drifted center
-    (everything outside is zeroed before normalization); the trapezoid
-    mass removed that way is recorded in raw_row_mass for leak accounting.
+    Each row keeps only the targets with |z| <= 8, z the distance from the
+    row's drifted center in std, and only those entries are computed and
+    stored, as a scipy.sparse CSR array. A row's candidates are the targets
+    between center -+ 8 std, found by binary search and widened by one node
+    per side, so the |z| test alone decides the window. The trapezoid mass
+    of each row before normalization is recorded in raw_row_mass for leak
+    accounting. The target grid must be strictly increasing.
     """
+    from scipy import sparse
+
     src = np.asarray(source_values, dtype=float)
     tgt = src if target_values is None else np.asarray(target_values, dtype=float)
+    if not np.all(np.diff(tgt) > 0):
+        raise ValueError("kernel_matrix needs a strictly increasing target "
+                         "grid to locate the kernel windows")
     mean = kernel.mean(t, src)
     std = kernel.std(t, src)
     if np.any(std == 0):
@@ -96,18 +109,35 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
             f"volatility vanishes at S={bad!r}: transition is a deterministic "
             "shift", shift=float(kernel.mean(t, bad) - bad))
     w = trapezoid_weights(tgt)
-    z = (tgt[None, :] - mean[:, None]) / std[:, None]
-    rows = np.where(np.abs(z) <= _WINDOW_STD,
-                    np.exp(-0.5 * z * z), 0.0) / (np.sqrt(2 * math.pi) * std[:, None])
-    raw = rows @ w
+    # candidates: the targets between mean -+ 8 std, one more node per side
+    reach = _WINDOW_STD * np.abs(std)
+    lo = np.maximum(np.searchsorted(tgt, mean - reach) - 1, 0)
+    hi = np.minimum(np.searchsorted(tgt, mean + reach, side="right") + 1,
+                    tgt.size)
+    width = hi - lo
+    row = np.repeat(np.arange(src.size), width)
+    col = np.arange(row.size) - np.repeat(np.cumsum(width) - width - lo, width)
+    z = (tgt[col] - mean[row]) / std[row]
+    keep = np.abs(z) <= _WINDOW_STD
+    row, col, z = row[keep], col[keep], z[keep]
+    data = np.exp(-0.5 * z * z) / (np.sqrt(2 * math.pi) * std[row])
+    indptr = np.zeros(src.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=src.size), out=indptr[1:])
+    # row masses by pairwise summation, as accurate as the dense product
+    raw = np.zeros(src.size)
+    filled = indptr[:-1] < indptr[1:]
+    raw[filled] = np.add.reduceat(data * w[col], indptr[:-1][filled])
     if np.any(raw <= 0):
         bad = float(src[np.argwhere(raw <= 0)[0][0]])
         raise NumericalError(
             f"kernel row at S={bad!r} has no mass on the target grid; "
             "the grid does not cover the one-step transition")
-    rows /= raw[:, None]
+    data /= raw[row]
+    index = np.int32 if max(data.size, tgt.size) < 2 ** 31 else np.int64
+    matrix = sparse.csr_array((data, col.astype(index), indptr.astype(index)),
+                              shape=(src.size, tgt.size))
     return TransitionMatrix(t_from=t, t_to=t + kernel.dt, source_values=src,
-                            target_values=tgt, matrix=rows, raw_row_mass=raw)
+                            target_values=tgt, matrix=matrix, raw_row_mass=raw)
 
 
 def _is_time_invariant(model: ModelSpec) -> bool:
@@ -135,7 +165,8 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
         t_m = t0 + m * kernel.dt
         if tm is None or not _is_time_invariant(kernel.model):
             tm = kernel_matrix(kernel, t_m, s)
-        leak += float(np.sum(w * p * (1.0 - tm.raw_row_mass))) / mass0
+            leak_weights = w * (1.0 - tm.raw_row_mass)
+        leak += float(leak_weights @ p) / mass0
         if leak > _LEAK_LIMIT:
             _check_densities(s, rows[1:m + 1])   # a bad slice is reported first
             raise NumericalError(

@@ -458,6 +458,60 @@ def test_bad_step_counts_exit_2_naming_the_key(tmp_path, capsys, command,
     assert key in capsys.readouterr().err
 
 
+DENSITY_DOC = {
+    "model": {"type": "bm", "params": {"mu": 0.1, "sigma": 0.3}},
+    "S0": 0.0, "t": 1.0, "method": ["analytic", "path-integral"]}
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("price", {"method": "mc", "mc": {"n_paths": 2000.9, "dt": 0.25}},
+     "config.mc.n_paths"),
+    ("price", {"method": "mc", "mc": {"n_paths": 0, "dt": 0.25}},
+     "config.mc.n_paths"),
+    ("price", {"method": "pde", "pde": {"n_nodes": 4}}, "config.pde.n_nodes"),
+    ("price", {"method": "pde", "pde": {"n_nodes": 401.5}}, "config.pde.n_nodes"),
+    ("price", {"method": "pde", "pde": {"n_steps": 0}}, "config.pde.n_steps"),
+    ("price", {"method": "pde", "pde": {"n_steps": 64.5}}, "config.pde.n_steps"),
+    ("price", {"method": "green", "green": {"n_nodes": 4}},
+     "config.green.n_nodes"),
+    ("price", {"method": "green", "green": {"n_nodes": 401.5}},
+     "config.green.n_nodes"),
+    ("density", {"resolution": {"n_nodes": 4}}, "config.resolution.n_nodes"),
+    ("density", {"resolution": {"n_nodes": "801"}}, "config.resolution.n_nodes"),
+    ("density", {"grid": {"lo": -2.0, "hi": 2.0, "n": 2}}, "config.grid.n"),
+    ("density", {"grid": {"lo": -2.0, "hi": 2.0, "n": 401.5}}, "config.grid.n"),
+    ("simulate", {"n_steps": 4.5}, "config.n_steps"),
+    ("simulate", {"n_steps": 0}, "config.n_steps"),
+    ("simulate", {"n_paths": 3.7}, "config.n_paths"),
+    ("simulate", {"n_paths": True}, "config.n_paths"),
+])
+def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, command, extra,
+                                          key):
+    # int() used to truncate these: n_paths 2000.9 priced 2000 paths
+    base = {"price": GBM_PRICE_DOC, "density": DENSITY_DOC,
+            "simulate": SIM_DOC}[command]
+    cfg = write_config(tmp_path, "counts.json", dict(base, **extra))
+    assert main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_missing_simulate_counts_are_named(tmp_path, capsys):
+    for key in ("n_steps", "n_paths"):
+        doc = {k: v for k, v in SIM_DOC.items() if k != key}
+        cfg = write_config(tmp_path, "missing.json", doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"config.{key} is required" in capsys.readouterr().err
+
+
+def test_integral_counts_are_accepted(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ok.json", dict(
+        DENSITY_DOC, grid={"lo": -2.0, "hi": 2.0, "n": 3},
+        resolution={"n_nodes": 5, "n_steps": 8}, method=["analytic"],
+        format="json"))
+    assert main(["density", "--config", cfg]) == 0
+    assert len(json.loads(capsys.readouterr().out)["s"]) == 3
+
+
 def test_pde_strike_next_to_the_spot_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "pde.json", dict(
         GBM_PRICE_DOC, method="pde",

@@ -26,7 +26,9 @@ from stochastica import (
     propagate,
     risk_neutralize,
 )
-from stochastica.density import quadrature_apply, trapezoid_weights
+from stochastica.density import (TransitionMatrix, _log_space_model,
+                                 quadrature_apply, trapezoid_weights)
+from stochastica.pathintegral import _WINDOW_STD
 
 
 def l1_distance(s, p, q):
@@ -98,7 +100,7 @@ def test_kernel_matrix_rows_normalized():
     tm = kernel_matrix(k, 0.0, s)
     w = trapezoid_weights(s)
     np.testing.assert_allclose(tm.matrix @ w, np.ones(s.size), rtol=1e-12)
-    assert np.all(tm.matrix >= 0.0)
+    assert np.all(tm.matrix.toarray() >= 0.0)
     # interior rows are fully covered, edge rows are truncated
     assert tm.raw_row_mass[s.size // 2] == pytest.approx(1.0, abs=1e-9)
     assert tm.raw_row_mass[0] < 0.75
@@ -108,6 +110,108 @@ def test_kernel_matrix_rejects_uncovered_grid():
     k = one_step_kernel(make_bm(0.0, 0.1), 0.0, 0.01)
     with pytest.raises(NumericalError, match="cover"):
         kernel_matrix(k, 0.0, np.array([0.0]), np.linspace(5.0, 6.0, 11))
+
+
+def dense_kernel_reference(kernel, t, source, target=None):
+    """The dense windowed construction: every entry of the full matrix is
+    computed, those with |z| > 8 are zeroed, rows are normalized by their
+    trapezoid mass."""
+    src = np.asarray(source, dtype=float)
+    tgt = src if target is None else np.asarray(target, dtype=float)
+    mean = kernel.mean(t, src)
+    std = kernel.std(t, src)
+    z = (tgt[None, :] - mean[:, None]) / std[:, None]
+    rows = np.where(np.abs(z) <= _WINDOW_STD, np.exp(-0.5 * z * z),
+                    0.0) / (np.sqrt(2 * math.pi) * std[:, None])
+    raw = rows @ trapezoid_weights(tgt)
+    return rows / raw[:, None], raw
+
+
+KERNEL_CASES = {
+    "bm": (make_bm(0.1, 0.3), np.linspace(-2.5, 2.7, 801), 1.0 / 200),
+    "gbm": (make_gbm(0.05, 0.2), np.linspace(40.0, 250.0, 801), 1.0 / 200),
+    "gbm-log": (_log_space_model(make_gbm(0.05, 0.2)),
+                np.linspace(3.0, 6.2, 1601), 1.0 / 400),
+    "vasicek": (make_vasicek(1.0, 0.05, 0.02), np.linspace(-0.03, 0.09, 1601),
+                1.0 / 400),
+}
+
+
+def assert_matches_dense_reference(tm, kernel, source, target=None):
+    dense, raw = dense_kernel_reference(kernel, 0.0, source, target)
+    assert tm.matrix.format == "csr"
+    got = tm.matrix.toarray()
+    assert np.array_equal(got != 0, dense != 0)
+    assert tm.matrix.nnz == np.count_nonzero(dense)
+    nz = dense != 0
+    np.testing.assert_allclose(got[nz], dense[nz], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(tm.raw_row_mass, raw, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matrix_matches_dense_windowed_construction(name):
+    model, s, dt = KERNEL_CASES[name]
+    k = one_step_kernel(model, 0.0, dt)
+    tm = kernel_matrix(k, 0.0, s)
+    assert_matches_dense_reference(tm, k, s)
+    assert tm.matrix.nnz < 0.6 * s.size ** 2
+
+
+def test_kernel_matrix_on_a_different_target_grid():
+    k = one_step_kernel(make_bm(0.0, 0.3), 0.0, 1.0 / 16)
+    src = np.linspace(-1.0, 1.0, 201)
+    tgt = np.linspace(-1.5, 1.3, 333)
+    tm = kernel_matrix(k, 0.0, src, tgt)
+    assert tm.matrix.shape == (201, 333)
+    assert_matches_dense_reference(tm, k, src, tgt)
+
+
+def test_kernel_matrix_rejects_a_non_increasing_target_grid():
+    k = one_step_kernel(make_bm(0.0, 0.3), 0.0, 1.0 / 16)
+    s = np.linspace(-1.0, 1.0, 21)
+    for tgt in (s[::-1], np.concatenate([s[:10], s[9:]])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kernel_matrix(k, 0.0, s, tgt)
+
+
+def test_sparse_transition_matrix_keeps_its_checks():
+    s = np.linspace(-1.0, 1.0, 41)
+    tm = kernel_matrix(one_step_kernel(make_bm(0.0, 0.3), 0.0, 1.0 / 16), 0.0, s)
+    negative = tm.matrix.copy()
+    negative.data[5] = -negative.data[5]
+    with pytest.raises(ValueError, match=">= 0"):
+        TransitionMatrix(t_from=0.0, t_to=1.0, source_values=s,
+                         target_values=s, matrix=negative)
+    heavy = tm.matrix.copy()
+    heavy.data[heavy.indptr[7]:heavy.indptr[8]] *= 1.01
+    with pytest.raises(ValueError, match="row 7"):
+        TransitionMatrix(t_from=0.0, t_to=1.0, source_values=s,
+                         target_values=s, matrix=heavy)
+
+
+def test_compose_sparse_kernels_and_dense_pdf_families():
+    s = np.linspace(-2.0, 2.0, 201)
+    w = trapezoid_weights(s)
+    k = one_step_kernel(make_bm(0.05, 0.4), 0.0, 1.0 / 16)
+    tm = kernel_matrix(k, 0.0, s)
+    dense, _ = dense_kernel_reference(k, 0.0, s)
+
+    both = compose_transition(tm, tm)                     # CSR o CSR
+    np.testing.assert_allclose(both.matrix.toarray(), (dense * w) @ dense,
+                               rtol=1e-12, atol=1e-12)
+    p0 = norm.pdf(s, scale=0.3)
+    np.testing.assert_allclose(
+        quadrature_apply(w, p0, both.matrix),
+        quadrature_apply(w, quadrature_apply(w, p0, tm.matrix), tm.matrix),
+        rtol=1e-9, atol=1e-12)
+
+    wide = TransitionMatrix.from_pdf(                     # dense o CSR
+        lambda x0: (lambda x: norm.pdf(x, loc=x0, scale=0.2)), 0.0, 0.5, s, s)
+    mixed = compose_transition(wide, tm)
+    assert isinstance(mixed.matrix, np.ndarray)
+    np.testing.assert_allclose(mixed.matrix, (wide.matrix * w) @ dense,
+                               rtol=1e-12, atol=1e-12)
+    assert mixed.t_to == tm.t_to
 
 
 # ---------------------------------------------------------------------------
