@@ -7,7 +7,8 @@ and quadrature composition of transition densities. The forward and
 backward solvers and pricing.pv_pde share one theta step, _ThetaSystem:
 the tridiagonal system I - theta*dt*L is factored (LAPACK gttrf) at most
 once per theta and each step is one gttrs solve. Each solver builds its
-own coefficients and runs its own checks.
+own coefficients and runs its own checks; the forward and backward solvers
+build a new system only when mu or sigma on the grid change, bit for bit.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .mc import TimeGrid, fmt17
+from .mc import TimeGrid, _int_at_least, fmt17
 from .models import ModelSpec, model_hash
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
@@ -41,14 +42,6 @@ def trapezoid_weights(s: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
-
-
-def _int_at_least(name: str, value, low: int) -> int:
-    """value as an int; anything but an integer >= low is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +251,6 @@ def quadrature_apply(weights: np.ndarray, p: np.ndarray,
     return by_target @ v
 
 
-def _grids_match(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
 def compose_transition(first, second: TransitionMatrix):
     """Chain transitions through a shared intermediate grid.
 
@@ -274,20 +263,20 @@ def compose_transition(first, second: TransitionMatrix):
         raise TypeError("second argument must be a TransitionMatrix")
     if isinstance(first, TransitionDensity):
         inner = first.density
-        if not _grids_match(inner.s_values, second.source_values):
+        if not np.array_equal(inner.s_values, second.source_values):
             raise ValueError("grid mismatch: intermediate grids differ")
         p = quadrature_apply(inner.weights, inner.p_values, second.matrix)
         out = DensityGrid(s_values=second.target_values, p_values=p,
                           t=second.t_to, model_hash=inner.model_hash)
         return TransitionDensity(t0=first.t0, S0=first.S0, density=out)
     if isinstance(first, DensityGrid):
-        if not _grids_match(first.s_values, second.source_values):
+        if not np.array_equal(first.s_values, second.source_values):
             raise ValueError("grid mismatch: intermediate grids differ")
         p = quadrature_apply(first.weights, first.p_values, second.matrix)
         return DensityGrid(s_values=second.target_values, p_values=p,
                            t=second.t_to, model_hash=first.model_hash)
     if isinstance(first, TransitionMatrix):
-        if not _grids_match(first.target_values, second.source_values):
+        if not np.array_equal(first.target_values, second.source_values):
             raise ValueError("grid mismatch: intermediate grids differ")
         w = trapezoid_weights(second.source_values)
         composed = (first.matrix * w) @ second.matrix
@@ -550,6 +539,17 @@ def _require_uniform(s: np.ndarray) -> float:
 
 
 def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
+    """The forward operator's stencil for the model at time tau."""
+    return _flux_stencil(*_flux_inputs(model, s, tau), h)
+
+
+def _flux_inputs(model: ModelSpec, s: np.ndarray, tau: float):
+    """What the stencil reads of the model: sigma at nodes and faces, mu at faces."""
+    faces = 0.5 * (s[:-1] + s[1:])
+    return model.sigma1(tau, s), model.sigma1(tau, faces), model.mu1(tau, faces)
+
+
+def _flux_stencil(sig_nodes, sig_faces, mu_faces, h: float):
     """Exponential-fitted flux stencil for the conservative forward operator.
 
     Returns (lower, diag, upper) of the tridiagonal L with
@@ -557,15 +557,11 @@ def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
     outermost faces, so columns of L sum to zero and sum(p)*h is conserved
     exactly.
     """
-    n = s.size
-    faces = 0.5 * (s[:-1] + s[1:])
-    sig_nodes = model.sigma1(tau, s)
-    sig_faces = model.sigma1(tau, faces)
+    n = sig_nodes.size
     d_nodes = 0.5 * sig_nodes ** 2
     d_faces = 0.5 * sig_faces ** 2
     if np.any(d_nodes <= 0) or np.any(d_faces <= 0):
         raise ValueError("forward solver requires sigma > 0 on the grid")
-    mu_faces = model.mu1(tau, faces)
     what = -mu_faces * h / d_faces          # face Peclet-like ratio
     bp = _bernoulli(what)                   # weight toward the lower node
     bm = _bernoulli(-what)                  # weight toward the upper node
@@ -579,6 +575,13 @@ def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
     diag[:-1] -= d_nodes[:-1] * bp * inv_h2
     diag[1:] -= d_nodes[1:] * bm * inv_h2
     return lower, diag, upper
+
+
+def _same_arrays(new: tuple, old: tuple | None) -> bool:
+    """Whether old holds new's arrays bit for bit, so that the operator built
+    from old is the one new would build. Bytes compare faster than values."""
+    return old is not None and all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                                   for a, b in zip(new, old))
 
 
 class _ThetaSystem:
@@ -641,13 +644,24 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     (fully implicit) startup steps. Returns one DensityGrid per grid time,
     the initial condition included.
     """
+    rows, mhash = _forward_march(model, initial, grid)
+    return [DensityGrid(s_values=initial.s_values, p_values=p, t=grid.time(m),
+                        model_hash=mhash) for m, p in enumerate(rows)]
+
+
+def _forward_march(model: ModelSpec, initial: DensityGrid,
+                   grid: TimeGrid) -> tuple[np.ndarray, str]:
+    """The march as rows (n_steps + 1, n) and their model hash. The density
+    checks run once over all rows; a failing step checks the rows before it
+    first, so the first error is the one a check per step would raise."""
     if model.dim != 1:
         raise ValueError("forward solver handles one-dimensional models")
     s = initial.s_values
     h = _require_uniform(s)
     if abs(initial.t - grid.t0) > 1e-9 * max(1.0, abs(grid.t0)):
         raise ValueError("initial density time must equal grid.t0")
-    p = initial.p_values.copy()
+    rows = np.empty((grid.n_steps + 1, s.size))
+    p = rows[0] = initial.p_values
     peak = float(p.max())
     if max(p[0], p[-1]) > 1e-8 * peak:
         raise ValueError(
@@ -658,35 +672,39 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     mass0 = float(np.sum(w * p))
     tv0 = float(np.abs(np.diff(p)).sum())
     mhash = initial.model_hash or model_hash(model)
-    out = [DensityGrid(s_values=s, p_values=p, t=grid.t0, model_hash=mhash)]
-
+    coeffs = system = None
     for m in range(grid.n_steps):
-        tau = grid.time(m) + 0.5 * grid.dt
-        lower, diag, upper = _flux_coefficients(model, s, tau, h)
-        p = _ThetaSystem(lower, diag, upper, grid.dt).step(p, m)
-
-        peak = float(p.max())
-        if float(p.min()) < -1e-6 * peak:
-            raise NumericalError(
-                f"solution went negative at step {m + 1}: the advection is "
-                f"under-resolved; retry with dt <= {grid.dt / 4:.6g}")
-        p[p < 0] = 0.0
-        tv = float(np.abs(np.diff(p)).sum())
-        if tv > 10.0 * tv0 and tv > 1e-9:
-            raise NumericalError(
-                f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
-                f"{m + 1}: unstable resolution; retry with dt <= {grid.dt / 4:.6g}")
-        mass = float(np.sum(w * p))
-        if abs(mass - mass0) > _MASS_TOL:
-            raise NumericalError(
-                f"mass drifted to {mass!r} at step {m + 1}; the domain or "
-                "resolution cannot represent this evolution")
-        if max(p[0], p[-1]) > 1e-3 * peak:
-            raise NumericalError(
-                f"density reached the domain edge at step {m + 1}; widen the grid")
-        out.append(DensityGrid(s_values=s, p_values=p, t=grid.time(m + 1),
-                               model_hash=mhash))
-    return out
+        try:
+            new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
+            if not _same_arrays(new, coeffs):
+                coeffs = new
+                system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
+            p = system.step(p, m)
+            peak = float(p.max())
+            if float(p.min()) < -1e-6 * peak:
+                raise NumericalError(
+                    f"solution went negative at step {m + 1}: the advection is "
+                    f"under-resolved; retry with dt <= {grid.dt / 4:.6g}")
+            p[p < 0] = 0.0
+            tv = float(np.abs(np.diff(p)).sum())
+            if tv > 10.0 * tv0 and tv > 1e-9:
+                raise NumericalError(
+                    f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
+                    f"{m + 1}: unstable resolution; retry with dt <= {grid.dt / 4:.6g}")
+            mass = float(np.sum(w * p))
+            if abs(mass - mass0) > _MASS_TOL:
+                raise NumericalError(
+                    f"mass drifted to {mass!r} at step {m + 1}; the domain or "
+                    "resolution cannot represent this evolution")
+            if max(p[0], p[-1]) > 1e-3 * peak:
+                raise NumericalError(
+                    f"density reached the domain edge at step {m + 1}; widen the grid")
+        except (ValueError, NumericalError):
+            _check_densities(s, rows[1:m + 1])   # a bad slice is reported first
+            raise
+        rows[m + 1] = p
+    _check_densities(s, rows[1:])
+    return rows, mhash
 
 
 def _model_scalar_params(model: ModelSpec) -> dict:
@@ -776,16 +794,15 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     tg = TimeGrid(t0=t0, dt=horizon / n_steps, n_steps=n_steps)
     mhash = model_hash(model)
 
-    if model.kind == "gbm":
-        log_model = _log_space_model(model)
-        y_initial = change_of_variable(initial, np.log, np.exp, lambda s: 1.0 / s)
-        start = _start_on_domain(log_model, y_initial, horizon, n_nodes,
-                                 half_width, mhash)
-        final_y = fokker_planck_forward(log_model, start, tg)[-1]
-        return change_of_variable(final_y, np.exp, np.log, np.exp)
-
+    log_price = model.kind == "gbm"
+    if log_price:
+        model = _log_space_model(model)
+        initial = change_of_variable(initial, np.log, np.exp, lambda s: 1.0 / s)
     start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
-    return fokker_planck_forward(model, start, tg)[-1]
+    rows, start_hash = _forward_march(model, start, tg)
+    final = DensityGrid(s_values=start.s_values, p_values=rows[-1],
+                        t=tg.time(n_steps), model_hash=start_hash)
+    return change_of_variable(final, np.exp, np.log, np.exp) if log_price else final
 
 
 # ---------------------------------------------------------------------------
@@ -826,25 +843,24 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     if not np.all(np.isfinite(u)):
         raise ValueError("terminal values must be finite")
 
-    n = s.size
     dt = (t1 - t0) / n_steps
     tv0 = float(np.abs(np.diff(u)).sum())
+    coeffs = system = None
     for m in range(n_steps):
         tau = t1 - (m + 0.5) * dt
-        mu = model.mu1(tau, s)
-        d = 0.5 * model.sigma1(tau, s) ** 2
-        lower = np.zeros(n)
-        diag = np.zeros(n)
-        upper = np.zeros(n)
-        # interior: central first and second differences
-        upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-        lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-        diag[1:-1] = -2 * d[1:-1] / (h * h)
-        # edges: zero curvature, one-sided slope
-        diag[0], upper[0] = -mu[0] / h, mu[0] / h
-        diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
-
-        u = _ThetaSystem(lower, diag, upper, dt).step(u, m)
+        new = (model.mu1(tau, s), 0.5 * model.sigma1(tau, s) ** 2)
+        if not _same_arrays(new, coeffs):
+            coeffs = mu, d = new
+            lower, diag, upper = np.zeros((3, s.size))
+            # interior: central first and second differences
+            upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+            lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+            diag[1:-1] = -2 * d[1:-1] / (h * h)
+            # edges: zero curvature, one-sided slope
+            diag[0], upper[0] = -mu[0] / h, mu[0] / h
+            diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
+            system = _ThetaSystem(lower, diag, upper, dt)
+        u = system.step(u, m)
         if not np.all(np.isfinite(u)):
             raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
         tv = float(np.abs(np.diff(u)).sum())

@@ -43,6 +43,14 @@ _CHUNK = 1 << 16                 # most paths in one span of work
 _MIN_SPAN = 1 << 14
 
 
+def _int_at_least(name: str, value, low: int) -> int:
+    """value as an int; anything but an integer >= low is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t0 + m*dt for m = 0..n_steps.
@@ -60,8 +68,7 @@ class TimeGrid:
             raise ValueError("t0 must be finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive")
-        if int(self.n_steps) < 1 or self.n_steps != int(self.n_steps):
-            raise ValueError("n_steps must be a positive integer")
+        object.__setattr__(self, "n_steps", _int_at_least("n_steps", self.n_steps, 1))
 
     def time(self, m: int) -> float:
         return self.t0 + m * self.dt

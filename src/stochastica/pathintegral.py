@@ -8,7 +8,8 @@ just those entries and stores them as a scipy.sparse CSR array (imported
 on first use), and each lattice step is one sparse product through
 density.quadrature_apply. Kernel rows are normalized on the working grid,
 so each propagation step conserves mass exactly; the mass removed by
-window truncation is tracked as boundary leak.
+window truncation is tracked as boundary leak. A kernel matrix is rebuilt
+only when mu or sigma on the grid change.
 
 Proportional (gbm-kind) models propagate on a log-price lattice where the
 kernel is translation invariant; results are reported on the mapped price
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import noise
 from .errors import DegenerateKernelError, NumericalError
-from .mc import MCEstimate, _mean_and_se, _step_count, fmt17
-from .density import (DensityGrid, TransitionMatrix,
-                      default_domain, point_mass_on_grid, quadrature_apply,
-                      trapezoid_weights, _check_densities, _log_space_model)
+from .mc import MCEstimate, _int_at_least, _mean_and_se, _step_count, fmt17
+from .density import (DensityGrid, TransitionMatrix, default_domain,
+                      point_mass_on_grid, quadrature_apply, trapezoid_weights,
+                      _check_densities, _log_space_model, _same_arrays)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -140,10 +141,6 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
                             target_values=tgt, matrix=matrix, raw_row_mass=raw)
 
 
-def _is_time_invariant(model: ModelSpec) -> bool:
-    return model.kind in ("bm", "gbm", "vasicek", "custom-grid")
-
-
 def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
                         rows: np.ndarray) -> None:
     """Fill rows[1:] with the lattice steps from rows[0], the density on
@@ -160,10 +157,12 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     leak = 0.0
-    tm = None
+    coeffs = None
     for m in range(rows.shape[0] - 1):
         t_m = t0 + m * kernel.dt
-        if tm is None or not _is_time_invariant(kernel.model):
+        new = (kernel.model.mu1(t_m, s), kernel.model.sigma1(t_m, s))
+        if not _same_arrays(new, coeffs):
+            coeffs = new
             tm = kernel_matrix(kernel, t_m, s)
             leak_weights = w * (1.0 - tm.raw_row_mass)
         leak += float(leak_weights @ p) / mass0
@@ -184,11 +183,9 @@ def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
     n_steps = 0 returns the initial density unchanged. Aborts when the
     cumulative mass truncated at the grid edges exceeds 1%.
     """
-    if int(n_steps) != n_steps or n_steps < 0:
-        raise ValueError("n_steps must be a non-negative integer")
+    n_steps = _int_at_least("n_steps", n_steps, 0)
     if n_steps == 0:
         return initial
-    n_steps = int(n_steps)
     rows = np.empty((n_steps + 1, initial.s_values.size))
     rows[0] = initial.p_values
     _propagate_sequence(kernel, initial.s_values, initial.t, rows)

@@ -1,5 +1,6 @@
 """Closed-form densities, change of variables, forward/backward solvers."""
 
+import dataclasses
 import io
 import math
 
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 
 from stochastica import (
     DensityGrid,
+    DiscountCurve,
     PointMass,
     TimeGrid,
     TransitionMatrix,
@@ -20,12 +22,17 @@ from stochastica import (
     evolve_density,
     export_density_csv,
     fokker_planck_forward,
+    greens_function,
     kolmogorov_backward,
     make_bm,
     make_gbm,
     make_vasicek,
+    one_step_kernel,
     point_mass_on_grid,
+    propagate,
+    risk_neutralize,
 )
+from stochastica import density, pathintegral
 from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
 from stochastica.errors import NumericalError
 
@@ -366,6 +373,134 @@ def test_solvers_reject_a_bad_step_count(n_steps):
         kolmogorov_backward(model, lambda x: x, s, 0.0, 1.0, n_steps=n_steps)
     with pytest.raises(ValueError, match="n_steps"):
         evolve_density(model, PointMass(center=0.0), 1.0, n_steps=n_steps)
+
+
+# ---------------------------------------------------------------------------
+# operator reuse: a solver rebuilds its operator only when the model's
+# coefficients on the grid change
+
+
+_REUSE_CASES = {  # model, grid, start, horizon
+    "bm": (make_bm(0.1, 0.3), np.linspace(-2.0, 2.2, 201), 0.1, 1.0),
+    "gbm": (make_gbm(0.05, 0.2), np.linspace(40.0, 220.0, 201), 100.0, 0.5),
+    "vasicek": (make_vasicek(1.0, 0.05, 0.02), np.linspace(-0.05, 0.13, 201), 0.03, 1.0),
+}
+
+
+def _solvers(model, s, S0, T, n=40):
+    """Every grid solver on one model, n steps each, as calls that return
+    the solver's output array."""
+    curve = DiscountCurve.flat(0.05)
+    rn = risk_neutralize(model, curve) if model.kind == "gbm" \
+        else dataclasses.replace(model, risk_neutral=True)
+    start = point_mass_on_grid(s, S0)
+    return {
+        "fokker_planck_forward": lambda: np.stack([
+            d.p_values for d in fokker_planck_forward(model, start, TimeGrid(0.0, T / n, n))]),
+        "evolve_density": lambda: evolve_density(
+            model, PointMass(center=S0), T, n_steps=n, n_nodes=s.size).p_values,
+        "kolmogorov_backward": lambda: kolmogorov_backward(
+            model, lambda x: np.tanh((x - S0) / (s[-1] - s[0])), s, 0.0, T,
+            n_steps=n).values,
+        "propagate": lambda: propagate(one_step_kernel(model, 0.0, T / n), start,
+                                       n).p_values,
+        "greens_function": lambda: greens_function(rn, curve, 0.0, S0, T, T / n,
+                                                   n_nodes=s.size).transition,
+    }
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count theta systems built, factorizations and kernel matrices built."""
+    counts = {"systems": 0, "factors": 0, "kernels": 0}
+    real_factor, real_kernel = _ThetaSystem._factor, pathintegral.kernel_matrix
+
+    class Counted(_ThetaSystem):
+        def __init__(self, *args):
+            counts["systems"] += 1
+            super().__init__(*args)
+
+    def factor(self, theta):
+        counts["factors"] += 1
+        return real_factor(self, theta)
+
+    def kernel(*args):
+        counts["kernels"] += 1
+        return real_kernel(*args)
+
+    monkeypatch.setattr(_ThetaSystem, "_factor", factor)
+    monkeypatch.setattr(density, "_ThetaSystem", Counted)
+    monkeypatch.setattr(pathintegral, "kernel_matrix", kernel)
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_CASES))
+def test_reused_operators_equal_a_rebuild_every_step_bit_for_bit(kind, monkeypatch):
+    # the reference builds every step's operator anew from the model
+    monkeypatch.setattr(density, "_same_arrays", lambda new, old: False)
+    monkeypatch.setattr(pathintegral, "_same_arrays", lambda new, old: False)
+    want = {name: run() for name, run in _solvers(*_REUSE_CASES[kind]).items()}
+    monkeypatch.undo()
+    for name, run in _solvers(*_REUSE_CASES[kind]).items():
+        assert np.array_equal(run(), want[name]), name
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_CASES))
+def test_homogeneous_model_builds_each_operator_once(kind, monkeypatch):
+    builds = {  # theta systems, factorizations (theta 1 then 1/2), kernels
+        "fokker_planck_forward": (1, 2, 0),
+        "evolve_density": (1, 2, 0),
+        "kolmogorov_backward": (1, 2, 0),
+        "propagate": (0, 0, 1),
+        "greens_function": (0, 0, 1),
+    }
+    counts = _count_builds(monkeypatch)
+    for name, run in _solvers(*_REUSE_CASES[kind]).items():
+        before = dict(counts)
+        run()
+        assert tuple(counts[k] - before[k] for k in counts) == builds[name], name
+
+
+def test_time_dependent_drift_rebuilds_every_step(monkeypatch):
+    n = 40
+    rn = risk_neutralize(make_bm(0.0, 0.3), DiscountCurve.flat(0.0),
+                         override_drift=lambda t, S: np.full_like(S, 0.2 * t))
+    s = np.linspace(-2.0, 2.2, 201)
+    counts = _count_builds(monkeypatch)
+    fokker_planck_forward(rn, point_mass_on_grid(s, 0.0), TimeGrid(0.0, 1.0 / n, n))
+    assert (counts["systems"], counts["factors"]) == (n, n)
+    kolmogorov_backward(rn, lambda x: x, s, 0.0, 1.0, n_steps=n)
+    assert (counts["systems"], counts["factors"]) == (2 * n, 2 * n)
+    propagate(one_step_kernel(rn, 0.0, 1.0 / n), point_mass_on_grid(s, 0.0), n)
+    assert counts["kernels"] == n
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("mass", r"density mass 0\.9988"), ("nan", "density values must be finite")])
+def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypatch):
+    # slice 4 fails the density checks only; the march goes on until a
+    # later step fails, and the error is still slice 4's
+    model = make_bm(0.0, 0.5)
+    s = np.linspace(-4.0, 4.0, 201)
+    w = trapezoid_weights(s)
+    start = point_mass_on_grid(s, 0.0)
+    initial = DensityGrid(s_values=s, p_values=0.9995 * start.p_values, t=0.0)
+    real_step = _ThetaSystem.step
+
+    def step(self, u, m, source=None):
+        x = real_step(self, u, m, source)
+        if m == 3 and fault == "mass":
+            x *= 0.9988 / float(np.sum(w * x))     # 7e-4 from the start's mass
+        if m == 4 and fault == "mass":
+            x *= 0.9986 / float(np.sum(w * x))     # slice 5 fails too
+        if m == 3 and fault == "nan":
+            x[s.size // 2] = np.nan
+        if m == 6:
+            x[s.size // 2] = -1.0                  # a NumericalError at step 7
+        return x
+
+    monkeypatch.setattr(_ThetaSystem, "step", step)
+    with pytest.raises(ValueError, match=message):
+        fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, 10))
 
 
 # ---------------------------------------------------------------------------

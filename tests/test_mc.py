@@ -44,6 +44,17 @@ def test_time_grid_exact_times():
         TimeGrid(t0=0.0, dt=0.1, n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [2.0, math.nan, True, np.float64(4.0)])
+def test_time_grid_rejects_a_step_count_that_is_not_an_integer(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        TimeGrid(t0=0.0, dt=0.01, n_steps=n_steps)
+
+
+def test_time_grid_keeps_an_integer_step_count():
+    grid = TimeGrid(t0=0.0, dt=0.01, n_steps=np.int64(4))
+    assert grid.n_steps == 4 and type(grid.n_steps) is int
+
+
 # ---------------------------------------------------------------------------
 # single step
 

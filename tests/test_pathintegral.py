@@ -321,6 +321,25 @@ def test_time_dependent_override_drift_is_not_frozen():
     assert out.mean == pytest.approx(0.5, abs=0.01)
 
 
+def test_time_dependent_rate_is_not_frozen():
+    # a gbm risk-neutralized on a curve whose rate steps from 0 to 0.4 at
+    # t = 0.5 has E S_1 = 100 e^0.2, as the backward solver finds; a kernel
+    # kept from t0 leaves the mean at 100
+    curve = DiscountCurve(times=(0.0, 0.5), rates=(0.0, 0.4))
+    rn = risk_neutralize(make_gbm(0.05, 0.2), curve)
+    s = np.linspace(20.0, 300.0, 1601)
+    out = propagate(one_step_kernel(rn, 0.0, 1 / 200), point_mass_on_grid(s, 100.0), 200)
+    assert out.mean == pytest.approx(100.0 * math.exp(0.2), rel=1e-3)
+
+
+@pytest.mark.parametrize("n_steps", [True, math.nan, 2.0, np.float64(3.0)])
+def test_propagate_rejects_a_step_count_that_is_not_an_integer(n_steps):
+    s = np.linspace(-3.0, 3.0, 101)
+    k = one_step_kernel(make_bm(0.0, 1.0), 0.0, 0.01)
+    with pytest.raises(ValueError, match="n_steps"):
+        propagate(k, point_mass_on_grid(s, 0.0), n_steps)
+
+
 # ---------------------------------------------------------------------------
 # Green's functions
 
