@@ -275,8 +275,7 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     """
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _int_at_least("n_paths", n_paths, 1)
     S0 = _initial_state(model, S0)
     need = n_paths * (grid.n_steps + 1) * model.dim * 8
     if need > memory_limit:
@@ -306,8 +305,7 @@ def simulate_terminal(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     """
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _int_at_least("n_paths", n_paths, 1)
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > grid.n_steps):
         raise ValueError("checkpoints must lie within 0..n_steps")
@@ -451,8 +449,7 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
     seed = noise.validate_seed(seed)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    n_paths = _int_at_least("n_paths", n_paths, 2)
     S0 = _initial_state(model, S0)
     grad = np.atleast_1d(np.asarray(dfdS, dtype=float))
     hess = np.atleast_2d(np.asarray(d2fdS2, dtype=float))
@@ -531,14 +528,14 @@ def scaling_check(model: ModelSpec, S0, T: float, dt: float, refine_factor: int,
     """
     if model.dim != 1:
         raise ValueError("scaling_check handles one-dimensional models")
-    if int(refine_factor) != refine_factor or refine_factor < 2:
-        raise ValueError("refine_factor must be an integer >= 2")
+    refine_factor = _int_at_least("refine_factor", refine_factor, 2)
+    n_paths = _int_at_least("n_paths", n_paths, 2)
     n1 = _step_count(T, dt)
     exact = _EXACT_MOMENTS.get(model.kind)
     params = model.config.get("params", {}) if model.config else {}
 
     resolutions = []
-    for n_steps in (n1, n1 * int(refine_factor)):
+    for n_steps in (n1, n1 * refine_factor):
         grid = TimeGrid(t0=0.0, dt=T / n_steps, n_steps=n_steps)
         terminal, _ = simulate_terminal(model, S0, grid, n_paths, seed, threads=threads)
         v = terminal[:, 0]
@@ -579,8 +576,7 @@ def gbm_exact_terminal(mu: float, sigma: float, S0: float, T: float,
     seed = noise.validate_seed(seed)
     if T <= 0:
         raise ValueError("T must be positive")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _int_at_least("n_paths", n_paths, 1)
     z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
     return float(S0) * np.exp((mu - 0.5 * sigma * sigma) * T
                               + sigma * np.sqrt(T) * z)

@@ -6,9 +6,10 @@ quadrature against a Green's function lattice. All routes price in the
 risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
 
-The Monte Carlo route steps with mc's Euler core (_euler_march) and the
-PDE route with density's factored theta system (_ThetaSystem), whose
-coefficients are built and factored once for a scalar sigma; the routes
+The Monte Carlo route steps with mc's Euler core (_euler_march) and keeps
+its latest simulation's terminal states, so consecutive pv_mc calls on one
+path set simulate once. The PDE route steps with density's factored theta
+system (_ThetaSystem), rebuilt only when sigma's values change. The routes
 share these numerical primitives but never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
@@ -25,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import noise
-from .density import GridFunction, _int_at_least, _ThetaSystem
+from .density import GridFunction, _ThetaSystem, _same_arrays
 from .errors import NumericalError
-from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _mean_and_se,
-                 _resolve_threads, _run_chunks, _step_count)
+from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_least,
+                 _mean_and_se, _resolve_threads, _run_chunks, _step_count)
 from .models import ModelSpec, model_hash
 from .pathintegral import GreensFunction
 from .portfolio import DiscountCurve
@@ -314,6 +315,27 @@ def _can_sample_terminal_exactly(model: ModelSpec, payoff: PayoffSpec) -> bool:
     return isinstance(params.get("sigma"), (int, float))
 
 
+# pv_mc's latest simulation: (caller's model, key, terminal states)
+_last_paths = None
+
+
+def _clear_path_memo() -> None:
+    global _last_paths
+    _last_paths = None
+
+
+def _terminal_states(model, key: tuple, simulate, reuse: bool) -> np.ndarray:
+    """The stored states if reuse and model and key match, else simulate()'s
+    (stored in their place); the entry is replaced whole, never edited."""
+    global _last_paths
+    last = _last_paths
+    if reuse and last is not None and last[0] is model and last[1] == key:
+        return last[2]
+    states = simulate()
+    _last_paths = (model, key, states)
+    return states
+
+
 def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
           dt: float, n_paths: int, seed, *, threads=None,
           exact_terminal: bool | None = None):
@@ -332,6 +354,12 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     exact_terminal=False to force the Euler path route. Paths run on
     `threads` threads (default: the CPUs this process may use), so payoff
     callables must be pure.
+
+    The latest simulation's terminal states are kept until the next one
+    replaces them, keyed by the model object, curve, risk-neutral model
+    hash, S0, T, dt, step and path counts, seed and sampler: a call with
+    that key and no stream payoff draws no noise. Each terminal payoff is
+    evaluated once, on a copy of the full terminal array.
     """
     single = isinstance(payoff, PayoffSpec)
     payoffs = (payoff,) if single else tuple(payoff)
@@ -342,63 +370,60 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     threads = _resolve_threads(threads)
     if not T > 0:
         raise ValueError("T must be positive")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _int_at_least("n_paths", n_paths, 1)
     n_steps = _step_count(T, dt)
     rn = risk_neutralize(model, curve) if not model.risk_neutral else model
+    start = _initial_state(rn, S0)
     disc_T = curve.discount(0.0, T)
     metadata = {"risk_neutralized": True, "model_hash": model_hash(rn),
                 "dt": dt, "n_steps": n_steps, "discount": disc_T}
+    key = (curve, metadata["model_hash"], start.tobytes(), T, dt, n_steps,
+           n_paths, seed)
 
-    if exact_terminal is None:
-        exact = [_can_sample_terminal_exactly(rn, p) for p in payoffs]
-    else:
-        if exact_terminal and not all(_can_sample_terminal_exactly(rn, p)
-                                      for p in payoffs):
-            raise ValueError("exact terminal sampling needs a one-factor "
-                             "proportional model and a pure terminal payoff")
-        exact = [bool(exact_terminal)] * len(payoffs)
-    values = [None] * len(payoffs)
+    can = [_can_sample_terminal_exactly(rn, p) for p in payoffs]
+    if exact_terminal and not all(can):
+        raise ValueError("exact terminal sampling needs a one-factor "
+                         "proportional model and a pure terminal payoff")
+    exact = can if exact_terminal is None else [bool(exact_terminal)] * len(payoffs)
+    states = {}
 
     if any(exact):
-        sigma = float(rn.config["params"]["sigma"])
-        growth = curve.integral(0.0, T)
-        z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
-        s_T = S0 * np.exp(growth - 0.5 * sigma * sigma * T
-                          + sigma * math.sqrt(T) * z)
-        for i, e in enumerate(exact):
-            if e:
-                values[i] = disc_T * np.asarray(payoffs[i].terminal(s_T), dtype=float)
+        def draw() -> np.ndarray:
+            sigma = float(rn.config["params"]["sigma"])
+            z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
+            return start[0] * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
+                                     + sigma * math.sqrt(T) * z)
+
+        states[True] = _terminal_states(model, key + (True,), draw, True)
 
     euler = [i for i, e in enumerate(exact) if not e]
+    streams = [i for i in euler if payoffs[i].stream is not None]
+    acc = {i: np.zeros(n_paths) for i in streams}
     if euler:
-        grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
-        start = _initial_state(rn, S0)
-        disc_steps = np.asarray([curve.discount(0.0, m * dt)
-                                 for m in range(n_steps)])
-        streams = [i for i in euler if payoffs[i].stream is not None]
-        for i in euler:
-            values[i] = np.empty(n_paths)
+        def march() -> np.ndarray:
+            grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+            disc_steps = [curve.discount(0.0, m * dt) * dt for m in range(n_steps)]
+            terminal = np.empty(n_paths)
 
-        def work(lo: int, hi: int) -> None:
-            acc = {i: np.zeros(hi - lo) for i in streams}
+            def work(lo: int, hi: int) -> None:
+                def visit(m: int, s: np.ndarray) -> None:
+                    if m < n_steps:
+                        for i in streams:
+                            acc[i][lo:hi] += disc_steps[m] * np.asarray(
+                                payoffs[i].stream(m * dt, s[:, 0]), dtype=float)
 
-            def visit(m: int, s: np.ndarray) -> None:
-                if m < n_steps:
-                    for i in streams:
-                        acc[i][:] += disc_steps[m] * dt * np.asarray(
-                            payoffs[i].stream(m * dt, s[:, 0]), dtype=float)
+                terminal[lo:hi] = _euler_march(rn, start, grid, seed, lo, hi,
+                                               visit if streams else None)[:, 0]
 
-            s = _euler_march(rn, start, grid, seed, lo, hi,
-                             visit if streams else None)
-            for i in euler:
-                v = disc_T * np.asarray(payoffs[i].terminal(s[:, 0]), dtype=float)
-                values[i][lo:hi] = v + acc[i] if i in acc else v
+            _run_chunks(n_paths, threads, work)
+            return terminal
 
-        _run_chunks(n_paths, threads, work)
+        states[False] = _terminal_states(model, key + (False,), march, not streams)
 
     estimates = []
-    for v, e in zip(values, exact):
+    for i, (p, e) in enumerate(zip(payoffs, exact)):
+        v = disc_T * np.asarray(p.terminal(states[e].copy()), dtype=float)
+        v = v + acc[i] if i in acc else v
         if not np.all(np.isfinite(v)):
             raise NumericalError("payoff produced non-finite values")
         mean, se = _mean_and_se(v)
@@ -428,13 +453,14 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     """Backward solve of the pricing PDE; returns the t=0 value function.
 
     Log-price coordinates make the diffusion coefficient constant for
-    constant sigma: a scalar sigma builds (and factors) the system once, a
-    callable sigma(t, S) rebuilds it every step. Two fully implicit startup
-    steps damp the payoff kink before trapezoidal time stepping takes over;
-    edge rows impose zero curvature in price. The grid is centered on ln S0
-    and snapped so the strike (when present) falls on a node. n_steps must
-    be a positive integer, n_nodes an integer >= 5 and half_width finite
-    and positive.
+    constant sigma: a scalar sigma builds (and factors) the system once; a
+    callable sigma(t, S) is evaluated every step and the system rebuilt
+    only when its values differ from those of the last build. Two fully
+    implicit startup steps damp the payoff kink before trapezoidal time
+    stepping takes over; edge rows impose zero curvature in price. The grid
+    is centered on ln S0 and snapped so the strike (when present) falls on
+    a node. n_steps must be a positive integer, n_nodes an integer >= 5 and
+    half_width finite and positive.
     """
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
@@ -480,8 +506,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     gamma_c = 2.0 / (1.0 - 0.5 * h)
     delta_c = -(1.0 + 0.5 * h) / (1.0 - 0.5 * h)
 
-    def system(tau: float) -> _ThetaSystem:
-        sig_m = sig_fn(tau, s)
+    def system(sig_m: np.ndarray) -> _ThetaSystem:
         a = 0.5 * sig_m ** 2
         b = r - 0.5 * sig_m ** 2
         lower = np.zeros(n)
@@ -496,12 +521,16 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
         return _ThetaSystem(lower, diag, upper, dt)
 
-    fixed = None if callable(sigma) else system(T)
+    step_system = None if callable(sigma) else system(sig_fn(T, s))
+    built = None
     for m in range(n_steps):
         tau = T - (m + 0.5) * dt
         source = None if payoff.stream is None \
             else dt * np.asarray(payoff.stream(tau, s), dtype=float)
-        step_system = fixed if fixed is not None else system(tau)
+        if callable(sigma):
+            sig_m = (sig_fn(tau, s),)
+            if not _same_arrays(sig_m, built):
+                built, step_system = sig_m, system(*sig_m)
         f = step_system.step(f, m, source)
         if not np.all(np.isfinite(f)):
             raise NumericalError(

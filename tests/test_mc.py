@@ -414,6 +414,40 @@ def test_gbm_exact_terminal_moments():
     assert log_var == pytest.approx(sigma * sigma * T, rel=0.05)
 
 
+_GRID4 = TimeGrid(0.0, 0.25, 4)
+_COUNT_CALLS = {
+    "simulate_paths": lambda n: simulate_paths(make_gbm(0.05, 0.2), 100.0, _GRID4, n, 0),
+    "simulate_terminal": lambda n: simulate_terminal(make_gbm(0.05, 0.2), 100.0,
+                                                     _GRID4, n, 0),
+    "gbm_exact_terminal": lambda n: gbm_exact_terminal(0.05, 0.2, 100.0, 1.0, n, 0),
+    "ito_check": lambda n: ito_check(make_bm(0.0, 1.0), lambda t, s: s[:, 0], 0.0,
+                                     [1.0], [[0.0]], S0=0.0, dt=0.01, n_paths=n,
+                                     seed=0),
+    "scaling_check": lambda n: scaling_check(make_bm(0.0, 1.0), 0.0, 1.0, 0.25, 2,
+                                             n, 0),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, float("nan"), 0, -1])
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_path_counts_must_be_integers_named_in_the_error(name, bad):
+    with pytest.raises(ValueError, match="n_paths must be an integer >= "):
+        _COUNT_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", ["ito_check", "scaling_check"])
+def test_variance_checks_need_two_paths(name):
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 2"):
+        _COUNT_CALLS[name](1)
+    _COUNT_CALLS[name](np.int64(2))
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, float("nan"), 1])
+def test_refine_factor_must_be_an_integer_of_at_least_two(bad):
+    with pytest.raises(ValueError, match="refine_factor must be an integer >= 2"):
+        scaling_check(make_bm(0.0, 1.0), 0.0, 1.0, 0.25, bad, 100, 0)
+
+
 # ---------------------------------------------------------------------------
 # exports
 

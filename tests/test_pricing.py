@@ -36,7 +36,7 @@ from stochastica import (
     risk_neutralize,
     table_payoff,
 )
-from stochastica import mc
+from stochastica import mc, noise, pricing
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 
 
@@ -312,6 +312,7 @@ def test_pv_mc_thread_count_does_not_change_values():
     args = (make_gbm(0.12, 0.2), curve, call_payoff(100.0), 100.0, 1.0, 0.25,
             70_000)
     a = pv_mc(*args, seed=5, threads=1, exact_terminal=False)
+    pricing._clear_path_memo()
     b = pv_mc(*args, seed=5, threads=3, exact_terminal=False)
     assert a.mean == b.mean and a.std_error == b.std_error
 
@@ -323,6 +324,7 @@ def test_pv_mc_default_threads_match_one_thread():
             70_000)
     for exact in (False, None):
         a = pv_mc(*args, seed=5, threads=1, exact_terminal=exact)
+        pricing._clear_path_memo()
         b = pv_mc(*args, seed=5, exact_terminal=exact)
         assert a.mean == b.mean and a.std_error == b.std_error
 
@@ -350,6 +352,7 @@ def test_pv_mc_strip_equals_one_call_per_payoff(route, strip, curve, threads):
     got = pv_mc(*args, strip, *rest, threads=threads, exact_terminal=exact)
     assert isinstance(got, tuple) and len(got) == len(strip)
     for est, payoff in zip(got, strip):
+        pricing._clear_path_memo()
         one = pv_mc(*args, payoff, *rest, threads=threads, exact_terminal=exact)
         assert est.mean == one.mean and est.std_error == one.std_error
         assert est.metadata == one.metadata
@@ -466,6 +469,177 @@ def test_pv_mc_validation():
               exact_terminal=True)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, math.nan, 0])
+def test_pv_mc_path_count_must_be_an_integer_named_in_the_error(bad):
+    curve = DiscountCurve.flat(0.05)
+    for exact in (None, False):
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 1"):
+            pv_mc(make_gbm(0.05, 0.2), curve, call_payoff(100.0), 100.0, 1.0,
+                  0.25, bad, 1, exact_terminal=exact)
+
+
+@pytest.mark.parametrize("exact", [None, False])
+@pytest.mark.parametrize("S0, message", [
+    (math.nan, "S0 must be finite"),
+    (math.inf, "S0 must be finite"),
+    ([100.0, 100.0], "S0 must be a scalar or a vector"),
+])
+def test_pv_mc_rejects_a_bad_spot_on_both_routes(S0, message, exact):
+    # the exact route blamed the payoff ("non-finite values") or numpy
+    with pytest.raises(ValueError, match=message):
+        pv_mc(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05), call_payoff(100.0),
+              S0, 1.0, 0.25, 1000, 1, exact_terminal=exact)
+
+
+# ---------------------------------------------------------------------------
+# pv_mc's memo of its latest simulation
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts noise block draws; a simulation makes at least one."""
+    calls = []
+    uniform_block = noise.uniform_block
+
+    def counted(*args):
+        calls.append(args)
+        return uniform_block(*args)
+
+    monkeypatch.setattr(noise, "uniform_block", counted)
+    pricing._clear_path_memo()
+    yield calls
+    pricing._clear_path_memo()
+
+
+# pre-neutralized, so that a change of curve alone leaves the model hash
+_MEMO_MODEL = risk_neutralize(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05))
+
+
+def _memo_call(model=_MEMO_MODEL, curve=DiscountCurve.flat(0.05),
+               payoff=call_payoff(100.0), S0=100.0, T=1.0, dt=0.25, n_paths=2000,
+               seed=3, exact=False):
+    return pv_mc(model, curve, payoff, S0, T, dt, n_paths, seed,
+                 exact_terminal=exact)
+
+
+def _same_estimate(a, b) -> bool:
+    return (a.mean, a.std_error, a.metadata, a.n_paths) == \
+        (b.mean, b.std_error, b.metadata, b.n_paths)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("model", [make_gbm(0.05, 0.2), _MEMO_MODEL],
+                         ids=["physical", "risk-neutral"])
+def test_pv_mc_memo_hit_equals_a_cold_call(draws, model, exact):
+    put = put_payoff(110.0)
+    cold_put = _memo_call(model, payoff=put, exact=exact)
+    pricing._clear_path_memo()
+    cold = _memo_call(model, exact=exact)
+    assert draws
+    draws.clear()
+    hit, hit_put = _memo_call(model, exact=exact), _memo_call(model, payoff=put,
+                                                              exact=exact)
+    assert not draws
+    assert _same_estimate(hit, cold) and _same_estimate(hit_put, cold_put)
+
+
+@pytest.mark.parametrize("change", [
+    {"model": risk_neutralize(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05))},
+    {"curve": DiscountCurve.flat(0.04)},
+    {"S0": 101.0},
+    {"T": 1.0 + 1e-12},           # same step count
+    {"dt": 0.25 * (1.0 + 1e-12)},  # same step count
+    {"n_paths": 2001},
+    {"seed": 4},
+    {"exact": True},
+], ids=["model", "curve", "S0", "T", "dt", "n_paths", "seed", "sampler"])
+def test_pv_mc_memo_misses_when_one_key_field_changes(draws, change):
+    _memo_call()
+    draws.clear()
+    _memo_call()
+    assert not draws
+    _memo_call(**change)
+    assert draws
+
+
+def test_pv_mc_memo_misses_after_the_model_config_changes(draws):
+    model = make_gbm(0.05, 0.2)
+    cold = _memo_call(model)
+    model.config["label"] = "renamed"    # config is a plain dict
+    draws.clear()
+    renamed = _memo_call(model)
+    assert draws
+    assert renamed.metadata["model_hash"] != cold.metadata["model_hash"]
+
+
+def test_pv_mc_stream_payoff_still_simulates(draws):
+    _memo_call()
+    draws.clear()
+    _memo_call(payoff=_STREAM)
+    assert draws
+
+
+def test_pv_mc_failed_simulation_stores_nothing(draws):
+    blowup = risk_neutralize(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05),
+                             override_drift=lambda t, S: np.full_like(S, np.inf))
+    _memo_call()
+    with pytest.raises(NumericalError):
+        _memo_call(blowup)
+    draws.clear()
+    _memo_call()
+    assert not draws
+
+
+def test_pv_mc_payoff_writing_into_its_argument_cannot_change_a_hit(draws):
+    def doubling(s):
+        s *= 2.0
+        return np.maximum(s - 100.0, 0.0)
+
+    cold = _memo_call()
+    _memo_call(payoff=PayoffSpec(terminal=doubling))
+    draws.clear()
+    assert _same_estimate(_memo_call(), cold)
+    assert not draws
+
+
+def test_pv_mc_memo_keeps_one_path_set(draws):
+    simulations = 0
+    for seed in (3, 4, 3):
+        draws.clear()
+        _memo_call(seed=seed)
+        simulations += bool(draws)
+    assert simulations == 3
+
+
+def test_pv_mc_memo_under_thread_switch_stress():
+    # four threads price two path sets in turn through the one shared entry
+    # while the interpreter switches threads often; each result must still
+    # come from its own path set
+    from concurrent.futures import ThreadPoolExecutor
+
+    model, curve = make_gbm(0.05, 0.2), DiscountCurve.flat(0.05)
+
+    def price(seed):
+        est = pv_mc(model, curve, call_payoff(100.0), 100.0, 1.0, 0.25, 2000,
+                    seed, threads=1, exact_terminal=False)
+        return est.mean, est.std_error
+
+    want = {}
+    for seed in (1, 2):
+        pricing._clear_path_memo()
+        want[seed] = price(seed)
+    seeds = [1, 2] * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(price, seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        pricing._clear_path_memo()
+    assert got == [want[s] for s in seeds]
+
+
 # ---------------------------------------------------------------------------
 # PDE route
 
@@ -553,13 +727,44 @@ def test_pv_pde_smallest_grid_still_prices():
 ])
 def test_pv_pde_scalar_sigma_equals_the_same_sigma_as_a_callable(payoff):
     # the scalar route builds and factors its system once; the callable
-    # route rebuilds and refactors it at every step
+    # route evaluates sigma at every step and rebuilds when it changes
     curve = DiscountCurve(times=(0.0,), rates=(0.03,))
     fixed = pv_pde(payoff, curve, 0.25, 100.0, 1.5, n_nodes=1025, n_steps=128)
     per_step = pv_pde(payoff, curve, lambda t, s: np.full_like(s, 0.25), 100.0, 1.5,
                       n_nodes=1025, n_steps=128)
     assert np.array_equal(fixed.s_values, per_step.s_values)
     assert np.array_equal(fixed.values, per_step.values)
+
+
+@pytest.fixture
+def theta_builds(monkeypatch):
+    """Counts the theta systems pv_pde builds."""
+    builds = []
+
+    class Counted(pricing._ThetaSystem):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pricing, "_ThetaSystem", Counted)
+    return builds
+
+
+def test_pv_pde_builds_once_for_a_time_independent_callable_sigma(theta_builds):
+    curve = DiscountCurve.flat(0.05)
+    scalar = pv_pde(call_payoff(100.0), curve, 0.2, 100.0, 1.0)
+    assert len(theta_builds) == 1
+    callable_sigma = pv_pde(call_payoff(100.0), curve,
+                            lambda t, s: np.full_like(s, 0.2), 100.0, 1.0)
+    assert len(theta_builds) == 2
+    assert np.array_equal(scalar.s_values, callable_sigma.s_values)
+    assert np.array_equal(scalar.values, callable_sigma.values)
+
+
+def test_pv_pde_rebuilds_every_step_for_a_time_dependent_sigma(theta_builds):
+    pv_pde(call_payoff(100.0), DiscountCurve.flat(0.05),
+           lambda t, s: np.full_like(s, 0.2 + 0.01 * t), 100.0, 1.0)
+    assert len(theta_builds) == 512
 
 
 # ---------------------------------------------------------------------------
