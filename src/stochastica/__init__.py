@@ -54,6 +54,7 @@ from .models import (
     make_gbm,
     make_vasicek,
     model_hash,
+    risk_neutralize,
     volatility_matrix,
 )
 from .pathintegral import (
@@ -97,7 +98,6 @@ from .pricing import (
     pv_green,
     pv_mc,
     pv_pde,
-    risk_neutralize,
     table_payoff,
 )
 from .risk import (

@@ -30,7 +30,8 @@ from . import risk as risk_mod
 from .errors import NumericalError
 from .mc import (TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths,
                  _resolve_threads as _resolve_mc_threads)
-from .models import load_model_config, model_hash
+from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
+                     model_hash)
 from .noise import validate_seed
 from .portfolio import DiscountCurve, load_curve
 
@@ -260,41 +261,23 @@ def _comparison_grid(model, S0: float, t: float, cfg: dict,
         if not hi > lo:
             raise ValueError("config.grid needs lo < hi")
         return np.linspace(lo, hi, n)
-    analytic = _analytic_density(model, S0, t)
-    if analytic is None:
-        raise ValueError(
-            f"no closed-form domain rule for model kind {model.kind!r}; "
-            "supply config.grid = {lo, hi, n}")
-    return analytic.default_grid(n_nodes, half_width)
+    return _analytic_density(model, S0, t).default_grid(n_nodes, half_width)
 
 
 def _analytic_density(model, S0: float, t: float):
-    params = model.config.get("params", {})
-    try:
-        if model.kind == "bm":
-            return density_mod.density_bm(t, S0, float(params["mu"]),
-                                          float(params["sigma"]))
-        if model.kind == "gbm":
-            return density_mod.density_gbm(t, S0, float(params["mu"]),
-                                           float(params["sigma"]))
-        if model.kind == "vasicek":
-            return density_mod.density_vasicek(t, S0, float(params["a"]),
-                                               float(params["b"]),
-                                               float(params["sigma"]))
-    except (KeyError, TypeError):
-        return None
-    return None
+    analytic = None if model.family is None else model.family.density(S0, t)
+    if analytic is None:
+        raise ValueError("the model has no family with a closed-form density: "
+                         "supply config.grid = {lo, hi, n} and leave out "
+                         "method 'analytic'")
+    return analytic
 
 
 def _density_by_method(method: str, model, S0: float, t: float,
                        s: np.ndarray, n_steps: int, n_nodes: int,
                        half_width: float) -> np.ndarray:
     if method == "analytic":
-        analytic = _analytic_density(model, S0, t)
-        if analytic is None:
-            raise ValueError(
-                f"analytic density unavailable for model kind {model.kind!r}")
-        return np.asarray(analytic(s), dtype=float)
+        return np.asarray(_analytic_density(model, S0, t)(s), dtype=float)
     if method == "fokker-planck":
         result = density_mod.evolve_density(
             model, density_mod.PointMass(center=S0, t=0.0), t,
@@ -321,8 +304,9 @@ def cmd_density(args) -> int:
     if not methods or any(m not in _DENSITY_METHODS for m in methods):
         raise ValueError(f"method entries must come from {_DENSITY_METHODS}")
     res = cfg.get("resolution", {})
-    n_nodes = _count(res, "n_nodes", 5, 801, "config.resolution")
     half_width = float(res.get("half_width", 8.0))
+    n_nodes = density_mod._grid_nodes(_count(res, "n_nodes", 5, 801, "config.resolution"),
+                                      half_width)
     n_steps = _count(res, "n_steps", 1, 256, "config.resolution")
     fmt = _resolve_format(args, cfg, "csv")
 
@@ -359,32 +343,22 @@ def cmd_density(args) -> int:
 # price
 
 
-def _scalar_sigma(model) -> float:
-    params = model.config.get("params", {})
-    sigma = params.get("sigma")
-    if not isinstance(sigma, (int, float)):
-        raise ValueError("this route needs a scalar volatility parameter")
-    return float(sigma)
-
-
 def _price_one(method: str, model, curve: DiscountCurve,
                payoff, S0: float, T: float, cfg: dict, seed: int,
                threads: int) -> dict:
+    if method in ("analytic", "pde") and not isinstance(model.family, GBM):
+        raise ValueError(f"the {method} route prices models of family GBM only")
     if method == "analytic":
         if payoff.kind not in ("call", "put"):
             raise ValueError("analytic pricing covers call and put payoffs only")
-        if model.kind != "gbm":
-            raise ValueError("analytic pricing needs proportional dynamics")
         if not curve.is_flat:
             raise ValueError("analytic pricing needs a flat curve")
         p = pricing_mod.BSParams(S=S0, K=payoff.strike, r=curve.rates[0],
-                                 sigma=_scalar_sigma(model), t=T)
+                                 sigma=model.family.sigma, t=T)
         return {"value": pricing_mod.bs_price(p, payoff.kind)}
     if method == "pde":
-        if model.kind != "gbm":
-            raise ValueError("the pde route prices proportional dynamics only")
         sub = cfg.get("pde", {})
-        fn = pricing_mod.pv_pde(payoff, curve, _scalar_sigma(model), S0, T,
+        fn = pricing_mod.pv_pde(payoff, curve, model.family.sigma, S0, T,
                                 n_nodes=_count(sub, "n_nodes", 5, 4097,
                                                "config.pde"),
                                 n_steps=_count(sub, "n_steps", 1, 512,
@@ -394,10 +368,8 @@ def _price_one(method: str, model, curve: DiscountCurve,
     if method == "green":
         sub = cfg.get("green", {})
         dt = _dt_from(sub, T, 256, "green")
-        rn = model if model.risk_neutral \
-            else pricing_mod.risk_neutralize(model, curve)
         green = pi_mod.greens_function(
-            rn, curve, 0.0, S0, T, dt,
+            pricing_mod.risk_neutralize(model, curve), curve, 0.0, S0, T, dt,
             n_nodes=_count(sub, "n_nodes", 5, 801, "config.green"),
             half_width=float(sub.get("half_width", 8.0)))
         return {"value": pricing_mod.pv_green(green, payoff),
@@ -563,8 +535,7 @@ def cmd_index(args) -> int:
 def _check_price_cell(K: float, sigma: float, T: float, seed: int,
                       threads: int) -> list[dict]:
     S0, r = 100.0, 0.05
-    model = load_model_config({"type": "gbm",
-                               "params": {"mu": r, "sigma": sigma}})
+    model = make_gbm(r, sigma)
     curve = DiscountCurve.flat(r)
     payoff = pricing_mod.call_payoff(K)
     p = pricing_mod.BSParams(S=S0, K=K, r=r, sigma=sigma, t=T)
@@ -592,14 +563,9 @@ def _check_price_cell(K: float, sigma: float, T: float, seed: int,
 
 
 def _check_density(kind: str, method: str) -> dict:
-    configs = {
-        "bm": ({"type": "bm", "params": {"mu": 0.1, "sigma": 0.3}}, 0.0),
-        "gbm": ({"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2}}, 100.0),
-        "vasicek": ({"type": "vasicek",
-                     "params": {"a": 1.0, "b": 0.05, "sigma": 0.02}}, 0.03),
-    }
-    doc, S0 = configs[kind]
-    model = load_model_config(doc)
+    model, S0 = {"bm": (make_bm(0.1, 0.3), 0.0),
+                 "gbm": (make_gbm(0.05, 0.2), 100.0),
+                 "vasicek": (make_vasicek(1.0, 0.05, 0.02), 0.03)}[kind]
     t = 1.0
     analytic = _analytic_density(model, S0, t)
     s = analytic.default_grid(801, 8.0)

@@ -1,6 +1,6 @@
 """Probability densities on price grids.
 
-Closed forms for the three solved model families, change of variables for
+Closed forms for the three model families, change of variables for
 monotone maps, a conservative finite-difference solver for the forward
 (Fokker-Planck) equation, a backward solver for conditional expectations,
 and quadrature composition of transition densities. The forward and
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .mc import TimeGrid, _int_at_least, fmt17
-from .models import ModelSpec, model_hash
+from .models import BM, GBM, ModelSpec, Vasicek, model_hash
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
@@ -370,8 +370,7 @@ def density_bm(t: float, S0: float, mu: float, sigma: float):
         raise ValueError("sigma must be positive")
     if t <= 0:
         return PointMass(center=float(S0), t=float(t))
-    mean = S0 + mu * t
-    var = sigma * sigma * t
+    mean, var = BM(mu, sigma).moments(S0, t)
     return AnalyticDensity1D(_gaussian_pdf(mean, var), t=t, mean=mean,
                              variance=var, description="additive Gaussian")
 
@@ -396,20 +395,10 @@ def density_gbm(t: float, S0: float, mu: float, sigma: float):
         out[pos] = inv / s[pos] * np.exp(-0.5 * (ls - m) ** 2 / v)
         return out
 
-    mean = S0 * math.exp(mu * t)
-    var = S0 * S0 * math.exp(2 * mu * t) * math.expm1(sigma * sigma * t)
+    mean, var = GBM(mu, sigma).moments(S0, t)
     return AnalyticDensity1D(pdf, t=t, mean=mean, variance=var,
                              support=(0.0, math.inf),
                              description="proportional lognormal")
-
-
-def vasicek_moments(t: float, S0: float, a: float, b: float,
-                    sigma: float) -> tuple[float, float]:
-    """Mean and variance of the mean-reverting model at horizon t."""
-    decay = math.exp(-a * t)
-    mean = S0 * decay + b * (1.0 - decay)
-    var = sigma * sigma * (-math.expm1(-2.0 * a * t)) / (2.0 * a)
-    return mean, var
 
 
 def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
@@ -425,7 +414,7 @@ def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
         raise ValueError("sigma must be positive")
     if t <= 0:
         return PointMass(center=float(S0), t=float(t))
-    mean, var = vasicek_moments(t, S0, a, b, sigma)
+    mean, var = Vasicek(a, b, sigma).moments(S0, t)
     return AnalyticDensity1D(_gaussian_pdf(mean, var), t=t, mean=mean,
                              variance=var, description="mean-reverting Gaussian")
 
@@ -707,43 +696,26 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
     return rows, mhash
 
 
-def _model_scalar_params(model: ModelSpec) -> dict:
-    params = model.config.get("params", {}) if model.config else {}
-    return {k: v for k, v in params.items() if isinstance(v, (int, float))}
-
-
-def _log_space_model(model: ModelSpec) -> ModelSpec:
-    from .models import make_bm
-
-    if "curve" in model.config:
-        raise ValueError(
-            f"log-space evolution needs a flat curve; the non-flat curve "
-            f"{model.config['curve']} makes the log drift r(t) - sigma^2/2 time-dependent")
-    params = _model_scalar_params(model)
-    if "mu" not in params or "sigma" not in params:
-        raise ValueError("log-space evolution needs scalar mu/sigma parameters")
-    return make_bm(params["mu"] - 0.5 * params["sigma"] ** 2, params["sigma"])
-
-
-def _spread_for(model: ModelSpec, S0: float, horizon: float) -> tuple[float, float]:
-    """Closed-form (terminal mean, terminal std) used to size default domains."""
-    params = _model_scalar_params(model)
-    if model.kind == "bm":
-        return S0 + params["mu"] * horizon, params["sigma"] * math.sqrt(horizon)
-    if model.kind == "vasicek":
-        mean, var = vasicek_moments(horizon, S0, params["a"], params["b"],
-                                    params["sigma"])
-        return mean, math.sqrt(var)
-    override = " (drift overridden)" if model.config.get("drift_override") else ""
-    raise ValueError(f"no default domain rule for model kind {model.kind!r}{override}: "
-                     "grids are sized from closed-form bm/gbm/vasicek spreads")
+def _grid_nodes(n_nodes, half_width) -> int:
+    """n_nodes as an int if it is an integer >= 5 and half_width is finite
+    and positive; anything else is a ValueError."""
+    n_nodes = _int_at_least("n_nodes", n_nodes, 5)
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
+    return n_nodes
 
 
 def default_domain(model: ModelSpec, S0: float, horizon: float,
                    n_nodes: int = 801, half_width: float = 8.0,
                    spread0: float = 0.0) -> np.ndarray:
-    """Uniform grid covering start and end spreads within +-half_width std."""
-    mean, std = _spread_for(model, S0, horizon)
+    """Uniform grid covering start and end spreads within +-half_width std;
+    the end spread is the closed-form one of the model's family."""
+    spread = None if model.family is None else model.family.spread(S0, horizon)
+    if spread is None:
+        override = " (drift overridden)" if model.config.get("drift_override") else ""
+        raise ValueError(f"no default domain rule for this model{override}: grids "
+                         "are sized from the closed-form spread of a model family")
+    mean, std = spread
     if std <= 0:
         raise ValueError("model has zero terminal spread; no grid to build")
     pad = half_width * (std + spread0)
@@ -782,11 +754,13 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
                    half_width: float = 8.0) -> DensityGrid:
     """Forward-evolve a density to time t1 at default resolutions.
 
-    initial may be a PointMass, an AnalyticDensity1D or a DensityGrid.
-    Proportional (gbm-kind) models run on a log-price grid and the result
-    is mapped back, so the returned grid is log-uniform in that case.
+    initial may be a PointMass, an AnalyticDensity1D or a DensityGrid. A
+    model whose family has a log-space form (GBM) runs on a log-price grid
+    and the result is mapped back, so the returned grid is log-uniform in
+    that case. n_nodes must be an integer >= 5, half_width finite and > 0.
     """
     n_steps = _int_at_least("n_steps", n_steps, 1)
+    n_nodes = _grid_nodes(n_nodes, half_width)
     t0 = float(initial.t)
     if not t1 > t0:
         raise ValueError("t1 must exceed the initial density's time")
@@ -794,15 +768,15 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     tg = TimeGrid(t0=t0, dt=horizon / n_steps, n_steps=n_steps)
     mhash = model_hash(model)
 
-    log_price = model.kind == "gbm"
-    if log_price:
-        model = _log_space_model(model)
+    log_model = None if model.family is None else model.family.log_space()
+    if log_model is not None:
+        model = log_model
         initial = change_of_variable(initial, np.log, np.exp, lambda s: 1.0 / s)
     start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
     rows, start_hash = _forward_march(model, start, tg)
     final = DensityGrid(s_values=start.s_values, p_values=rows[-1],
                         t=tg.time(n_steps), model_hash=start_hash)
-    return change_of_variable(final, np.exp, np.log, np.exp) if log_price else final
+    return final if log_model is None else change_of_variable(final, np.exp, np.log, np.exp)
 
 
 # ---------------------------------------------------------------------------

@@ -485,18 +485,6 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
         z_drift=float(z_drift), z_vol=float(z_vol), n_paths=n_paths)
 
 
-_EXACT_MOMENTS = {
-    "bm": lambda p, S0, T: (S0 + p["mu"] * T, p["sigma"] ** 2 * T),
-    "gbm": lambda p, S0, T: (S0 * np.exp(p["mu"] * T),
-                             S0 ** 2 * np.exp(2 * p["mu"] * T)
-                             * np.expm1(p["sigma"] ** 2 * T)),
-    "vasicek": lambda p, S0, T: (S0 * np.exp(-p["a"] * T)
-                                 + p["b"] * -np.expm1(-p["a"] * T),
-                                 p["sigma"] ** 2 * -np.expm1(-2 * p["a"] * T)
-                                 / (2 * p["a"])),
-}
-
-
 @dataclass(frozen=True)
 class ScalingResolution:
     dt: float
@@ -522,17 +510,15 @@ def scaling_check(model: ModelSpec, S0, T: float, dt: float, refine_factor: int,
     """Terminal mean/variance at dt versus dt/refine_factor.
 
     The two resolutions use independent noise streams; the z-scores test
-    whether their terminal moments differ beyond Monte Carlo noise. For
-    built-in models the bias against the exact terminal moments is also
-    reported.
+    whether their terminal moments differ beyond Monte Carlo noise. When
+    the model's family has exact terminal moments, the bias against them
+    is also reported.
     """
     if model.dim != 1:
         raise ValueError("scaling_check handles one-dimensional models")
     refine_factor = _int_at_least("refine_factor", refine_factor, 2)
     n_paths = _int_at_least("n_paths", n_paths, 2)
     n1 = _step_count(T, dt)
-    exact = _EXACT_MOMENTS.get(model.kind)
-    params = model.config.get("params", {}) if model.config else {}
 
     resolutions = []
     for n_steps in (n1, n1 * refine_factor):
@@ -544,13 +530,11 @@ def scaling_check(model: ModelSpec, S0, T: float, dt: float, refine_factor: int,
         centered = v - mean
         m4 = float(np.mean(centered ** 4))
         se_var = float(np.sqrt(max(m4 - var ** 2, 0.0) / n_paths))
+        exact = None if model.family is None else model.family.moments(
+            float(np.asarray(S0).reshape(-1)[0]), T)
         bias_m = bias_v = None
-        if exact is not None and params:
-            try:
-                em, ev = exact(params, float(np.asarray(S0).reshape(-1)[0]), T)
-                bias_m, bias_v = mean - float(em), var - float(ev)
-            except (TypeError, KeyError):
-                pass  # vector-valued params: no scalar closed form
+        if exact is not None:
+            bias_m, bias_v = mean - exact[0], var - exact[1]
         resolutions.append(ScalingResolution(
             dt=grid.dt, n_steps=n_steps, mean=mean, variance=var,
             se_mean=se_mean, se_variance=se_var,

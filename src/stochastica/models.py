@@ -1,4 +1,4 @@
-"""Model dynamics: drift/volatility maps and correlated-noise construction.
+"""Model dynamics: drift/volatility maps, model families and correlated noise.
 
 A ModelSpec fixes the discrete-time dynamics
 
@@ -7,6 +7,9 @@ A ModelSpec fixes the discrete-time dynamics
 with xi_m a vector of independent standard Gaussians. Drift maps take
 arrays of shape (..., dim) and return the same shape; vol maps return
 (..., dim, noise_dim). Built-in maps are pure functions of (t, S).
+
+A model's family (BM, GBM, Vasicek or None) is the closed-form law its
+maps follow; the routes ask it, never the config, for their shortcuts.
 
 Correlated multi-asset noise is handled by diagonalizing the correlation
 matrix and scaling eigenvectors into a volatility matrix Z with
@@ -23,33 +26,124 @@ from typing import Callable
 
 import numpy as np
 
-_BUILTIN_KINDS = ("bm", "gbm", "vasicek", "custom-grid", "custom")
+from .portfolio import DiscountCurve
+
+
+# ---------------------------------------------------------------------------
+# Model families
+
+
+class Family:
+    """The closed-form law of a model's dynamics. Each method answers one
+    capability question for the routes; None means no such shortcut.
+
+    An overridden drift, a tabulated or correlated model and a hand-built
+    ModelSpec have family None and take no shortcut at all.
+    """
+
+    def moments(self, S0: float, T: float) -> tuple[float, float] | None:
+        """Exact terminal (mean, variance) from S0 after T."""
+        return None
+
+    def spread(self, S0: float, T: float) -> tuple[float, float] | None:
+        """(terminal mean, terminal std) that sizes default grid domains; by
+        default from the exact moments."""
+        moments = self.moments(S0, T)
+        return None if moments is None else (moments[0], math.sqrt(moments[1]))
+
+    def density(self, S0: float, t: float):
+        """The terminal density from S0 at t (a PointMass at t <= 0)."""
+        return None
+
+    def log_space(self) -> ModelSpec | None:
+        """A model of ln S with a family of its own, run in place of this one."""
+        return None
+
+
+@dataclass(frozen=True)
+class BM(Family):
+    """dS = mu dt + sigma dW: Gaussian, mean S0 + mu t, variance sigma^2 t."""
+
+    mu: float
+    sigma: float
+
+    def moments(self, S0, T):
+        return S0 + self.mu * T, self.sigma * self.sigma * T
+
+    def spread(self, S0, T):
+        # sigma sqrt(T), not the root of the variance: that can differ in the last bit
+        return S0 + self.mu * T, self.sigma * math.sqrt(T)
+
+    def density(self, S0, t):
+        from .density import density_bm
+
+        return density_bm(t, S0, self.mu, self.sigma)
+
+
+@dataclass(frozen=True)
+class GBM(Family):
+    """dS = mu S dt + sigma S dW: lognormal. mu is None for the drift r(t) of
+    a non-flat curve, which keeps the exact sampler but no mu-dependent form."""
+
+    mu: float | None
+    sigma: float
+
+    def moments(self, S0, T):
+        if self.mu is None:
+            return None
+        return (S0 * math.exp(self.mu * T),
+                S0 * S0 * math.exp(2 * self.mu * T) * math.expm1(self.sigma * self.sigma * T))
+
+    def density(self, S0, t):
+        from .density import density_gbm
+
+        return None if self.mu is None else density_gbm(t, S0, self.mu, self.sigma)
+
+    def log_space(self):
+        if self.mu is None:
+            raise ValueError("log-space evolution needs a flat curve; under a non-flat "
+                             "curve the log drift r(t) - sigma^2/2 is time-dependent")
+        return make_bm(self.mu - 0.5 * self.sigma ** 2, self.sigma)
+
+
+@dataclass(frozen=True)
+class Vasicek(Family):
+    """dS = a (b - S) dt + sigma dW: Gaussian, mean relaxing from S0 to b."""
+
+    a: float
+    b: float
+    sigma: float
+
+    def moments(self, S0, T):
+        decay = math.exp(-self.a * T)
+        return (S0 * decay + self.b * (1.0 - decay),
+                self.sigma * self.sigma * (-math.expm1(-2.0 * self.a * T)) / (2.0 * self.a))
+
+    def density(self, S0, t):
+        from .density import density_vasicek
+
+        return density_vasicek(t, S0, self.a, self.b, self.sigma)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Drift and volatility maps defining the simulated dynamics.
 
-    ``price_rate`` is set for price-homogeneous models (drift equal to
-    rate(t) * S); pricing uses it to swap the physical drift for the
-    risk-free one. ``config`` is the JSON-style description hashed into
-    output metadata.
+    ``family`` is the closed-form law the maps follow, or None. ``config``
+    is the JSON-style description hashed into output metadata.
     """
 
     dim: int
     noise_dim: int
     drift: Callable[[float, np.ndarray], np.ndarray]
     vol: Callable[[float, np.ndarray], np.ndarray]
-    kind: str = "custom"
+    family: Family | None = None
     config: dict = field(default_factory=dict)
-    price_rate: Callable[[float], float] | None = None
     risk_neutral: bool = False
 
     def __post_init__(self):
         if int(self.dim) < 1 or int(self.noise_dim) < 1:
             raise ValueError("dim and noise_dim must be positive")
-        if self.kind not in _BUILTIN_KINDS:
-            raise ValueError(f"kind must be one of {_BUILTIN_KINDS}")
 
     # Scalar-grid conveniences for the 1-D solvers -------------------------
 
@@ -95,7 +189,7 @@ def make_bm(mu: float, sigma: float) -> ModelSpec:
     def vol(t, S):
         return np.full(S.shape + (1,), sigma)
 
-    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, kind="bm",
+    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, family=BM(mu, sigma),
                      config={"type": "bm", "params": {"mu": mu, "sigma": sigma}})
 
 
@@ -110,9 +204,8 @@ def make_gbm(mu: float, sigma: float) -> ModelSpec:
     def vol(t, S):
         return sigma * S[..., None]
 
-    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, kind="gbm",
-                     config={"type": "gbm", "params": {"mu": mu, "sigma": sigma}},
-                     price_rate=lambda t: mu)
+    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, family=GBM(mu, sigma),
+                     config={"type": "gbm", "params": {"mu": mu, "sigma": sigma}})
 
 
 def make_vasicek(a: float, b: float, sigma: float) -> ModelSpec:
@@ -129,7 +222,7 @@ def make_vasicek(a: float, b: float, sigma: float) -> ModelSpec:
     def vol(t, S):
         return np.full(S.shape + (1,), sigma)
 
-    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, kind="vasicek",
+    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, family=Vasicek(a, b, sigma),
                      config={"type": "vasicek", "params": {"a": a, "b": b, "sigma": sigma}})
 
 
@@ -155,8 +248,7 @@ def make_custom_grid(s_values, drift_values, vol_values) -> ModelSpec:
 
     config = {"type": "custom-grid",
               "params": {"s": s.tolist(), "drift": dv.tolist(), "vol": vv.tolist()}}
-    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol,
-                     kind="custom-grid", config=config)
+    return ModelSpec(dim=1, noise_dim=1, drift=drift, vol=vol, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +358,7 @@ def _correlated(mus, sigmas, correlation, geometric: bool, type_name: str) -> Mo
     config = {"type": type_name,
               "params": {"mu": mu.tolist(), "sigma": sig.tolist()},
               "correlation": np.asarray(correlation, dtype=float).tolist()}
-    return ModelSpec(dim=n, noise_dim=k, drift=drift, vol=vol,
-                     kind=type_name, config=config)
+    return ModelSpec(dim=n, noise_dim=k, drift=drift, vol=vol, config=config)
 
 
 def make_correlated_bm(mus, sigmas, correlation) -> ModelSpec:
@@ -281,39 +372,77 @@ def make_correlated_gbm(mus, sigmas, correlation) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
+# Risk-neutral drift
+
+
+def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
+                    override_drift=None) -> ModelSpec:
+    """Replace the physical drift with r(t) * S, keeping the volatility.
+
+    Only a gbm, one-asset or correlated, is price-homogeneous and can be
+    neutralized automatically; for anything else pass override_drift, an
+    explicit risk-neutral drift map (t, S) -> array. A one-asset gbm keeps
+    the family GBM(r, sigma) on a flat curve, GBM(None, sigma) on a
+    non-flat one; an overridden model has family None and takes no
+    shortcut. Idempotent: re-applying the same curve gives an equivalent model.
+    """
+    config = dict(model.config)
+    if override_drift is not None:
+        drift, family = override_drift, None
+        config["drift_override"] = True
+    elif config.get("type") != "gbm" or config.get("drift_override"):
+        # a correlated gbm carries no family, so its serialized type decides
+        raise ValueError(
+            "only a gbm with its own drift is price-homogeneous; supply "
+            "override_drift with an explicit risk-neutral drift")
+    else:
+        def drift(t, S):
+            return curve.rate(t) * S
+
+        params = dict(config.get("params", {}))
+        if curve.is_flat:
+            params["mu"] = curve.rates[0]
+        else:
+            params.pop("mu", None)
+            config["curve"] = {"times": list(curve.times), "rates": list(curve.rates)}
+        config["params"] = params
+        family = GBM(params.get("mu"), model.family.sigma) \
+            if isinstance(model.family, GBM) else None
+    config["risk_neutral"] = True
+    return ModelSpec(dim=model.dim, noise_dim=model.noise_dim, drift=drift,
+                     vol=model.vol, family=family, config=config, risk_neutral=True)
+
+
+# ---------------------------------------------------------------------------
 # JSON interface
+
+
+# type -> (one-asset builder, correlated builder or None, required params)
+_BUILDERS = {
+    "bm": (make_bm, make_correlated_bm, ("mu", "sigma")),
+    "gbm": (make_gbm, make_correlated_gbm, ("mu", "sigma")),
+    "vasicek": (make_vasicek, None, ("a", "b", "sigma")),
+    "custom-grid": (make_custom_grid, None, ("s", "drift", "vol")),
+}
 
 
 def load_model_config(doc: dict) -> ModelSpec:
     """Build a ModelSpec from {"type": ..., "params": {...}, "correlation": ...}."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("model config must be an object with a 'type' key")
-    kind = doc["type"]
+    type_name = doc["type"]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("model params must be an object")
-    correlation = doc.get("correlation")
-
-    if kind in ("bm", "gbm"):
-        mu, sigma = params.get("mu"), params.get("sigma")
-        if mu is None or sigma is None:
-            raise ValueError(f"params.mu and params.sigma required for type {kind!r}")
-        if correlation is not None:
-            maker = make_correlated_bm if kind == "bm" else make_correlated_gbm
-            return maker(mu, sigma, correlation)
-        if kind == "bm":
-            return make_bm(mu, sigma)
-        return make_gbm(mu, sigma)
-    if kind == "vasicek":
-        if correlation is not None:
-            raise ValueError("correlated vasicek models are not supported")
-        try:
-            return make_vasicek(params["a"], params["b"], params["sigma"])
-        except KeyError as missing:
-            raise ValueError(f"params.{missing.args[0]} required for type 'vasicek'") from None
-    if kind == "custom-grid":
-        try:
-            return make_custom_grid(params["s"], params["drift"], params["vol"])
-        except KeyError as missing:
-            raise ValueError(f"params.{missing.args[0]} required for type 'custom-grid'") from None
-    raise ValueError(f"unknown model type {kind!r}")
+    if not isinstance(type_name, str) or type_name not in _BUILDERS:
+        raise ValueError(f"unknown model type {type_name!r}")
+    one_asset, correlated, keys = _BUILDERS[type_name]
+    missing = [k for k in keys if params.get(k) is None]
+    if missing:
+        raise ValueError(f"params.{missing[0]} required for type {type_name!r}")
+    args = [params[k] for k in keys]
+    if doc.get("correlation") is None:
+        return one_asset(*args)
+    if correlated is None:
+        raise ValueError(f"correlated {type_name} models are not supported")
+    return correlated(*args, doc["correlation"])

@@ -11,9 +11,9 @@ so each propagation step conserves mass exactly; the mass removed by
 window truncation is tracked as boundary leak. A kernel matrix is rebuilt
 only when mu or sigma on the grid change.
 
-Proportional (gbm-kind) models propagate on a log-price lattice where the
-kernel is translation invariant; results are reported on the mapped price
-lattice with quadrature kept in the native coordinates.
+A model whose family has a log-space form (GBM) propagates on a log-price
+lattice where the kernel is translation invariant; results are reported on
+the mapped price lattice with quadrature kept in the native coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import DegenerateKernelError, NumericalError
 from .mc import MCEstimate, _int_at_least, _mean_and_se, _step_count, fmt17
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
-                      _check_densities, _log_space_model, _same_arrays)
+                      _check_densities, _grid_nodes, _same_arrays)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -243,7 +243,8 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     """Propagate a regularized point source and discount each time slice.
 
     The model must already carry the risk-neutral drift (the caller
-    applies risk_neutralize); this function only discounts.
+    applies risk_neutralize); this function only discounts. n_nodes must
+    be an integer >= 5 and half_width finite and positive.
     """
     if not model.risk_neutral:
         raise ValueError(
@@ -252,14 +253,12 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     if not t > t0:
         raise ValueError("t must exceed t0")
     n_steps = _step_count(t - t0, dt)
+    n_nodes = _grid_nodes(n_nodes, half_width)
 
-    log_coords = model.kind == "gbm"
-    if log_coords:
-        work_model = _log_space_model(model)
-        x0 = math.log(S0)
-    else:
-        work_model = model
-        x0 = float(S0)
+    log_model = None if model.family is None else model.family.log_space()
+    log_coords = log_model is not None
+    work_model = log_model if log_coords else model
+    x0 = math.log(S0) if log_coords else float(S0)
     grid = default_domain(work_model, x0, t - t0, n_nodes, half_width)
     mhash = model_hash(model)
     start = point_mass_on_grid(grid, x0, t0, model_hash=mhash)
@@ -321,8 +320,7 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
         raise ValueError("pi_expectation handles one-dimensional models")
     if not T > t0:
         raise ValueError("T must exceed t0")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_paths = _int_at_least("n_paths", n_paths, 1)
     n_steps = _step_count(T - t0, dt)
     kernel = one_step_kernel(model, t0, dt)
 

@@ -26,11 +26,11 @@ from typing import Callable
 import numpy as np
 
 from . import noise
-from .density import GridFunction, _ThetaSystem, _same_arrays
+from .density import GridFunction, _ThetaSystem, _grid_nodes, _same_arrays
 from .errors import NumericalError
 from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_least,
                  _mean_and_se, _resolve_threads, _run_chunks, _step_count)
-from .models import ModelSpec, model_hash
+from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
 from .portfolio import DiscountCurve
 
@@ -100,49 +100,6 @@ def payoff_from_config(doc: dict) -> PayoffSpec:
             raise ValueError("custom payoff needs table: {s: [...], values: [...]}")
         return table_payoff(table["s"], table["values"])
     raise ValueError(f"unknown payoff kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Risk-neutral drift
-
-
-def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
-                    override_drift=None) -> ModelSpec:
-    """Replace the physical drift with r(t) * S, keeping the volatility.
-
-    Only price-homogeneous models can be neutralized automatically; for
-    anything else pass override_drift, an explicit risk-neutral drift map
-    (t, S) -> array. An overridden model has kind "custom": no closed-form,
-    exact-terminal or time-invariant shortcut applies to it. Idempotent:
-    re-applying with the same curve yields an equivalent model.
-    """
-    if override_drift is not None:
-        config = dict(model.config)
-        config["risk_neutral"] = True
-        config["drift_override"] = True
-        return ModelSpec(dim=model.dim, noise_dim=model.noise_dim,
-                         drift=override_drift, vol=model.vol, kind="custom",
-                         config=config, price_rate=None, risk_neutral=True)
-    if model.kind != "gbm":
-        raise ValueError(
-            f"model kind {model.kind!r} is not price-homogeneous; supply "
-            "override_drift with an explicit risk-neutral drift")
-
-    def drift(t, S):
-        return curve.rate(t) * S
-
-    config = dict(model.config)
-    params = dict(config.get("params", {}))
-    if curve.is_flat:
-        params["mu"] = curve.rates[0]
-    else:
-        params.pop("mu", None)
-        config["curve"] = {"times": list(curve.times), "rates": list(curve.rates)}
-    config["params"] = params
-    config["risk_neutral"] = True
-    return ModelSpec(dim=model.dim, noise_dim=model.noise_dim, drift=drift,
-                     vol=model.vol, kind="gbm", config=config,
-                     price_rate=curve.rate, risk_neutral=True)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +265,6 @@ def bs_greeks(p: BSParams) -> GreeksReport:
 # Monte Carlo present value
 
 
-def _can_sample_terminal_exactly(model: ModelSpec, payoff: PayoffSpec) -> bool:
-    if payoff.stream is not None or model.kind != "gbm" or model.dim != 1:
-        return False
-    params = model.config.get("params", {})
-    return isinstance(params.get("sigma"), (int, float))
-
-
 # pv_mc's latest simulation: (caller's model, key, terminal states)
 _last_paths = None
 
@@ -348,12 +298,11 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
 
     The model is risk-neutralized internally (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
-    left endpoints. For plain terminal payoffs under one-factor
-    proportional dynamics the terminal value is drawn from its exact
-    lognormal law instead of stepping (metadata sampler flag); pass
-    exact_terminal=False to force the Euler path route. Paths run on
-    `threads` threads (default: the CPUs this process may use), so payoff
-    callables must be pure.
+    left endpoints. For plain terminal payoffs under a model of family GBM
+    the terminal value is drawn from its exact lognormal law instead of
+    stepping (metadata sampler flag); pass exact_terminal=False to force
+    the Euler path route. Paths run on `threads` threads (default: the
+    CPUs this process may use), so payoff callables must be pure.
 
     The latest simulation's terminal states are kept until the next one
     replaces them, keyed by the model object, curve, risk-neutral model
@@ -380,16 +329,16 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     key = (curve, metadata["model_hash"], start.tobytes(), T, dt, n_steps,
            n_paths, seed)
 
-    can = [_can_sample_terminal_exactly(rn, p) for p in payoffs]
+    can = [isinstance(rn.family, GBM) and p.stream is None for p in payoffs]
     if exact_terminal and not all(can):
-        raise ValueError("exact terminal sampling needs a one-factor "
-                         "proportional model and a pure terminal payoff")
+        raise ValueError("exact terminal sampling needs a model of family GBM "
+                         "and a pure terminal payoff")
     exact = can if exact_terminal is None else [bool(exact_terminal)] * len(payoffs)
     states = {}
 
     if any(exact):
         def draw() -> np.ndarray:
-            sigma = float(rn.config["params"]["sigma"])
+            sigma = rn.family.sigma
             z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
             return start[0] * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
                                      + sigma * math.sqrt(T) * z)
@@ -468,9 +417,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     if not (S0 > 0 and T > 0):
         raise ValueError("S0 and T must be positive")
     n_steps = _int_at_least("n_steps", n_steps, 1)
-    n_nodes = _int_at_least("n_nodes", n_nodes, 5)
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
+    n_nodes = _grid_nodes(n_nodes, half_width)
     sig_fn = _resolve_sigma(sigma)
     x0 = math.log(S0)
     sig0 = float(np.max(sig_fn(0.0, np.asarray([S0]))))

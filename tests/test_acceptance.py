@@ -140,7 +140,7 @@ def test_criterion_03_solvers_reproduce_closed_forms_and_converge():
         exact = family(1.0, S0)
         fp_coarse, pi_coarse = _density_errors(model, S0, exact, 401, 100)
         fp_fine, pi_fine = _density_errors(model, S0, exact, 801, 200)
-        kind = model.kind
+        kind = type(model.family).__name__
         assert fp_fine < 5e-3, f"forward solver L1 {fp_fine:.2e} [{kind}]"
         assert pi_fine < 5e-3, f"lattice L1 {pi_fine:.2e} [{kind}]"
         assert fp_coarse >= 2.0 * fp_fine, \

@@ -503,6 +503,16 @@ def test_missing_simulate_counts_are_named(tmp_path, capsys):
         assert f"config.{key} is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("half_width", [math.nan, -1.0])
+def test_density_half_width_must_be_finite_and_positive(tmp_path, capsys,
+                                                       half_width):
+    # a nan half width used to write a body of nan rows and exit 0
+    cfg = write_config(tmp_path, "hw.json", dict(
+        DENSITY_DOC, method="analytic", resolution={"half_width": half_width}))
+    assert main(["density", "--config", cfg]) == 2
+    assert "half_width must be finite and positive" in capsys.readouterr().err
+
+
 def test_integral_counts_are_accepted(tmp_path, capsys):
     cfg = write_config(tmp_path, "ok.json", dict(
         DENSITY_DOC, grid={"lo": -2.0, "hi": 2.0, "n": 3},
@@ -510,6 +520,41 @@ def test_integral_counts_are_accepted(tmp_path, capsys):
         format="json"))
     assert main(["density", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["s"]) == 3
+
+
+def test_density_of_a_model_without_a_family(tmp_path, capsys):
+    # a tabulated model has no closed-form density: the lattice needs an
+    # explicit grid, and the analytic method is refused by name
+    model = {"type": "custom-grid",
+             "params": {"s": [-10.0, 10.0], "drift": [0.0, 0.0], "vol": [0.5, 0.5]}}
+    doc = {"model": model, "S0": 0.0, "t": 1.0, "method": "path-integral",
+           "resolution": {"n_steps": 32}, "format": "json"}
+    cfg = write_config(tmp_path, "nofamily.json", doc)
+    assert main(["density", "--config", cfg]) == 2
+    assert "config.grid" in capsys.readouterr().err
+    grid = {"lo": -4.0, "hi": 4.0, "n": 161}
+    cfg = write_config(tmp_path, "grid.json", dict(doc, grid=grid))
+    assert main(["density", "--config", cfg]) == 0
+    p = json.loads(capsys.readouterr().out)["densities"]["path-integral"]
+    assert np.trapezoid(p, np.linspace(-4.0, 4.0, 161)) == pytest.approx(1.0, abs=1e-3)
+    cfg = write_config(tmp_path, "analytic.json", dict(doc, grid=grid,
+                                                       method="analytic"))
+    assert main(["density", "--config", cfg]) == 2
+    assert "method 'analytic'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["analytic", "pde"])
+@pytest.mark.parametrize("model", [
+    {"type": "vasicek", "params": {"a": 1.0, "b": 0.05, "sigma": 0.02}},
+    {"type": "gbm", "params": {"mu": [0.05], "sigma": [0.2]}, "correlation": [[1.0]]},
+])
+def test_closed_form_price_routes_need_the_gbm_family(tmp_path, capsys, method,
+                                                      model):
+    cfg = write_config(tmp_path, "price.json",
+                       dict(GBM_PRICE_DOC, model=model, method=method))
+    assert main(["price", "--config", cfg]) == 2
+    assert f"the {method} route prices models of family GBM only" \
+        in capsys.readouterr().err
 
 
 def test_pde_strike_next_to_the_spot_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from stochastica import (
     greens_function,
     kolmogorov_backward,
     make_bm,
+    make_correlated_bm,
     make_gbm,
     make_vasicek,
     one_step_kernel,
@@ -34,6 +36,7 @@ from stochastica import (
 )
 from stochastica import density, pathintegral
 from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
+from stochastica.models import GBM
 from stochastica.errors import NumericalError
 
 
@@ -375,6 +378,33 @@ def test_solvers_reject_a_bad_step_count(n_steps):
         evolve_density(model, PointMass(center=0.0), 1.0, n_steps=n_steps)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"half_width": -1.0}, "half_width must be finite and positive, got -1.0"),
+    ({"half_width": math.nan}, "half_width must be finite and positive, got nan"),
+    ({"half_width": 0}, "half_width must be finite and positive, got 0"),
+    ({"n_nodes": 2.5}, "n_nodes must be an integer >= 5, got 2.5"),
+    ({"n_nodes": True}, "n_nodes must be an integer >= 5, got True"),
+])
+def test_default_domain_routes_name_a_bad_grid_argument(bad, message):
+    curve = DiscountCurve.flat(0.05)
+    bm = make_bm(0.0, 1.0)
+    starts = (PointMass(center=0.0, t=0.0),
+              point_mass_on_grid(np.linspace(-8.0, 8.0, 401), 0.0))
+    for start in starts:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evolve_density(bm, start, 1.0, **bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        greens_function(risk_neutralize(make_gbm(0.05, 0.2), curve), curve,
+                        0.0, 100.0, 1.0, 0.25, **bad)
+
+
+def test_a_model_without_a_family_has_no_default_domain():
+    model = make_correlated_bm([0.05], [0.2], [[1.0]])
+    assert model.family is None
+    with pytest.raises(ValueError, match="no default domain rule"):
+        evolve_density(model, PointMass(center=0.0, t=0.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # operator reuse: a solver rebuilds its operator only when the model's
 # coefficients on the grid change
@@ -391,7 +421,7 @@ def _solvers(model, s, S0, T, n=40):
     """Every grid solver on one model, n steps each, as calls that return
     the solver's output array."""
     curve = DiscountCurve.flat(0.05)
-    rn = risk_neutralize(model, curve) if model.kind == "gbm" \
+    rn = risk_neutralize(model, curve) if isinstance(model.family, GBM) \
         else dataclasses.replace(model, risk_neutral=True)
     start = point_mass_on_grid(s, S0)
     return {

@@ -23,6 +23,7 @@ from stochastica import (
     make_gbm,
     make_vasicek,
     mgf,
+    pi_expectation,
     read_paths_binary,
     scaling_check,
     simulate_paths,
@@ -425,6 +426,8 @@ _COUNT_CALLS = {
                                      seed=0),
     "scaling_check": lambda n: scaling_check(make_bm(0.0, 1.0), 0.0, 1.0, 0.25, 2,
                                              n, 0),
+    "pi_expectation": lambda n: pi_expectation(make_bm(0.0, 1.0), lambda s: s, 0.0,
+                                               0.0, 1.0, 0.25, n, 0),
 }
 
 

@@ -1,22 +1,35 @@
 """Model specs, covariance diagonalization, volatility matrices."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from stochastica import (
+    AnalyticDensity1D,
     CovarianceSpec,
+    ModelSpec,
+    PointMass,
     diagonalize_covariance,
+    evolve_density,
     load_model_config,
     make_bm,
+    make_correlated_bm,
     make_correlated_gbm,
     make_custom_grid,
     make_gbm,
     make_vasicek,
     model_hash,
+    scaling_check,
     volatility_matrix,
 )
+from stochastica.cli import _analytic_density
+from stochastica.density import trapezoid_weights
+from stochastica.models import BM, GBM, Family, Vasicek
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +187,86 @@ def test_model_hash_stability():
 def test_load_model_config():
     m = load_model_config({"type": "vasicek",
                            "params": {"a": 1.0, "b": 0.05, "sigma": 0.02}})
-    assert m.kind == "vasicek"
+    assert m.family == Vasicek(a=1.0, b=0.05, sigma=0.02)
     with pytest.raises(ValueError):
         load_model_config({"params": {}})
     with pytest.raises(ValueError):
         load_model_config({"type": "heston", "params": {}})
     with pytest.raises(ValueError):
         load_model_config({"type": "gbm", "params": {"mu": 0.1}})
+
+
+# ---------------------------------------------------------------------------
+# families
+
+
+def test_builders_attach_a_family_and_keep_their_config():
+    cases = [
+        (make_bm(0.1, 0.3), BM(mu=0.1, sigma=0.3),
+         {"type": "bm", "params": {"mu": 0.1, "sigma": 0.3}}),
+        (make_gbm(0.05, 0.2), GBM(mu=0.05, sigma=0.2),
+         {"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2}}),
+        (make_vasicek(1.0, 0.05, 0.02), Vasicek(a=1.0, b=0.05, sigma=0.02),
+         {"type": "vasicek", "params": {"a": 1.0, "b": 0.05, "sigma": 0.02}}),
+    ]
+    for model, family, config in cases:
+        assert model.family == family
+        assert model.config == config
+    c = [[1.0, 0.5], [0.5, 1.0]]
+    for model in (make_custom_grid([0.0, 1.0], [0.1, 0.2], [0.3, 0.3]),
+                  make_correlated_bm([0.1, 0.2], [0.2, 0.3], c),
+                  make_correlated_gbm([0.1], [0.2], [[1.0]]),
+                  ModelSpec(dim=1, noise_dim=1, drift=lambda t, s: s,
+                            vol=lambda t, s: s[..., None])):
+        assert model.family is None
+
+
+def test_gbm_without_mu_has_no_mu_dependent_closed_form():
+    family = GBM(mu=None, sigma=0.2)
+    assert family.moments(100.0, 1.0) is None
+    assert family.density(100.0, 1.0) is None
+    with pytest.raises(ValueError, match="non-flat curve"):
+        family.log_space()
+
+
+@dataclass(frozen=True)
+class _Ramp(Family):
+    """dS = b t dt + sigma dW: Gaussian, mean S0 + b t^2 / 2, variance sigma^2 t."""
+
+    b: float
+    sigma: float
+
+    def moments(self, S0, T):
+        return S0 + 0.5 * self.b * T * T, self.sigma ** 2 * T
+
+    def density(self, S0, t):
+        mean, var = self.moments(S0, t)
+        return AnalyticDensity1D(lambda s: norm.pdf(s, mean, math.sqrt(var)), t=t,
+                                 mean=mean, variance=var)
+
+
+def test_a_new_family_defined_in_one_class_unlocks_the_shortcuts():
+    b, sigma, S0, T = 0.4, 0.3, 1.0, 1.0
+    model = ModelSpec(dim=1, noise_dim=1, drift=lambda t, s: np.full_like(s, b * t),
+                      vol=lambda t, s: np.full(s.shape + (1,), sigma),
+                      family=_Ramp(b, sigma))
+    mean, var = model.family.moments(S0, T)
+
+    report = scaling_check(model, S0, T, 0.1, 2, 20_000, seed=4, threads=1)
+    for res in (report.coarse, report.fine):
+        assert res.bias_mean == res.mean - mean
+        assert res.bias_variance == res.variance - var
+    # the Euler drift is taken at left endpoints: bias -b T dt / 2
+    assert report.coarse.bias_mean == pytest.approx(-0.02, abs=0.01)
+    assert report.fine.bias_mean == pytest.approx(-0.01, abs=0.01)
+
+    analytic = _analytic_density(model, S0, T)
+    assert (analytic.mean, analytic.variance) == (mean, var)
+
+    out = evolve_density(model, PointMass(center=S0, t=0.0), T, n_steps=200,
+                         n_nodes=801)
+    assert out.s_values[0] == pytest.approx(S0 - 8.0 * sigma, rel=1e-12)
+    assert out.s_values[-1] == pytest.approx(mean + 8.0 * sigma, rel=1e-12)
+    l1 = float(np.sum(trapezoid_weights(out.s_values)
+                      * np.abs(out.p_values - analytic(out.s_values))))
+    assert l1 < 5e-3

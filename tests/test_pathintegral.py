@@ -26,8 +26,7 @@ from stochastica import (
     propagate,
     risk_neutralize,
 )
-from stochastica.density import (TransitionMatrix, _log_space_model,
-                                 quadrature_apply, trapezoid_weights)
+from stochastica.density import TransitionMatrix, quadrature_apply, trapezoid_weights
 from stochastica.pathintegral import _WINDOW_STD
 
 
@@ -130,7 +129,7 @@ def dense_kernel_reference(kernel, t, source, target=None):
 KERNEL_CASES = {
     "bm": (make_bm(0.1, 0.3), np.linspace(-2.5, 2.7, 801), 1.0 / 200),
     "gbm": (make_gbm(0.05, 0.2), np.linspace(40.0, 250.0, 801), 1.0 / 200),
-    "gbm-log": (_log_space_model(make_gbm(0.05, 0.2)),
+    "gbm-log": (make_gbm(0.05, 0.2).family.log_space(),
                 np.linspace(3.0, 6.2, 1601), 1.0 / 400),
     "vasicek": (make_vasicek(1.0, 0.05, 0.02), np.linspace(-0.03, 0.09, 1601),
                 1.0 / 400),

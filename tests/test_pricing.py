@@ -24,6 +24,7 @@ from stochastica import (
     call_payoff,
     digital_payoff,
     greens_function,
+    make_correlated_gbm,
     make_gbm,
     make_vasicek,
     norm_cdf,
@@ -38,6 +39,7 @@ from stochastica import (
 )
 from stochastica import mc, noise, pricing
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
+from stochastica.models import GBM
 
 
 def quad_price(payoff_fn, S, r, sigma, t, K_break=None):
@@ -244,6 +246,7 @@ def test_risk_neutralize_gbm():
     curve = DiscountCurve(times=(0.0,), rates=(0.05,))
     rn = risk_neutralize(make_gbm(0.12, 0.2), curve)
     assert rn.risk_neutral
+    assert rn.family == GBM(mu=0.05, sigma=0.2)
     assert rn.config["params"]["mu"] == 0.05
     assert rn.config["params"]["sigma"] == 0.2
     s = np.array([[100.0]])
@@ -254,6 +257,7 @@ def test_risk_neutralize_gbm():
 def test_risk_neutralize_non_flat_curve():
     curve = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06))
     rn = risk_neutralize(make_gbm(0.12, 0.2), curve)
+    assert rn.family == GBM(mu=None, sigma=0.2)
     assert "mu" not in rn.config["params"]
     assert rn.config["curve"]["rates"] == [0.02, 0.06]
     s = np.array([[100.0]])
@@ -267,7 +271,29 @@ def test_risk_neutralize_requires_override_for_other_kinds():
     rn = risk_neutralize(make_vasicek(1.0, 0.05, 0.02), curve,
                          override_drift=lambda t, S: 0.05 * S)
     assert rn.risk_neutral
+    assert rn.family is None
     assert rn.config["drift_override"] is True
+    overridden = risk_neutralize(make_gbm(0.05, 0.2), curve,
+                                 override_drift=lambda t, S: 0.30 * S)
+    with pytest.raises(ValueError, match="override"):
+        risk_neutralize(overridden, curve)
+
+
+def test_risk_neutralize_correlated_gbm_without_a_family():
+    # a correlated gbm has no family, yet stays price-homogeneous
+    curve = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06))
+    model = make_correlated_gbm([0.1, 0.2], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]])
+    rn = risk_neutralize(model, curve)
+    assert rn.risk_neutral and rn.family is None
+    assert rn.config["params"] == {"sigma": [0.2, 0.3]}
+    assert rn.config["curve"]["rates"] == [0.02, 0.06]
+    s = np.array([[100.0, 50.0]])
+    np.testing.assert_allclose(rn.drift(1.5, s), 0.06 * s, rtol=1e-15)
+    assert rn.vol is model.vol
+    one = make_correlated_gbm([0.1], [0.2], [[1.0]])
+    est = pv_mc(one, DiscountCurve.flat(0.05), call_payoff(100.0), 100.0, 1.0,
+                0.25, 1000, seed=1)
+    assert est.metadata["sampler"] == "euler-paths"
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +470,7 @@ def test_overridden_drift_never_takes_the_exact_sampler():
     curve = DiscountCurve(times=(0.0,), rates=(0.05,))
     rn = risk_neutralize(make_gbm(0.05, 0.2), curve,
                          override_drift=lambda t, S: 0.30 * S)
-    assert rn.kind == "custom"
+    assert rn.family is None
     est = pv_mc(rn, curve, call_payoff(100.0), 100.0, 1.0, 1.0 / 64, 50_000,
                 seed=3)
     assert est.metadata["sampler"] == "euler-paths"
