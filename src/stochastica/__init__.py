@@ -12,7 +12,6 @@ from .density import (
     DensityGrid,
     GridFunction,
     PointMass,
-    TransitionDensity,
     TransitionMatrix,
     change_of_variable,
     compose_transition,
@@ -20,7 +19,6 @@ from .density import (
     density_gbm,
     density_vasicek,
     evolve_density,
-    export_density_csv,
     fokker_planck_forward,
     kolmogorov_backward,
     point_mass_on_grid,
@@ -32,12 +30,9 @@ from .mc import (
     TimeGrid,
     evolve_step,
     expectation,
-    export_paths_binary,
     export_paths_csv,
-    gbm_exact_terminal,
     ito_check,
     mgf,
-    read_paths_binary,
     scaling_check,
     simulate_paths,
     simulate_terminal,
@@ -60,7 +55,6 @@ from .models import (
 from .pathintegral import (
     GreensFunction,
     ShortTimeKernel,
-    export_greens_csv,
     greens_function,
     kernel_matrix,
     one_step_kernel,
@@ -76,9 +70,7 @@ from .portfolio import (
     fixed_loan_coupon,
     fixed_loan_schedule,
     futures_value,
-    load_cashflows,
     load_curve,
-    load_portfolio_doc,
     pv_deterministic,
     zero_coupon_price,
 )

@@ -18,7 +18,6 @@ import datetime
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -132,13 +131,24 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _require(cfg: dict, key: str, caster, what: str):
-    if key not in cfg:
-        raise ValueError(f"config.{key} is required ({what})")
+def _require(cfg: dict, key: str, caster, what: str = "", default=None,
+             where: str = "config"):
+    """caster(cfg[key]), else caster(default); an error names the key as
+    where.key. With no default the key is required."""
+    if default is None and key not in cfg:
+        raise ValueError(f"{where}.{key} is required ({what})")
     try:
-        return caster(cfg[key])
+        return caster(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"config.{key}: {exc}") from exc
+        raise ValueError(f"{where}.{key}: {exc}") from exc
+
+
+def _section(cfg: dict, key: str) -> dict | None:
+    """config.key, an object of settings, or None when absent or null."""
+    sub = cfg.get(key)
+    if sub is not None and not isinstance(sub, dict):
+        raise ValueError(f"config.{key} must be an object")
+    return sub
 
 
 def _resolve_seed(args, cfg: dict) -> int:
@@ -148,21 +158,12 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _resolve_threads(args, cfg: dict) -> int:
-    """--threads, else config.threads, else STOCHASTICA_THREADS, else the
-    library default (the CPUs this process may use)."""
-    env = os.environ.get("STOCHASTICA_THREADS")
+    """--threads, else config.threads, else the library default (the CPUs
+    this process may use)."""
     if args.threads is not None:
         source, value = "--threads", args.threads
-    elif "threads" in cfg:
-        source, value = "config.threads", cfg["threads"]
-    elif env:
-        source, value = "STOCHASTICA_THREADS", env
-        try:
-            value = int(env)
-        except ValueError:
-            pass        # the string itself is rejected below
     else:
-        return _resolve_mc_threads(None)
+        source, value = "config.threads", cfg.get("threads")
     try:
         return _resolve_mc_threads(value)
     except ValueError as exc:
@@ -190,7 +191,7 @@ def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
     """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
     n_steps) must be a positive integer either way."""
     n = _count(sub, "n_steps", 1, n_steps, f"config.{where}")
-    return float(sub.get("dt", T / n))
+    return _require(sub, "dt", float, default=T / n, where=f"config.{where}")
 
 
 def _curve_from_config(cfg: dict) -> DiscountCurve:
@@ -210,7 +211,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require(cfg, "S0", float, "initial state")
-    grid = TimeGrid(t0=float(cfg.get("t0", 0.0)),
+    grid = TimeGrid(t0=_require(cfg, "t0", float, default=0.0),
                     dt=_require(cfg, "dt", float, "step size"),
                     n_steps=_count(cfg, "n_steps", 1))
     n_paths = _count(cfg, "n_paths", 1)
@@ -254,9 +255,10 @@ def cmd_simulate(args) -> int:
 
 def _comparison_grid(model, S0: float, t: float, cfg: dict,
                      n_nodes: int, half_width: float) -> np.ndarray:
-    explicit = cfg.get("grid")
+    explicit = _section(cfg, "grid")
     if explicit is not None:
-        lo, hi = float(explicit["lo"]), float(explicit["hi"])
+        lo = _require(explicit, "lo", float, "grid start", where="config.grid")
+        hi = _require(explicit, "hi", float, "grid end", where="config.grid")
         n = _count(explicit, "n", 3, n_nodes, "config.grid")
         if not hi > lo:
             raise ValueError("config.grid needs lo < hi")
@@ -284,11 +286,9 @@ def _density_by_method(method: str, model, S0: float, t: float,
             n_steps=n_steps, n_nodes=n_nodes, half_width=half_width)
         return np.interp(s, result.s_values, result.p_values,
                          left=0.0, right=0.0)
-    if method == "path-integral":
-        kernel = pi_mod.one_step_kernel(model, 0.0, t / n_steps)
-        start = density_mod.point_mass_on_grid(s, S0, 0.0)
-        return pi_mod.propagate(kernel, start, n_steps).p_values
-    raise ValueError(f"density method must be one of {_DENSITY_METHODS}")
+    kernel = pi_mod.one_step_kernel(model, 0.0, t / n_steps)
+    start = density_mod.point_mass_on_grid(s, S0, 0.0)
+    return pi_mod.propagate(kernel, start, n_steps).p_values
 
 
 def cmd_density(args) -> int:
@@ -303,8 +303,9 @@ def cmd_density(args) -> int:
         methods = [methods]
     if not methods or any(m not in _DENSITY_METHODS for m in methods):
         raise ValueError(f"method entries must come from {_DENSITY_METHODS}")
-    res = cfg.get("resolution", {})
-    half_width = float(res.get("half_width", 8.0))
+    res = _section(cfg, "resolution") or {}
+    half_width = _require(res, "half_width", float, default=8.0,
+                          where="config.resolution")
     n_nodes = density_mod._grid_nodes(_count(res, "n_nodes", 5, 801, "config.resolution"),
                                       half_width)
     n_steps = _count(res, "n_steps", 1, 256, "config.resolution")
@@ -357,25 +358,27 @@ def _price_one(method: str, model, curve: DiscountCurve,
                                  sigma=model.family.sigma, t=T)
         return {"value": pricing_mod.bs_price(p, payoff.kind)}
     if method == "pde":
-        sub = cfg.get("pde", {})
+        sub = _section(cfg, "pde") or {}
         fn = pricing_mod.pv_pde(payoff, curve, model.family.sigma, S0, T,
                                 n_nodes=_count(sub, "n_nodes", 5, 4097,
                                                "config.pde"),
                                 n_steps=_count(sub, "n_steps", 1, 512,
                                                "config.pde"),
-                                half_width=float(sub.get("half_width", 8.0)))
+                                half_width=_require(sub, "half_width", float,
+                                                    default=8.0, where="config.pde"))
         return {"value": float(fn(S0))}
     if method == "green":
-        sub = cfg.get("green", {})
+        sub = _section(cfg, "green") or {}
         dt = _dt_from(sub, T, 256, "green")
         green = pi_mod.greens_function(
             pricing_mod.risk_neutralize(model, curve), curve, 0.0, S0, T, dt,
             n_nodes=_count(sub, "n_nodes", 5, 801, "config.green"),
-            half_width=float(sub.get("half_width", 8.0)))
+            half_width=_require(sub, "half_width", float, default=8.0,
+                                where="config.green"))
         return {"value": pricing_mod.pv_green(green, payoff),
                 "mass": green.total_mass()}
     if method == "mc":
-        sub = cfg.get("mc", {})
+        sub = _section(cfg, "mc") or {}
         dt = _dt_from(sub, T, 64, "mc")
         est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt,
                                 _count(sub, "n_paths", 1, 100000, "config.mc"),
@@ -470,16 +473,14 @@ def cmd_hedge(args) -> int:
     rows = _require(cfg, "instruments", list, "instrument list")
     instruments = []
     for i, row in enumerate(rows):
+        where = f"config.instruments[{i}]"
         if not isinstance(row, dict):
-            raise ValueError(f"instruments[{i}] must be an object")
-        try:
-            instruments.append(risk_mod.Instrument(
-                delta=float(row["delta"]), kappa=float(row["kappa"]),
-                gamma=float(row["gamma"]), name=str(row.get("name", i))))
-        except KeyError as missing:
-            raise ValueError(
-                f"instruments[{i}] missing key {missing.args[0]!r}") from None
-    targets = cfg.get("targets", ["kappa"])
+            raise ValueError(f"{where} must be an object")
+        delta, kappa, gamma = (_require(row, greek, float, "a sensitivity", where=where)
+                               for greek in ("delta", "kappa", "gamma"))
+        instruments.append(risk_mod.Instrument(delta, kappa, gamma,
+                                               name=str(row.get("name", i))))
+    targets = _require(cfg, "targets", list, default=["kappa"])
     report = risk_mod.neutralize(
         instruments, targets,
         normalization=cfg.get("normalization", "first"),
@@ -647,8 +648,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default depends on command)")
         sp.add_argument("--threads", type=int,
                         help="worker threads (default: config.threads, else "
-                             "STOCHASTICA_THREADS, else the CPUs this process "
-                             "may use); results do not depend on it")
+                             "the CPUs this process may use); results do not "
+                             "depend on it")
         sp.set_defaults(handler=fn)
     return parser
 

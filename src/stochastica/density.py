@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalError
-from .mc import TimeGrid, _int_at_least, fmt17
+from .mc import TimeGrid, _int_at_least
 from .models import BM, GBM, ModelSpec, Vasicek, model_hash
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
@@ -119,11 +119,6 @@ class DensityGrid:
         return float(np.sum(self.weights * (self.s_values - m) ** 2 * self.p_values)
                      / self.mass)
 
-    def expectation(self, f) -> float:
-        """Trapezoid integral of f(S) against the density."""
-        return float(np.sum(self.weights * np.asarray(f(self.s_values), dtype=float)
-                            * self.p_values))
-
 
 @dataclass(frozen=True)
 class PointMass:
@@ -139,10 +134,6 @@ class PointMass:
     @property
     def variance(self) -> float:
         return 0.0
-
-    def on_grid(self, s_values, *, model_hash: str = "") -> DensityGrid:
-        return point_mass_on_grid(s_values, self.center, self.t,
-                                  model_hash=model_hash)
 
 
 def point_mass_on_grid(s_values, center: float, t: float = 0.0,
@@ -162,15 +153,6 @@ def point_mass_on_grid(s_values, center: float, t: float = 0.0,
     p = np.exp(-0.5 * ((s - center) / h) ** 2)
     p /= np.sum(trapezoid_weights(s) * p)
     return DensityGrid(s_values=s, p_values=p, t=t, model_hash=model_hash)
-
-
-@dataclass(frozen=True)
-class TransitionDensity:
-    """Density of the state at time density.t given state S0 at time t0."""
-
-    t0: float
-    S0: float
-    density: DensityGrid
 
 
 @dataclass(frozen=True)
@@ -254,21 +236,12 @@ def quadrature_apply(weights: np.ndarray, p: np.ndarray,
 def compose_transition(first, second: TransitionMatrix):
     """Chain transitions through a shared intermediate grid.
 
-    first may be a TransitionDensity (or bare DensityGrid) at the
-    intermediate time, or a TransitionMatrix; second maps the intermediate
-    grid onward. The intermediate integral is the trapezoid rule of the
-    shared grid.
+    first may be a DensityGrid at the intermediate time or a
+    TransitionMatrix; second maps the intermediate grid onward. The
+    intermediate integral is the trapezoid rule of the shared grid.
     """
     if not isinstance(second, TransitionMatrix):
         raise TypeError("second argument must be a TransitionMatrix")
-    if isinstance(first, TransitionDensity):
-        inner = first.density
-        if not np.array_equal(inner.s_values, second.source_values):
-            raise ValueError("grid mismatch: intermediate grids differ")
-        p = quadrature_apply(inner.weights, inner.p_values, second.matrix)
-        out = DensityGrid(s_values=second.target_values, p_values=p,
-                          t=second.t_to, model_hash=inner.model_hash)
-        return TransitionDensity(t0=first.t0, S0=first.S0, density=out)
     if isinstance(first, DensityGrid):
         if not np.array_equal(first.s_values, second.source_values):
             raise ValueError("grid mismatch: intermediate grids differ")
@@ -284,8 +257,7 @@ def compose_transition(first, second: TransitionMatrix):
                                 source_values=first.source_values,
                                 target_values=second.target_values,
                                 matrix=composed)
-    raise TypeError("first argument must be a TransitionDensity, DensityGrid "
-                    "or TransitionMatrix")
+    raise TypeError("first argument must be a DensityGrid or TransitionMatrix")
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +269,10 @@ class AnalyticDensity1D:
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray], *, t: float,
                  mean: float | None = None, variance: float | None = None,
-                 support: tuple[float, float] = (-math.inf, math.inf),
-                 description: str = ""):
+                 support: tuple[float, float] = (-math.inf, math.inf)):
         self.pdf = pdf
         self.t = float(t)
         self.support = (float(support[0]), float(support[1]))
-        self.description = description
         self._mean = mean if mean is None else float(mean)
         self._variance = variance if variance is None else float(variance)
 
@@ -335,6 +305,9 @@ class AnalyticDensity1D:
         return math.sqrt(max(self.variance, 0.0))
 
     def default_grid(self, n: int = 801, half_width: float = 8.0) -> np.ndarray:
+        """n uniform nodes over mean +- half_width std, clipped to the support;
+        n must be an integer >= 5 and half_width finite and positive."""
+        n = _grid_nodes(n, half_width)
         lo = max(self.support[0], self.mean - half_width * self.std)
         hi = min(self.support[1], self.mean + half_width * self.std)
         if self.support[0] > -math.inf and lo <= self.support[0]:
@@ -351,13 +324,18 @@ class AnalyticDensity1D:
                            model_hash=model_hash)
 
 
-def _gaussian_pdf(mean: float, var: float):
+def _gaussian_density(family, t: float, S0: float):
+    """The Gaussian terminal density of the family's exact moments; a
+    PointMass at t <= 0."""
+    if t <= 0:
+        return PointMass(center=float(S0), t=float(t))
+    mean, var = family.moments(S0, t)
     inv = 1.0 / math.sqrt(2.0 * math.pi * var)
 
     def pdf(s):
         return inv * np.exp(-0.5 * (s - mean) ** 2 / var)
 
-    return pdf
+    return AnalyticDensity1D(pdf, t=t, mean=mean, variance=var)
 
 
 def density_bm(t: float, S0: float, mu: float, sigma: float):
@@ -368,11 +346,7 @@ def density_bm(t: float, S0: float, mu: float, sigma: float):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if t <= 0:
-        return PointMass(center=float(S0), t=float(t))
-    mean, var = BM(mu, sigma).moments(S0, t)
-    return AnalyticDensity1D(_gaussian_pdf(mean, var), t=t, mean=mean,
-                             variance=var, description="additive Gaussian")
+    return _gaussian_density(BM(mu, sigma), t, S0)
 
 
 def density_gbm(t: float, S0: float, mu: float, sigma: float):
@@ -397,8 +371,7 @@ def density_gbm(t: float, S0: float, mu: float, sigma: float):
 
     mean, var = GBM(mu, sigma).moments(S0, t)
     return AnalyticDensity1D(pdf, t=t, mean=mean, variance=var,
-                             support=(0.0, math.inf),
-                             description="proportional lognormal")
+                             support=(0.0, math.inf))
 
 
 def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
@@ -412,25 +385,22 @@ def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
         raise ValueError("mean-reversion speed a must be positive")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if t <= 0:
-        return PointMass(center=float(S0), t=float(t))
-    mean, var = Vasicek(a, b, sigma).moments(S0, t)
-    return AnalyticDensity1D(_gaussian_pdf(mean, var), t=t, mean=mean,
-                             variance=var, description="mean-reverting Gaussian")
+    return _gaussian_density(Vasicek(a, b, sigma), t, S0)
 
 
 # ---------------------------------------------------------------------------
 # Change of variables
 
 
-def _sample_derivative_sign(dYdx, lo: float, hi: float) -> float:
-    probes = np.linspace(lo, hi, 129)
-    d = np.asarray([float(dYdx(x)) for x in probes])
+def _monotone_derivative(dYdx, x: np.ndarray, where: str) -> np.ndarray:
+    """dYdx at the points x; a zero, non-finite or sign-changing value is a
+    ValueError that names where the points lie."""
+    d = np.asarray([float(dYdx(v)) for v in x])
     if not np.all(np.isfinite(d)) or np.any(d == 0):
-        raise ValueError("dYdx must be finite and nonzero on the support")
+        raise ValueError(f"dYdx must be finite and nonzero on the {where}")
     if np.any(np.sign(d) != np.sign(d[0])):
-        raise ValueError("map is not monotone: dYdx changes sign on the support")
-    return float(np.sign(d[0]))
+        raise ValueError(f"map is not monotone: dYdx changes sign on the {where}")
+    return d
 
 
 def _map_endpoint(Y, x: float, fallback: float) -> float:
@@ -457,11 +427,7 @@ def change_of_variable(p_x, Y, Y_inv, dYdx):
 
     if isinstance(p_x, DensityGrid):
         s = p_x.s_values
-        d = np.asarray([float(dYdx(x)) for x in s])
-        if not np.all(np.isfinite(d)) or np.any(d == 0):
-            raise ValueError("dYdx must be finite and nonzero on the grid")
-        if np.any(np.sign(d) != np.sign(d[0])):
-            raise ValueError("map is not monotone: dYdx changes sign on the grid")
+        d = _monotone_derivative(dYdx, s, "grid")
         y = np.asarray([float(Y(x)) for x in s])
         p = p_x.p_values / np.abs(d)
         if d[0] < 0:
@@ -474,12 +440,8 @@ def change_of_variable(p_x, Y, Y_inv, dYdx):
     if Y_inv is None:
         raise ValueError("Y_inv is required for analytic densities")
 
+    sign = np.sign(_monotone_derivative(dYdx, p_x.default_grid(129), "support")[0])
     lo, hi = p_x.support
-    probe_lo = max(lo, p_x.mean - 8.0 * p_x.std)
-    probe_hi = min(hi, p_x.mean + 8.0 * p_x.std)
-    if lo > -math.inf and probe_lo <= lo:
-        probe_lo = lo + 1e-9 * max(1.0, abs(probe_hi))
-    sign = _sample_derivative_sign(dYdx, probe_lo, probe_hi)
 
     a = _map_endpoint(Y, lo, -math.inf if sign > 0 else math.inf)
     b = _map_endpoint(Y, hi, math.inf if sign > 0 else -math.inf)
@@ -499,8 +461,7 @@ def change_of_variable(p_x, Y, Y_inv, dYdx):
         out = np.where(der > 0, vals / np.where(der > 0, der, 1.0), 0.0)
         return out.reshape(y.shape)
 
-    return AnalyticDensity1D(pdf, t=p_x.t, support=support_y,
-                             description=f"transformed {p_x.description}".strip())
+    return AnalyticDensity1D(pdf, t=p_x.t, support=support_y)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +486,6 @@ def _require_uniform(s: np.ndarray) -> float:
     if np.max(np.abs(d - h)) > 1e-9 * abs(h):
         raise ValueError("solver grids must be uniformly spaced")
     return h
-
-
-def _flux_coefficients(model: ModelSpec, s: np.ndarray, tau: float, h: float):
-    """The forward operator's stencil for the model at time tau."""
-    return _flux_stencil(*_flux_inputs(model, s, tau), h)
 
 
 def _flux_inputs(model: ModelSpec, s: np.ndarray, tau: float):
@@ -624,6 +580,14 @@ class _ThetaSystem:
         return x
 
 
+def _require_vanishing_edges(p: np.ndarray) -> None:
+    """An initial density must vanish (<= 1e-8 of its peak) at both edges."""
+    if max(p[0], p[-1]) > 1e-8 * float(p.max()):
+        raise ValueError(
+            "initial density does not vanish at the domain edges "
+            "(boundary > 1e-8 of peak); widen the grid")
+
+
 def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
                           grid: TimeGrid) -> list[DensityGrid]:
     """March the forward equation dP/dt = d/dS[-mu P + d/dS(sigma^2/2 P)].
@@ -651,12 +615,7 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
         raise ValueError("initial density time must equal grid.t0")
     rows = np.empty((grid.n_steps + 1, s.size))
     p = rows[0] = initial.p_values
-    peak = float(p.max())
-    if max(p[0], p[-1]) > 1e-8 * peak:
-        raise ValueError(
-            "initial density does not vanish at the domain edges "
-            "(boundary > 1e-8 of peak); widen the grid")
-
+    _require_vanishing_edges(p)
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     tv0 = float(np.abs(np.diff(p)).sum())
@@ -844,18 +803,3 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
                 f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
                 f"{m + 1}: unstable resolution; retry with dt <= {dt / 4:.6g}")
     return GridFunction(s_values=s, values=u, t=t0)
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def export_density_csv(d: DensityGrid, fh, *, gnuplot: bool = False) -> None:
-    """Write (S, p) rows with a header carrying time, mass and model hash."""
-    sep = " " if gnuplot else ","
-    fh.write(f"# t = {fmt17(d.t)}\n")
-    fh.write(f"# mass = {fmt17(d.mass)}\n")
-    fh.write(f"# model_hash = {d.model_hash}\n")
-    fh.write(f"S{sep}p\n")
-    for sv, pv in zip(d.s_values, d.p_values):
-        fh.write(f"{fmt17(sv)}{sep}{fmt17(pv)}\n")

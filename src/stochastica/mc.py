@@ -26,7 +26,6 @@ run on worker threads and must be pure functions of their arguments.
 from __future__ import annotations
 
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -132,27 +131,18 @@ def _check_finite_step(S: np.ndarray, step: int, lo: int) -> None:
 def evolve_step(model: ModelSpec, t: float, S, xi, dt: float):
     """One Euler update. S: (dim,) or (batch, dim); xi: matching noise.
 
-    Returns S + mu*dt + vol*sqrt(dt)*xi exactly as written.
+    Returns S + mu*dt + vol*sqrt(dt)*xi as the path simulator computes it;
+    a non-finite result is a NumericalError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    S = np.asarray(S, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    single = S.ndim == 1
-    Sb = S[None, :] if single else S
-    xb = xi[None, :] if single else xi
+    Sb = np.atleast_2d(np.asarray(S, dtype=float))
+    xb = np.atleast_2d(np.asarray(xi, dtype=float))
     if Sb.shape[-1] != model.dim or xb.shape[-1] != model.noise_dim:
         raise ValueError("state/noise dimensions do not match the model")
-    mu = model.drift(t, Sb)
-    sig = model.vol(t, Sb)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sig))):
-        raise NumericalError(f"model returned non-finite drift/vol at t={t}, S={Sb[0]}")
-    if model.noise_dim == 1:
-        incr = mu * dt + np.sqrt(dt) * sig[..., 0] * xb
-    else:
-        incr = mu * dt + np.sqrt(dt) * np.einsum("pnk,pk->pn", sig, xb)
-    out = Sb + incr
-    return out[0] if single else out
+    out = _euler_inplace(model, t, Sb, xb, dt, np.sqrt(dt))
+    _check_finite_step(out, 1, 0)
+    return out.reshape(np.shape(S))
 
 
 def _euler_inplace(model: ModelSpec, t: float, S: np.ndarray, xi: np.ndarray,
@@ -266,6 +256,14 @@ def _run_chunks(n_paths: int, threads: int, work) -> None:
         raise min(failures, key=lambda f: f[0])[1]
 
 
+def _batch_args(model: ModelSpec, S0, n_paths, seed, threads):
+    """The checked (S0, n_paths, seed, threads) of a path batch."""
+    seed = noise.validate_seed(seed)
+    threads = _resolve_threads(threads)
+    n_paths = _int_at_least("n_paths", n_paths, 1)
+    return _initial_state(model, S0), n_paths, seed, threads
+
+
 def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
                    *, threads=None, memory_limit: int = _DEFAULT_MEMORY_LIMIT) -> PathBatch:
     """Simulate a full batch of Euler paths.
@@ -273,10 +271,7 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     Deterministic for fixed (model, S0, grid, n_paths, seed); an overflow
     or NaN aborts the whole batch with the offending path and step.
     """
-    seed = noise.validate_seed(seed)
-    threads = _resolve_threads(threads)
-    n_paths = _int_at_least("n_paths", n_paths, 1)
-    S0 = _initial_state(model, S0)
+    S0, n_paths, seed, threads = _batch_args(model, S0, n_paths, seed, threads)
     need = n_paths * (grid.n_steps + 1) * model.dim * 8
     if need > memory_limit:
         raise ValueError(
@@ -303,13 +298,10 @@ def simulate_terminal(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     dim) snapshot. Draw addressing is identical to simulate_paths, so the
     trajectories agree bit for bit.
     """
-    seed = noise.validate_seed(seed)
-    threads = _resolve_threads(threads)
-    n_paths = _int_at_least("n_paths", n_paths, 1)
+    S0, n_paths, seed, threads = _batch_args(model, S0, n_paths, seed, threads)
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > grid.n_steps):
         raise ValueError("checkpoints must lie within 0..n_steps")
-    S0 = _initial_state(model, S0)
     terminal = np.empty((n_paths, model.dim))
     saved = {c: np.empty((n_paths, model.dim)) for c in checkpoints}
 
@@ -549,27 +541,8 @@ def scaling_check(model: ModelSpec, S0, T: float, dt: float, refine_factor: int,
                          z_mean=float(z_mean), z_variance=float(z_var))
 
 
-def gbm_exact_terminal(mu: float, sigma: float, S0: float, T: float,
-                       n_paths: int, seed) -> np.ndarray:
-    """Exact terminal draws S_T = S0 exp((mu - sigma^2/2) T + sigma sqrt(T) z).
-
-    Bypasses time stepping entirely; valid only when the target functional
-    depends on the terminal value alone. Uses a noise substream disjoint
-    from the path simulator, so mixing both in one run never reuses draws.
-    """
-    seed = noise.validate_seed(seed)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_paths = _int_at_least("n_paths", n_paths, 1)
-    z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
-    return float(S0) * np.exp((mu - 0.5 * sigma * sigma) * T
-                              + sigma * np.sqrt(T) * z)
-
-
 # ---------------------------------------------------------------------------
 # Export
-
-_BINARY_MAGIC = b"SPB1"
 
 
 def fmt17(x: float) -> str:
@@ -594,36 +567,3 @@ def export_paths_csv(batch: PathBatch, fh) -> None:
         args[1::2] = values
         rows.append(template % tuple(args))
     fh.write("".join(rows))
-
-
-def export_paths_binary(batch: PathBatch, path: str) -> None:
-    """Binary layout: magic, counts, grid, seed, model hash, then
-    little-endian float64 values in (path, step, asset) order.
-    """
-    header = struct.pack(
-        "<4sQQQddQ", _BINARY_MAGIC, batch.n_paths, batch.grid.n_steps,
-        batch.dim, batch.grid.t0, batch.grid.dt, batch.seed)
-    digest = batch.model_hash.encode("ascii")[:64].ljust(64, b"0")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(digest)
-        fh.write(np.ascontiguousarray(batch.paths, dtype="<f8").tobytes())
-
-
-def read_paths_binary(path: str) -> PathBatch:
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sQQQddQ"))
-        magic, n_paths, n_steps, dim, t0, dt, seed = struct.unpack("<4sQQQddQ", head)
-        if magic != _BINARY_MAGIC:
-            raise ValueError("not a path-batch binary file")
-        digest = fh.read(64).decode("ascii")
-        payload = fh.read()
-    need = n_paths * (n_steps + 1) * dim * 8
-    if len(payload) != need:
-        raise ValueError(
-            f"payload holds {len(payload)} bytes but the header counts "
-            f"({n_paths} paths x {n_steps + 1} steps x {dim} assets) need {need}")
-    paths = np.frombuffer(payload, dtype="<f8").reshape(
-        n_paths, n_steps + 1, dim).astype(float)
-    return PathBatch(grid=TimeGrid(t0=t0, dt=dt, n_steps=n_steps),
-                     paths=paths, seed=seed, model_hash=digest)

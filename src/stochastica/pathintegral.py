@@ -25,10 +25,11 @@ import numpy as np
 
 from . import noise
 from .errors import DegenerateKernelError, NumericalError
-from .mc import MCEstimate, _int_at_least, _mean_and_se, _step_count, fmt17
+from .mc import _CHUNK, MCEstimate, _int_at_least, _mean_and_se, _step_count
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
-                      _check_densities, _grid_nodes, _same_arrays)
+                      _check_densities, _grid_nodes, _require_vanishing_edges,
+                      _same_arrays)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -149,11 +150,7 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
     Aborts when the cumulative mass truncated at the grid edges exceeds 1%.
     """
     p = rows[0]
-    peak = float(p.max())
-    if max(p[0], p[-1]) > 1e-8 * peak:
-        raise ValueError(
-            "initial density does not vanish at the domain edges "
-            "(boundary > 1e-8 of peak); widen the grid")
+    _require_vanishing_edges(p)
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     leak = 0.0
@@ -226,8 +223,8 @@ class GreensFunction:
         return self.discounts[:, None] * self.transition / jac
 
     def total_mass(self, index: int = -1) -> float:
-        w = trapezoid_weights(self.native_values)
-        return float(self.discounts[index] * np.sum(w * self.transition[index]))
+        """Discounted lattice mass at the indexed time: the integral of payoff 1."""
+        return self.integrate(np.ones_like, index)
 
     def integrate(self, payoff, index: int = -1) -> float:
         """Discounted expectation of payoff(S) at the indexed lattice time."""
@@ -287,23 +284,8 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
                           model_hash=mhash, log_coordinates=log_coords)
 
 
-def export_greens_csv(g: GreensFunction, fh) -> None:
-    """Rows (t, S, G): the discounted per-unit-price lattice values."""
-    fh.write(f"# t0 = {fmt17(g.t0)}\n")
-    fh.write(f"# S0 = {fmt17(g.S0)}\n")
-    fh.write(f"# model_hash = {g.model_hash}\n")
-    fh.write("t,S,G\n")
-    vals = g.values()
-    for m, tm in enumerate(g.times):
-        for j, sv in enumerate(g.price_values):
-            fh.write(f"{fmt17(tm)},{fmt17(sv)},{fmt17(vals[m, j])}\n")
-
-
 # ---------------------------------------------------------------------------
 # Path-measure Monte Carlo (independent of the mc-engine path code)
-
-
-_CHUNK = 1 << 16
 
 
 def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,

@@ -11,7 +11,6 @@ workers.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -237,27 +236,3 @@ def load_curve(doc) -> DiscountCurve:
         times.append(entry["t"])
         rates.append(entry["r"])
     return DiscountCurve(times=tuple(times), rates=tuple(rates))
-
-
-def load_cashflows(doc) -> list[Cashflow]:
-    """Build cashflows from [{"amount": ..., "t": ...}, ...]."""
-    if not isinstance(doc, list):
-        raise ValueError("cashflows must be a list")
-    flows = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "amount" not in entry or "t" not in entry:
-            raise ValueError(f"cashflows[{i}] must be an object with keys 'amount' and 't'")
-        flows.append(Cashflow(amount=entry["amount"], t=entry["t"]))
-    return flows
-
-
-def load_portfolio_doc(source) -> tuple[DiscountCurve, list[Cashflow]]:
-    """Load {"curve": [...], "cashflows": [...]} from a dict or a JSON file path."""
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    if not isinstance(source, dict) or "curve" not in source:
-        raise ValueError("portfolio document must contain a 'curve' entry")
-    curve = load_curve(source["curve"])
-    flows = load_cashflows(source.get("cashflows", []))
-    return curve, flows

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import noise
-from .density import GridFunction, _ThetaSystem, _grid_nodes, _same_arrays
+from .density import (GridFunction, _ThetaSystem, _grid_nodes, _same_arrays,
+                      trapezoid_weights)
 from .errors import NumericalError
 from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_least,
                  _mean_and_se, _resolve_threads, _run_chunks, _step_count)
@@ -85,8 +86,14 @@ def table_payoff(s_values, payoff_values) -> PayoffSpec:
 
 
 def payoff_from_config(doc: dict) -> PayoffSpec:
+    """A payoff from {"kind": ..., "strike": ...} or {"kind": "custom",
+    "table": {"s": [...], "values": [...]}}; any other key is refused."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("payoff must be an object with a 'kind' key")
+    unknown = [key for key in doc if key not in ("kind", "strike", "table")]
+    if unknown:
+        raise ValueError(f"unknown payoff key {unknown[0]!r}: a payoff takes "
+                         "kind, strike and table only")
     kind = doc["kind"]
     if kind in ("call", "put", "digital"):
         if "strike" not in doc:
@@ -499,10 +506,7 @@ def pv_green(green: GreensFunction, payoff: PayoffSpec) -> float:
     value = green.integrate(payoff.terminal)
     edge = _edge_share(green, payoff.terminal, -1)
     if payoff.stream is not None:
-        tw = np.zeros_like(green.times)
-        dts = np.diff(green.times)
-        tw[:-1] += 0.5 * dts
-        tw[1:] += 0.5 * dts
+        tw = trapezoid_weights(green.times)
         for idx, t_m in enumerate(green.times):
             value += tw[idx] * green.integrate(lambda s: payoff.stream(t_m, s),
                                                idx)
@@ -515,14 +519,11 @@ def pv_green(green: GreensFunction, payoff: PayoffSpec) -> float:
 
 
 def _edge_share(green: GreensFunction, terminal, index: int) -> float:
-    from .density import trapezoid_weights
-
     w = trapezoid_weights(green.native_values)
     vals = np.abs(np.asarray(terminal(green.price_values), dtype=float))
-    total = float(np.sum(w * green.transition[index] * vals))
+    weighted = w * green.transition[index] * vals
+    total = float(np.sum(weighted))
     if total == 0:
         return 0.0
     k = max(2, len(w) // 100)
-    edge = float(np.sum((w * green.transition[index] * vals)[:k])
-                 + np.sum((w * green.transition[index] * vals)[-k:]))
-    return edge / total
+    return float(np.sum(weighted[:k]) + np.sum(weighted[-k:])) / total

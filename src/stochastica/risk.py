@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,11 +153,7 @@ def neutralize(instruments, targets=("kappa",), *, normalization: str = "first",
     if normalization not in ("first", "value"):
         raise ValueError("normalization must be 'first' or 'value'")
 
-    rows = []
-    rhs = []
-    for t in targets:
-        rows.append([getattr(inst, t) for inst in instruments])
-        rhs.append(0.0)
+    rows = [[getattr(inst, t) for inst in instruments] for t in targets]
     if normalization == "first":
         norm_row = [0.0] * n
         norm_row[0] = 1.0
@@ -169,10 +165,9 @@ def neutralize(instruments, targets=("kappa",), *, normalization: str = "first",
             raise ValueError("values must have one entry per instrument")
         norm_row = list(values)
     rows.append(norm_row)
-    rhs.append(1.0)
 
     A = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
+    b = np.array([0.0] * len(targets) + [1.0])
     sv = np.linalg.svd(A, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if cond > 1e12:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import stochastica
-from stochastica import BSParams, bs_price, mc
-from stochastica.cli import _build_parser, _resolve_threads, emit_json, main
+from stochastica import BSParams, bs_price, load_model_config, mc, payoff_from_config
+from stochastica.cli import (_build_parser, _curve_from_config, _resolve_threads,
+                             emit_json, main)
 
 
 def write_config(tmp_path, name, doc):
@@ -187,35 +189,17 @@ def test_seed_flag_overrides_config_seed(tmp_path, capsys):
     assert flagged != capsys.readouterr().out
 
 
-def test_threads_env_variable_is_read(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, "sim.json", SIM_DOC)
-    monkeypatch.setenv("STOCHASTICA_THREADS", "2")
-    assert main(["simulate", "--config", cfg]) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.delenv("STOCHASTICA_THREADS")
-    assert main(["simulate", "--config", cfg, "--threads", "1"]) == 0
-    assert with_env == capsys.readouterr().out
-    monkeypatch.setenv("STOCHASTICA_THREADS", "abc")
-    assert main(["simulate", "--config", cfg]) == 2
-
-
 @pytest.mark.parametrize("where,value,source", [
-    ("env", "abc", "STOCHASTICA_THREADS"),
-    ("env", "2.7", "STOCHASTICA_THREADS"),
-    ("env", "0", "STOCHASTICA_THREADS"),
     ("config", 2.7, "config.threads"),
     ("config", True, "config.threads"),
     ("config", 0, "config.threads"),
     ("flag", "0", "--threads"),
 ])
-def test_invalid_threads_exit_2_naming_their_source(tmp_path, capsys,
-                                                    monkeypatch, where, value,
-                                                    source):
+def test_invalid_threads_exit_2_naming_their_source(tmp_path, capsys, where,
+                                                    value, source):
     doc = dict(SIM_DOC, threads=value) if where == "config" else SIM_DOC
     cfg = write_config(tmp_path, "sim.json", doc)
     argv = ["simulate", "--config", cfg]
-    if where == "env":
-        monkeypatch.setenv("STOCHASTICA_THREADS", value)
     if where == "flag":
         argv += ["--threads", value]
     assert main(argv) == 2
@@ -226,10 +210,10 @@ def test_threads_resolve_flag_then_config_then_env_then_cpus(monkeypatch):
     args = _build_parser().parse_args(["check"])
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    monkeypatch.delenv("STOCHASTICA_THREADS", raising=False)
     assert _resolve_threads(args, {}) == 3
+    # the environment is not a source: config and flag alone override the CPUs
     monkeypatch.setenv("STOCHASTICA_THREADS", "2")
-    assert _resolve_threads(args, {}) == 2
+    assert _resolve_threads(args, {}) == 3
     assert _resolve_threads(args, {"threads": 4}) == 4
     args.threads = 5
     assert _resolve_threads(args, {"threads": "bad"}) == 5
@@ -493,6 +477,60 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, command, extra,
     cfg = write_config(tmp_path, "counts.json", dict(base, **extra))
     assert main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+
+
+HEDGE_DOC = {"instruments": [
+    {"name": "a", "delta": 0.6, "kappa": 1.0, "gamma": 0.02},
+    {"name": "b", "delta": 0.4, "kappa": -1.0, "gamma": 0.01}]}
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("density", {"grid": {"hi": 5}}, "config.grid.lo"),
+    ("density", {"grid": {"lo": -2.0, "hi": None}}, "config.grid.hi"),
+    ("density", {"grid": [1, 2]}, "config.grid"),
+    ("density", {"resolution": {"half_width": None}}, "config.resolution.half_width"),
+    ("density", {"resolution": [1, 2]}, "config.resolution"),
+    ("price", {"method": "pde", "pde": {"half_width": None}}, "config.pde.half_width"),
+    ("price", {"method": "pde", "pde": "fine"}, "config.pde"),
+    ("price", {"method": "green", "green": {"half_width": "wide"}},
+     "config.green.half_width"),
+    ("price", {"method": "green", "green": {"dt": None}}, "config.green.dt"),
+    ("price", {"mc": 5}, "config.mc"),
+    ("price", {"payoff": {"kind": "call", "strike": 100.0, "stream": {"rate": 1.0}}},
+     "payoff key 'stream'"),
+    ("hedge", {"instruments": [dict(HEDGE_DOC["instruments"][0], delta=None),
+                               HEDGE_DOC["instruments"][1]]},
+     "config.instruments[0].delta"),
+    ("hedge", {"instruments": [HEDGE_DOC["instruments"][0], {"delta": 0.4}]},
+     "config.instruments[1].kappa"),
+    ("hedge", {"targets": 5}, "config.targets"),
+    ("simulate", {"t0": None}, "config.t0"),
+])
+def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
+                                                  extra, key):
+    base = {"price": GBM_PRICE_DOC, "density": DENSITY_DOC, "hedge": HEDGE_DOC,
+            "simulate": SIM_DOC}[command]
+    cfg = write_config(tmp_path, "settings.json", dict(base, **extra))
+    assert main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_readme_command_line_examples_load():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("## Command line"):readme.index("## Scripts")]
+    models, price = re.findall(r"```json\n(.*?)```", section, re.S)
+    for line in models.splitlines():
+        load_model_config(json.loads(line))
+    curves = re.findall(r'`("curve": [^`]*)`', section)
+    assert len(curves) == 2
+    for curve in curves:
+        _curve_from_config(json.loads("{" + curve + "}"))
+    doc = json.loads(price)
+    load_model_config(doc["model"])
+    _curve_from_config(doc)
+    payoff_from_config(doc["payoff"])
 
 
 def test_missing_simulate_counts_are_named(tmp_path, capsys):

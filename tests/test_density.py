@@ -1,7 +1,6 @@
 """Closed-form densities, change of variables, forward/backward solvers."""
 
 import dataclasses
-import io
 import math
 import re
 
@@ -21,7 +20,6 @@ from stochastica import (
     density_gbm,
     density_vasicek,
     evolve_density,
-    export_density_csv,
     fokker_planck_forward,
     greens_function,
     kolmogorov_backward,
@@ -352,7 +350,7 @@ def test_theta_system_rejects_what_solve_banded_rejects():
 
 def test_fokker_planck_forward_matches_solve_banded_steps():
     # the forward march is one theta step per time step, nothing more
-    from stochastica.density import _flux_coefficients
+    from stochastica.density import _flux_inputs, _flux_stencil
 
     model = make_vasicek(1.2, 0.04, 0.015)
     s = np.linspace(-0.08, 0.16, 401)
@@ -361,8 +359,8 @@ def test_fokker_planck_forward_matches_solve_banded_steps():
     out = fokker_planck_forward(model, initial, grid)
     p = initial.p_values.copy()
     for m in range(grid.n_steps):
-        lower, diag, upper = _flux_coefficients(model, s, grid.time(m) + 0.5 * grid.dt,
-                                                s[1] - s[0])
+        lower, diag, upper = _flux_stencil(
+            *_flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt), s[1] - s[0])
         p = _solve_banded_step(p, lower, diag, upper, grid.dt, m)
         p[p < 0] = 0.0
         assert np.array_equal(out[m + 1].p_values, p)
@@ -396,6 +394,9 @@ def test_default_domain_routes_name_a_bad_grid_argument(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         greens_function(risk_neutralize(make_gbm(0.05, 0.2), curve), curve,
                         0.0, 100.0, 1.0, 0.25, **bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        density_bm(1.0, 0.0, 0.1, 0.3).default_grid(bad.get("n_nodes", 801),
+                                                     bad.get("half_width", 8.0))
 
 
 def test_a_model_without_a_family_has_no_default_domain():
@@ -670,22 +671,3 @@ def test_compose_grid_mismatch():
     b = _bm_transition_matrix(0.0, 1.0, 0.5, 1.0, s2)
     with pytest.raises(ValueError, match="grid mismatch"):
         compose_transition(a, b)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_density_csv_export():
-    d = density_bm(1.0, 0.0, 0.0, 1.0).on_grid(n=41, half_width=8.0)
-    buf = io.StringIO()
-    export_density_csv(d, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0].startswith("# t = 1")
-    assert lines[1].startswith("# mass = ")
-    assert lines[2].startswith("# model_hash = ")
-    assert lines[3] == "S,p"
-    assert len(lines) == 4 + 41
-    buf2 = io.StringIO()
-    export_density_csv(d, buf2, gnuplot=True)
-    assert "," not in buf2.getvalue().splitlines()[4]

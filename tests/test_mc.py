@@ -14,9 +14,7 @@ from stochastica import (
     TimeGrid,
     evolve_step,
     expectation,
-    export_paths_binary,
     export_paths_csv,
-    gbm_exact_terminal,
     ito_check,
     make_bm,
     make_correlated_gbm,
@@ -24,7 +22,6 @@ from stochastica import (
     make_vasicek,
     mgf,
     pi_expectation,
-    read_paths_binary,
     scaling_check,
     simulate_paths,
     simulate_terminal,
@@ -406,21 +403,11 @@ def test_scaling_gbm_weak_error():
                       n_paths=100, seed=0)
 
 
-def test_gbm_exact_terminal_moments():
-    mu, sigma, S0, T = 0.05, 0.2, 100.0, 2.0
-    term = gbm_exact_terminal(mu, sigma, S0, T, 200000, seed=20)
-    se = term.std() / math.sqrt(term.size)
-    assert abs(term.mean() - S0 * math.exp(mu * T)) < 3 * se
-    log_var = np.log(term / S0).var()
-    assert log_var == pytest.approx(sigma * sigma * T, rel=0.05)
-
-
 _GRID4 = TimeGrid(0.0, 0.25, 4)
 _COUNT_CALLS = {
     "simulate_paths": lambda n: simulate_paths(make_gbm(0.05, 0.2), 100.0, _GRID4, n, 0),
     "simulate_terminal": lambda n: simulate_terminal(make_gbm(0.05, 0.2), 100.0,
                                                      _GRID4, n, 0),
-    "gbm_exact_terminal": lambda n: gbm_exact_terminal(0.05, 0.2, 100.0, 1.0, n, 0),
     "ito_check": lambda n: ito_check(make_bm(0.0, 1.0), lambda t, s: s[:, 0], 0.0,
                                      [1.0], [[0.0]], S0=0.0, dt=0.01, n_paths=n,
                                      seed=0),
@@ -501,27 +488,6 @@ def test_csv_export_matches_value_by_value_writer(model, S0):
     _reference_export_paths_csv(batch, want)
     assert got.getvalue() == want.getvalue()
     assert ",nan\n" in got.getvalue() and ",-0\n" in got.getvalue()
-
-
-def test_binary_roundtrip_exact(tmp_path):
-    m = make_vasicek(1.0, 0.05, 0.02)
-    batch = simulate_paths(m, 0.03, TimeGrid(0.0, 0.125, 8), 64, seed=22)
-    out = str(tmp_path / "paths.bin")
-    export_paths_binary(batch, out)
-    back = read_paths_binary(out)
-    np.testing.assert_array_equal(back.paths, batch.paths)
-    assert back.seed == batch.seed
-    assert back.model_hash == batch.model_hash
-    assert back.grid.dt == batch.grid.dt
-
-
-def test_binary_read_rejects_truncated_payload(tmp_path):
-    batch = simulate_paths(make_bm(0.0, 1.0), 0.0, TimeGrid(0.0, 0.5, 2), 4, seed=3)
-    out = tmp_path / "paths.bin"
-    export_paths_binary(batch, str(out))
-    out.write_bytes(out.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="88 bytes .* need 96"):
-        read_paths_binary(str(out))
 
 
 def test_mc_estimate_validation():

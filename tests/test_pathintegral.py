@@ -1,6 +1,5 @@
 """Short-time kernels, lattice propagation, Green's functions."""
 
-import io
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from stochastica import (
     DiscountCurve,
     NumericalError,
     compose_transition,
-    export_greens_csv,
     greens_function,
     kernel_matrix,
     make_bm,
@@ -416,19 +414,6 @@ def test_greens_names_the_missing_domain_rule_for_an_override():
         greens_function(model, curve, 0.0, 1.0, 1.0, 1.0 / 64)
     assert "drift overridden" in str(err.value)
     assert "DensityGrid" not in str(err.value)
-
-
-def test_greens_csv_export():
-    model, curve = _rn_gbm(0.05, 0.2)
-    g = greens_function(model, curve, 0.0, 100.0, 0.5, 0.25, n_nodes=31)
-    buf = io.StringIO()
-    export_greens_csv(g, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "# t0 = 0"
-    assert lines[1] == "# S0 = 100"
-    assert lines[2].startswith("# model_hash = ")
-    assert lines[3] == "t,S,G"
-    assert len(lines) == 4 + 3 * 31
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from stochastica import (
     fixed_loan_coupon,
     fixed_loan_schedule,
     futures_value,
-    load_portfolio_doc,
     pv_deterministic,
     zero_coupon_price,
 )
@@ -172,6 +171,10 @@ def test_pv_deterministic_linearity():
     b = [Cashflow(5.0, 0.5)]
     assert pv_deterministic(a + b, curve) == pytest.approx(
         pv_deterministic(a, curve) + pv_deterministic(b, curve), rel=1e-14)
+    stepped = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.04))
+    flows = [Cashflow(10.0, 0.5), Cashflow(-3.0, 2.0)]
+    assert pv_deterministic(flows, stepped) == pytest.approx(
+        10.0 * math.exp(-0.02 * 0.5) - 3.0 * math.exp(-0.02 - 0.04), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +193,6 @@ def test_position_and_cashflow_validation():
         Position(asset_id="x", quantity=1.0, kind="lease")
     with pytest.raises(ValueError):
         Cashflow(1.0, -0.5)
-
-
-def test_portfolio_doc_roundtrip():
-    doc = {
-        "curve": [{"t": 0.0, "r": 0.02}, {"t": 1.0, "r": 0.04}],
-        "cashflows": [{"amount": 10.0, "t": 0.5}, {"amount": -3.0, "t": 2.0}],
-    }
-    curve, flows = load_portfolio_doc(doc)
-    assert curve.rates == (0.02, 0.04)
-    assert [f.amount for f in flows] == [10.0, -3.0]
-    pv = pv_deterministic(flows, curve)
-    expect = 10.0 * math.exp(-0.02 * 0.5) - 3.0 * math.exp(-0.02 - 0.04)
-    assert pv == pytest.approx(expect, rel=1e-12)
 
 
 def test_curve_validation():
