@@ -4,9 +4,11 @@ Subcommands: simulate | density | price | greeks | hedge | index | check.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
-significant digits so outputs round-trip exactly; float arrays (JSON) and
-path tables (CSV) are formatted in bulk, one pass over all values with
-the same 17 digits, so the bytes match a value-by-value rendering.
+significant digits so outputs round-trip exactly. Bodies are streamed:
+float arrays (JSON) and path tables (CSV) are rendered a row at a time
+by one %-template per row and written as they are rendered, so memory
+does not grow with the output, and the bytes match a value-by-value
+rendering. --out is moved into place only once its body is complete.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
@@ -15,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io
+import itertools
 import json
 import math
+import os
+import re
 import sys
 
 import numpy as np
@@ -27,7 +31,7 @@ from . import pathintegral as pi_mod
 from . import pricing as pricing_mod
 from . import risk as risk_mod
 from .errors import NumericalError
-from .mc import (TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths,
+from .mc import (_CHUNK, TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths,
                  _resolve_threads as _resolve_mc_threads)
 from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
                      model_hash)
@@ -37,6 +41,7 @@ from .portfolio import DiscountCurve, load_curve
 _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
 _PRICE_METHODS = ("analytic", "pde", "green", "mc")
+_NONFINITE = re.compile(r"-?inf|nan")
 
 
 # ---------------------------------------------------------------------------
@@ -51,61 +56,84 @@ def _json_scalar(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if not math.isfinite(x):
-            return json.dumps(fmt17(x))
-        return fmt17(x)
+        text = fmt17(x)
+        return text if math.isfinite(x) else json.dumps(text)
     if isinstance(x, str):
         return json.dumps(x)
     raise ValueError(f"cannot serialize {type(x).__name__} to JSON")
 
 
-def _emit_float_array(a: np.ndarray, indent: int) -> str:
-    """A non-empty float array in one pass: every value formatted once as
-    fmt17 does, non-finite ones quoted as _json_scalar does, then joined
-    from the innermost axis outwards."""
-    items = list(map("{:.17g}".format,
-                     a.astype(float, copy=False).ravel().tolist()))
-    for i in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
-        items[i] = json.dumps(items[i])
-    for depth in range(a.ndim - 1, -1, -1):
-        n = a.shape[depth]
-        inner = "  " * (indent + depth + 1)
-        head, sep = "[\n" + inner, ",\n" + inner
-        tail = "\n" + "  " * (indent + depth) + "]"
-        items = [head + sep.join(items[i:i + n]) + tail
-                 for i in range(0, len(items), n)]
-    return items[0]
+def _float_rows(a: np.ndarray, indent: int):
+    """Each leading-axis row of a non-empty float array as emit_json renders
+    it, by one %-template per row ("%.17g", as fmt17); tolist() sees at
+    most _CHUNK values (or one row) at once."""
+    rows = a.astype(float, copy=False).reshape(len(a), -1)
+    # emit_json's own layout of one row, with "%.17g" in place of each value
+    template = emit_json(np.full(a.shape[1:], "%.17g", object).tolist(),
+                         indent).replace('"', "")
+    step = max(1, _CHUNK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        for values in rows[lo:lo + step].tolist():
+            text = template % tuple(values)
+            # of all "%.17g" renderings only inf and nan contain an "n";
+            # they are quoted as _json_scalar quotes them
+            yield _NONFINITE.sub(r'"\g<0>"', text) if "n" in text else text
+
+
+def _json_pieces(obj, indent: int = 0):
+    """Yield the text of obj as emit_json renders it, piece by piece."""
+    if isinstance(obj, dict):
+        items = ((json.dumps(str(k)) + ": ", _json_pieces(obj[k], indent + 1))
+                 for k in sorted(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.size and obj.dtype.kind == "f":
+        items = (("", (row,)) for row in _float_rows(obj, indent + 1))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = (("", _json_pieces(v, indent + 1)) for v in obj)
+    else:
+        yield _json_scalar(obj)
+        return
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    sep = brackets[0] + "\n"
+    for key, pieces in items:
+        yield sep + "  " * (indent + 1) + key
+        yield from pieces
+        sep = ",\n"
+    yield brackets if sep != ",\n" else "\n" + "  " * indent + brackets[1]
 
 
 def emit_json(obj, indent: int = 0) -> str:
     """Render with sorted keys and 17-digit floats; no timestamps."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {emit_json(obj[k], indent + 1)}"
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray) and obj.ndim and obj.size \
-            and obj.dtype.kind == "f":
-        return _emit_float_array(obj, indent)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        parts = [f"{inner}{emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _json_scalar(obj)
+    return "".join(_json_pieces(obj, indent))
 
 
-def _write_output(text: str, out: str | None, meta: dict) -> None:
+def _json_body(doc):
+    """The pieces of a JSON output body: doc, then a newline."""
+    yield from _json_pieces(doc)
+    yield "\n"
+
+
+def _write_output(out: str | None, meta: dict, body) -> None:
+    """Write body, text pieces or a function that writes to the open file,
+    to stdout or to out as it is rendered. The file is written under a
+    temporary sibling name and moved into place only once complete, then
+    the .meta.json sidecar is written, so a failed run leaves neither."""
+    write = body if callable(body) else (lambda fh: fh.writelines(body))
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # A FIFO or a device such as /dev/stdout is written in place: a rename
+    # over it would replace the directory entry itself.
+    direct = os.path.exists(out) and not os.path.isfile(out)
+    part = out if direct else f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        if not direct:
+            os.replace(part, out)
+    except BaseException:
+        if not direct and os.path.exists(part):
+            os.remove(part)
+        raise
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     meta = dict(meta, created_utc=stamp)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -187,6 +215,14 @@ def _count(cfg: dict, key: str, low: int, default=None,
                                      low)
 
 
+def _flag(cfg: dict, key: str, default, where: str = "config"):
+    """cfg[key], JSON true or false, else default when the key is absent;
+    an error names the key as where.key."""
+    if key in cfg and not isinstance(cfg[key], bool):
+        raise ValueError(f"{where}.{key} must be true or false, not {cfg[key]!r}")
+    return cfg.get(key, default)
+
+
 def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
     """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
     n_steps) must be a positive integer either way."""
@@ -218,22 +254,22 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args, cfg)
     threads = _resolve_threads(args, cfg)
     fmt = _resolve_format(args, cfg, "csv")
+    include_paths = _flag(cfg, "include_paths", False)
 
     batch = simulate_paths(model, S0, grid, n_paths, seed, threads=threads)
     terminal = [_mean_and_se(batch.paths[:, -1, a]) for a in range(batch.dim)]
 
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# seed = {seed}\n")
-        buf.write(f"# model_hash = {batch.model_hash}\n")
-        buf.write(f"# t0 = {fmt17(grid.t0)}\n")
-        buf.write(f"# dt = {fmt17(grid.dt)}\n")
-        buf.write(f"# n_steps = {grid.n_steps}\n")
-        for a, (mean, se) in enumerate(terminal):
-            buf.write(f"# terminal_mean_{a} = {fmt17(mean)}\n")
-            buf.write(f"# terminal_se_{a} = {fmt17(se)}\n")
-        export_paths_csv(batch, buf)
-        text = buf.getvalue()
+        def body(fh):
+            fh.write(f"# seed = {seed}\n"
+                     f"# model_hash = {batch.model_hash}\n"
+                     f"# t0 = {fmt17(grid.t0)}\n"
+                     f"# dt = {fmt17(grid.dt)}\n"
+                     f"# n_steps = {grid.n_steps}\n")
+            for a, (mean, se) in enumerate(terminal):
+                fh.write(f"# terminal_mean_{a} = {fmt17(mean)}\n"
+                         f"# terminal_se_{a} = {fmt17(se)}\n")
+            export_paths_csv(batch, fh)
     else:
         doc = {
             "seed": seed, "model_hash": batch.model_hash,
@@ -242,10 +278,10 @@ def cmd_simulate(args) -> int:
             "terminal": {"mean": [m for m, _ in terminal],
                          "std_error": [s for _, s in terminal]},
         }
-        if cfg.get("include_paths", False):
+        if include_paths:
             doc["paths"] = batch.paths
-        text = emit_json(doc) + "\n"
-    _write_output(text, args.out, {"command": "simulate", "seed": seed})
+        body = _json_body(doc)
+    _write_output(args.out, {"command": "simulate", "seed": seed}, body)
     return 0
 
 
@@ -301,8 +337,10 @@ def cmd_density(args) -> int:
     methods = cfg.get("method", "analytic")
     if isinstance(methods, str):
         methods = [methods]
-    if not methods or any(m not in _DENSITY_METHODS for m in methods):
-        raise ValueError(f"method entries must come from {_DENSITY_METHODS}")
+    if not isinstance(methods, list) or not methods \
+            or any(m not in _DENSITY_METHODS for m in methods):
+        raise ValueError("config.method must be a method or a non-empty list "
+                         f"of methods from {_DENSITY_METHODS}")
     res = _section(cfg, "resolution") or {}
     half_width = _require(res, "half_width", float, default=8.0,
                           where="config.resolution")
@@ -315,28 +353,21 @@ def cmd_density(args) -> int:
     tables = {m: _density_by_method(m, model, S0, t, s, n_steps, n_nodes,
                                     half_width) for m in methods}
     w = density_mod.trapezoid_weights(s)
-    l1 = {}
-    for i, a in enumerate(methods):
-        for b in methods[i + 1:]:
-            l1[f"{a}|{b}"] = float(np.sum(w * np.abs(tables[a] - tables[b])))
+    l1 = {f"{a}|{b}": float(np.sum(w * np.abs(tables[a] - tables[b])))
+          for a, b in itertools.combinations(methods, 2)}
 
     mhash = model_hash(model)
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# t = {fmt17(t)}\n")
-        buf.write(f"# model_hash = {mhash}\n")
-        for key in sorted(l1):
-            buf.write(f"# L1({key}) = {fmt17(l1[key])}\n")
-        buf.write("S," + ",".join(m.replace("-", "_") for m in methods) + "\n")
-        for i, sv in enumerate(s):
-            row = ",".join(fmt17(tables[m][i]) for m in methods)
-            buf.write(f"{fmt17(sv)},{row}\n")
-        text = buf.getvalue()
+        body = [f"# t = {fmt17(t)}\n", f"# model_hash = {mhash}\n"]
+        body += [f"# L1({key}) = {fmt17(l1[key])}\n" for key in sorted(l1)]
+        body.append("S," + ",".join(m.replace("-", "_") for m in methods) + "\n")
+        template = ",".join(["%.17g"] * (len(methods) + 1)) + "\n"
+        columns = np.column_stack([s] + [tables[m] for m in methods])
+        body += [template % tuple(row) for row in columns.tolist()]
     else:
-        doc = {"t": t, "model_hash": mhash, "s": s, "densities": tables,
-               "l1": l1}
-        text = emit_json(doc) + "\n"
-    _write_output(text, args.out, {"command": "density"})
+        body = _json_body({"t": t, "model_hash": mhash, "s": s,
+                           "densities": tables, "l1": l1})
+    _write_output(args.out, {"command": "density"}, body)
     return 0
 
 
@@ -384,7 +415,8 @@ def _price_one(method: str, model, curve: DiscountCurve,
                                 _count(sub, "n_paths", 1, 100000, "config.mc"),
                                 seed,
                                 threads=threads,
-                                exact_terminal=sub.get("exact_terminal"))
+                                exact_terminal=_flag(sub, "exact_terminal", None,
+                                                     "config.mc"))
         return {"value": est.mean, "std_error": est.std_error,
                 "n_paths": est.n_paths,
                 "sampler": est.metadata.get("sampler", "")}
@@ -408,32 +440,25 @@ def cmd_price(args) -> int:
     results = {m: _price_one(m, model, curve, payoff, S0, T, cfg, seed,
                              threads) for m in methods}
     agreement = {}
-    for i, a in enumerate(methods):
-        for b in methods[i + 1:]:
-            va, vb = results[a]["value"], results[b]["value"]
-            gap = abs(va - vb)
-            agreement[f"{a}|{b}"] = {
-                "abs": gap,
-                "rel": gap / max(abs(va), abs(vb), 1e-300)}
+    for a, b in itertools.combinations(methods, 2):
+        va, vb = results[a]["value"], results[b]["value"]
+        gap = abs(va - vb)
+        agreement[f"{a}|{b}"] = {"abs": gap,
+                                 "rel": gap / max(abs(va), abs(vb), 1e-300)}
 
     doc = {"S0": S0, "T": T, "seed": seed, "model_hash": model_hash(model),
            "results": results}
     if len(methods) > 1:
         doc["agreement"] = agreement
-    if fmt == "json":
-        text = emit_json(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# model_hash = {doc['model_hash']}\n")
-        buf.write("method,value,std_error\n")
-        for m in methods:
-            se = results[m].get("std_error", "")
-            se_txt = fmt17(se) if se != "" else ""
-            buf.write(f"{m},{fmt17(results[m]['value'])},{se_txt}\n")
-        for key in sorted(agreement):
-            buf.write(f"# gap({key}) = {fmt17(agreement[key]['abs'])}\n")
-        text = buf.getvalue()
-    _write_output(text, args.out, {"command": "price", "seed": seed})
+    body = _json_body(doc) if fmt == "json" else [
+        f"# model_hash = {doc['model_hash']}\n",
+        "method,value,std_error\n",
+        *(f"{m},{fmt17(r['value'])},"
+          f"{fmt17(r['std_error']) if 'std_error' in r else ''}\n"
+          for m, r in results.items()),
+        *(f"# gap({key}) = {fmt17(agreement[key]['abs'])}\n"
+          for key in sorted(agreement))]
+    _write_output(args.out, {"command": "price", "seed": seed}, body)
     return 0
 
 
@@ -455,16 +480,12 @@ def cmd_greeks(args) -> int:
            "delta": g.delta, "kappa": g.kappa, "gamma": g.gamma,
            "degenerate": g.degenerate}
     fmt = _resolve_format(args, cfg, "json")
-    if fmt == "json":
-        text = emit_json(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write("quantity,value\n")
-        for key in ("call", "put", "delta", "kappa", "gamma"):
-            buf.write(f"{key},{fmt17(doc[key])}\n")
-        buf.write(f"degenerate,{str(doc['degenerate']).lower()}\n")
-        text = buf.getvalue()
-    _write_output(text, args.out, {"command": "greeks"})
+    body = _json_body(doc) if fmt == "json" else [
+        "quantity,value\n",
+        *(f"{key},{fmt17(doc[key])}\n"
+          for key in ("call", "put", "delta", "kappa", "gamma")),
+        f"degenerate,{str(doc['degenerate']).lower()}\n"]
+    _write_output(args.out, {"command": "greeks"}, body)
     return 0
 
 
@@ -489,19 +510,15 @@ def cmd_hedge(args) -> int:
     doc["names"] = [inst.name for inst in instruments]
     doc["targets"] = list(targets)
     fmt = _resolve_format(args, cfg, "json")
-    if fmt == "json":
-        text = emit_json(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# delta = {fmt17(report.delta)}\n")
-        buf.write(f"# condition_number = {fmt17(report.condition_number)}\n")
-        for t in sorted(report.residual_greeks):
-            buf.write(f"# residual_{t} = {fmt17(report.residual_greeks[t])}\n")
-        buf.write("name,alpha\n")
-        for inst, alpha in zip(instruments, report.alphas):
-            buf.write(f"{inst.name},{fmt17(alpha)}\n")
-        text = buf.getvalue()
-    _write_output(text, args.out, {"command": "hedge"})
+    body = _json_body(doc) if fmt == "json" else [
+        f"# delta = {fmt17(report.delta)}\n",
+        f"# condition_number = {fmt17(report.condition_number)}\n",
+        *(f"# residual_{t} = {fmt17(report.residual_greeks[t])}\n"
+          for t in sorted(report.residual_greeks)),
+        "name,alpha\n",
+        *(f"{inst.name},{fmt17(alpha)}\n"
+          for inst, alpha in zip(instruments, report.alphas))]
+    _write_output(args.out, {"command": "hedge"}, body)
     return 0
 
 
@@ -515,17 +532,12 @@ def cmd_index(args) -> int:
            "index_variance": result.index_variance,
            "degenerate": result.degenerate}
     fmt = _resolve_format(args, cfg, "json")
-    if fmt == "json":
-        text = emit_json(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# index_variance = {fmt17(result.index_variance)}\n")
-        buf.write(f"# degenerate = {str(result.degenerate).lower()}\n")
-        buf.write("asset,weight\n")
-        for i, wv in enumerate(result.weights):
-            buf.write(f"{i},{fmt17(wv)}\n")
-        text = buf.getvalue()
-    _write_output(text, args.out, {"command": "index"})
+    body = _json_body(doc) if fmt == "json" else [
+        f"# index_variance = {fmt17(result.index_variance)}\n",
+        f"# degenerate = {str(result.degenerate).lower()}\n",
+        "asset,weight\n",
+        *(f"{i},{fmt17(wv)}\n" for i, wv in enumerate(result.weights))]
+    _write_output(args.out, {"command": "index"}, body)
     return 0
 
 
@@ -587,22 +599,16 @@ def cmd_check(args) -> int:
     for K, sigma, T in ((80.0, 0.4, 2.0), (100.0, 0.2, 1.0),
                         (120.0, 0.1, 0.25)):
         checks.extend(_check_price_cell(K, sigma, T, seed, threads))
-    for kind in ("bm", "gbm", "vasicek"):
-        checks.append(_check_density(kind, "fokker-planck"))
-        checks.append(_check_density(kind, "path-integral"))
+    checks += [_check_density(kind, method) for kind in ("bm", "gbm", "vasicek")
+               for method in ("fokker-planck", "path-integral")]
 
     ok = all(c["passed"] for c in checks)
     doc = {"passed": ok, "n_checks": len(checks), "checks": checks}
-    if fmt == "json":
-        text = emit_json(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write("name,measure,limit,passed\n")
-        for c in checks:
-            buf.write(f"{json.dumps(c['name'])},{fmt17(c['measure'])},"
-                      f"{fmt17(c['limit'])},{str(c['passed']).lower()}\n")
-        text = buf.getvalue()
-    _write_output(text, args.out, {"command": "check", "seed": seed})
+    body = _json_body(doc) if fmt == "json" else [
+        "name,measure,limit,passed\n",
+        *(f"{json.dumps(c['name'])},{fmt17(c['measure'])},"
+          f"{fmt17(c['limit'])},{str(c['passed']).lower()}\n" for c in checks)]
+    _write_output(args.out, {"command": "check", "seed": seed}, body)
     if not ok:
         raise NumericalError(
             "cross-method agreement suite failed; see the report for the "
@@ -615,13 +621,13 @@ def cmd_check(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "density": cmd_density,
-    "price": cmd_price,
-    "greeks": cmd_greeks,
-    "hedge": cmd_hedge,
-    "index": cmd_index,
-    "check": cmd_check,
+    "simulate": (cmd_simulate, "sample Euler paths and summary statistics"),
+    "density": (cmd_density, "tabulate a terminal density by one or more methods"),
+    "price": (cmd_price, "value a payoff by analytic, pde, green or mc routes"),
+    "greeks": (cmd_greeks, "closed-form call sensitivities"),
+    "hedge": (cmd_hedge, "solve for sensitivity-neutral position sizes"),
+    "index": (cmd_index, "variance-minimizing index weights"),
+    "check": (cmd_check, "run the cross-method agreement suite"),
 }
 
 
@@ -630,17 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochastica",
         description="Simulate diffusions, evolve densities, price and hedge.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "sample Euler paths and summary statistics",
-        "density": "tabulate a terminal density by one or more methods",
-        "price": "value a payoff by analytic, pde, green or mc routes",
-        "greeks": "closed-form call sensitivities",
-        "hedge": "solve for sensitivity-neutral position sizes",
-        "index": "variance-minimizing index weights",
-        "check": "run the cross-method agreement suite",
-    }
-    for name, fn in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (fn, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="overrides config.seed")
         sp.add_argument("--out", help="output path (default: stdout)")

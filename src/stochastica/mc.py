@@ -554,16 +554,20 @@ def export_paths_csv(batch: PathBatch, fh) -> None:
     """Columnar CSV export: path_id, step, asset, value.
 
     One %-template covers a path's steps x assets rows; "%.17g" renders
-    each value exactly as fmt17 does.
+    each value exactly as fmt17 does. Each path is written as it is
+    rendered, and tolist() sees a block of at most _CHUNK values (or one
+    path), so memory does not grow with the batch.
     """
     n, steps, dim = batch.paths.shape
     k = steps * dim
     template = "".join(f"%d,{m},{a},%.17g\n"
                        for m in range(steps) for a in range(dim))
     args = [0] * (2 * k)
-    rows = ["path_id,step,asset,value\n"]
-    for p, values in enumerate(batch.paths.reshape(n, k).tolist()):
-        args[0::2] = [p] * k
-        args[1::2] = values
-        rows.append(template % tuple(args))
-    fh.write("".join(rows))
+    fh.write("path_id,step,asset,value\n")
+    flat = batch.paths.reshape(n, k)
+    block = max(1, _CHUNK // k)
+    for lo in range(0, n, block):
+        for p, values in enumerate(flat[lo:lo + block].tolist(), lo):
+            args[0::2] = [p] * k
+            args[1::2] = values
+            fh.write(template % tuple(args))

@@ -5,14 +5,17 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stochastica
-from stochastica import BSParams, bs_price, load_model_config, mc, payoff_from_config
+from stochastica import BSParams, bs_price, cli, load_model_config, mc, payoff_from_config
 from stochastica.cli import (_build_parser, _curve_from_config, _resolve_threads,
                              emit_json, main)
 
@@ -133,6 +136,14 @@ def test_emit_json_matches_value_by_value_rendering(name):
         assert emit_json(doc, indent) == _reference_emit_json(doc, indent)
 
 
+def test_emit_json_blocks_of_rows_keep_the_bytes(monkeypatch):
+    # rows split across tolist() blocks, and rows wider than a block
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    for name in ("f64(4, 5, 1)", "f64(3, 2, 2)", "specials", "specials_2d"):
+        doc = {"k": _EMIT_CASES[name]}
+        assert emit_json(doc, 1) == _reference_emit_json(doc, 1)
+
+
 # ---------------------------------------------------------------------------
 # rerun determinism
 
@@ -232,6 +243,13 @@ def test_simulate_bodies_keep_their_bytes(tmp_path, fmt, digest):
         assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
+def _env_with_the_package():
+    # a subprocess sees the package under test however pytest found it
+    src = os.path.dirname(os.path.dirname(stochastica.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_hedge_and_index_load_no_scipy(tmp_path):
     hedge = write_config(tmp_path, "hedge.json", {"instruments": [
         {"name": "a", "delta": 0.6, "kappa": 1.0, "gamma": 0.02},
@@ -247,15 +265,71 @@ def test_hedge_and_index_load_no_scipy(tmp_path):
         "assert main(['hedge', '--config', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
         "assert main(['index', '--config', sys.argv[2], '--out', sys.argv[4]]) == 0\n"
         "print(scipy_loaded())\n")
-    src = os.path.dirname(os.path.dirname(stochastica.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, hedge, index,
          str(tmp_path / "hedge.out"), str(tmp_path / "index.out")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_env_with_the_package())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_memory_does_not_grow_with_the_output(tmp_path, fmt):
+    # the whole body used to be built in memory (several copies for JSON)
+    # before it was written
+    warm = write_config(tmp_path, "warm.json", SIM_DOC)
+    assert main(["simulate", "--config", warm, "--out", str(tmp_path / "warm")]) == 0
+    cfg = write_config(tmp_path, "sim.json", dict(
+        SIM_DOC, dt=1 / 64, n_steps=64, n_paths=4000, include_paths=True))
+    out = str(tmp_path / f"sim.{fmt}")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--format", fmt,
+                     "--threads", "1", "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(out)
+
+
+def test_a_failed_body_leaves_no_partial_out(tmp_path, capsys, monkeypatch):
+    def export_then_fail(batch, fh):
+        fh.write("path_id,step,asset,value\n0,0,0,100\n")
+        raise ValueError("failed mid-body")
+
+    monkeypatch.setattr(cli, "export_paths_csv", export_then_fail)
+    cfg = write_config(tmp_path, "sim.json", SIM_DOC)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "failed mid-body" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["sim.json"]
+    out.write_text("earlier body", encoding="utf-8")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier body"
+    assert sorted(os.listdir(tmp_path)) == ["sim.csv", "sim.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_may_be_a_named_pipe(tmp_path):
+    # a file renamed over a pipe or a device such as /dev/null would
+    # replace it, so these are written in place
+    pipe = str(tmp_path / "pipe")
+    os.mkfifo(pipe)
+    got = []
+
+    def read():
+        with open(pipe, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    cfg = write_config(tmp_path, "greeks.json",
+                       {"S": 100.0, "K": 110.0, "r": 0.05, "sigma": 0.25, "t": 0.75})
+    assert main(["greeks", "--config", cfg, "--out", pipe]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert json.loads(got[0])["call"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +386,13 @@ def test_density_csv_compares_methods(tmp_path, capsys):
     assert all(v < 5e-3 for v in l1.values())
     assert lines[5] == "S,analytic,fokker_planck,path_integral"
     assert len(lines) == 6 + 401
+    # each row as a value-by-value fmt17 rendering of the JSON tables
+    assert main(["density", "--config", cfg, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    tables = [doc["densities"][m]
+              for m in ("analytic", "fokker-planck", "path-integral")]
+    assert lines[6:] == [",".join(mc.fmt17(v) for v in [s, *(t[i] for t in tables)])
+                         for i, s in enumerate(doc["s"])]
 
 
 def test_density_explicit_grid(tmp_path, capsys):
@@ -505,6 +586,15 @@ HEDGE_DOC = {"instruments": [
      "config.instruments[1].kappa"),
     ("hedge", {"targets": 5}, "config.targets"),
     ("simulate", {"t0": None}, "config.t0"),
+    # a method that is not a string or a list used to raise a TypeError
+    ("density", {"method": 5}, "config.method"),
+    ("density", {"method": {"a": 1}}, "config.method"),
+    ("density", {"method": {"analytic": 1}}, "config.method"),
+    # flags used to be read by truthiness: "false" chose the exact sampler
+    *(("price", {"mc": {"n_paths": 2000, "dt": 0.25, "exact_terminal": flag}},
+       "config.mc.exact_terminal") for flag in ("false", "no", 0, 1)),
+    *(("simulate", {"format": "json", "include_paths": flag},
+       "config.include_paths") for flag in ("false", "no", 0, 1)),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):
@@ -631,6 +721,6 @@ def test_module_entry_point_runs(tmp_path):
                         "t": 1.0})
     proc = subprocess.run(
         [sys.executable, "-m", "stochastica.cli", "greeks", "--config", cfg],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_env_with_the_package())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["call"] == pytest.approx(7.9656, abs=1e-4)

@@ -490,6 +490,18 @@ def test_csv_export_matches_value_by_value_writer(model, S0):
     assert ",nan\n" in got.getvalue() and ",-0\n" in got.getvalue()
 
 
+def test_csv_export_blocks_of_paths_keep_the_bytes(monkeypatch):
+    batch = simulate_paths(make_gbm(0.05, 0.2), 100.0, TimeGrid(0.0, 0.25, 4), 7,
+                           seed=29)
+    whole = io.StringIO()
+    export_paths_csv(batch, whole)
+    for chunk in (10, 3):   # blocks of two paths, the last one short; one path
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        blocks = io.StringIO()
+        export_paths_csv(batch, blocks)
+        assert blocks.getvalue() == whole.getvalue()
+
+
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         MCEstimate(mean=1.0, std_error=-0.5, n_paths=10)
