@@ -548,28 +548,18 @@ def cmd_index(args) -> int:
 def _check_price_cell(K: float, sigma: float, T: float, seed: int,
                       threads: int) -> list[dict]:
     S0, r = 100.0, 0.05
-    model = make_gbm(r, sigma)
-    curve = DiscountCurve.flat(r)
-    payoff = pricing_mod.call_payoff(K)
-    p = pricing_mod.BSParams(S=S0, K=K, r=r, sigma=sigma, t=T)
-    ref = pricing_mod.bs_price(p, "call")
+    args = (make_gbm(r, sigma), DiscountCurve.flat(r), pricing_mod.call_payoff(K),
+            S0, T, {"mc": {"n_paths": 200000, "exact_terminal": True}}, seed,
+            threads)
+    ref = _price_one("analytic", *args)["value"]
     label = f"K={K:g} sigma={sigma:g} T={T:g}"
     checks = []
-
-    fn = pricing_mod.pv_pde(payoff, curve, sigma, S0, T)
-    rel = abs(float(fn(S0)) - ref) / ref
-    checks.append({"name": f"price pde vs analytic [{label}]",
-                   "measure": rel, "limit": 1e-3, "passed": rel < 1e-3})
-
-    rn = pricing_mod.risk_neutralize(model, curve)
-    green = pi_mod.greens_function(rn, curve, 0.0, S0, T, T / 256)
-    rel = abs(pricing_mod.pv_green(green, payoff) - ref) / ref
-    checks.append({"name": f"price green vs analytic [{label}]",
-                   "measure": rel, "limit": 1e-3, "passed": rel < 1e-3})
-
-    est = pricing_mod.pv_mc(model, curve, payoff, S0, T, T / 64, 200000,
-                            seed, threads=threads, exact_terminal=True)
-    z = abs(est.mean - ref) / est.std_error
+    for method in ("pde", "green"):
+        rel = abs(_price_one(method, *args)["value"] - ref) / ref
+        checks.append({"name": f"price {method} vs analytic [{label}]",
+                       "measure": rel, "limit": 1e-3, "passed": rel < 1e-3})
+    est = _price_one("mc", *args)
+    z = abs(est["value"] - ref) / est["std_error"]
     checks.append({"name": f"price mc z-score [{label}]",
                    "measure": z, "limit": 4.0, "passed": z < 4.0})
     return checks

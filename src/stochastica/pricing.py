@@ -8,9 +8,11 @@ discounted expectations.
 
 The Monte Carlo route steps with mc's Euler core (_euler_march) and keeps
 its latest simulation's terminal states, so consecutive pv_mc calls on one
-path set simulate once. The PDE route steps with density's factored theta
-system (_ThetaSystem), rebuilt only when sigma's values change. The routes
-share these numerical primitives but never call each other.
+path set simulate once. The PDE route solves on one grid per spot, whatever
+the strike, starting from the payoff averaged over each log cell, and steps
+with density's factored theta system (_ThetaSystem), rebuilt only when
+sigma's values change. The routes share these numerical primitives but
+never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
 norm_cdf), so importing this module loads no scipy.
@@ -394,6 +396,10 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
 # Backward PDE in log-price
 
 
+# points of the midpoint rule that averages the payoff over each log cell
+_CELL_POINTS = 16
+
+
 def _resolve_sigma(sigma) -> Callable[[float, np.ndarray], np.ndarray]:
     if callable(sigma):
         return lambda t, s: np.asarray(sigma(t, s), dtype=float)
@@ -411,12 +417,16 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     Log-price coordinates make the diffusion coefficient constant for
     constant sigma: a scalar sigma builds (and factors) the system once; a
     callable sigma(t, S) is evaluated every step and the system rebuilt
-    only when its values differ from those of the last build. Two fully
-    implicit startup steps damp the payoff kink before trapezoidal time
-    stepping takes over; edge rows impose zero curvature in price. The grid
-    is centered on ln S0 and snapped so the strike (when present) falls on
-    a node. n_steps must be a positive integer, n_nodes an integer >= 5 and
-    half_width finite and positive.
+    only when its values differ from those of the last build. The grid is
+    the same for every payoff: n_nodes // 2 cells either side of ln S0 (so
+    S0 is a node), spanning half_width standard deviations plus the drift.
+    Each node starts from the payoff averaged over its log cell (a midpoint
+    rule with _CELL_POINTS points), so a kink or jump between nodes is
+    weighted by where it falls (Pooley, Vetzal and Forsyth 2003). Two fully
+    implicit startup steps damp what is left of it before trapezoidal time
+    stepping takes over; edge rows impose zero curvature in price. A strike
+    outside the grid is refused. n_steps must be a positive integer,
+    n_nodes an integer >= 5 and half_width finite and positive.
     """
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
@@ -426,30 +436,22 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
     sig_fn = _resolve_sigma(sigma)
-    x0 = math.log(S0)
     sig0 = float(np.max(sig_fn(0.0, np.asarray([S0]))))
     if sig0 <= 0:
         raise ValueError("sigma must be positive at the spot")
     width = half_width * sig0 * math.sqrt(T) + abs(r - 0.5 * sig0 ** 2) * T
     h = 2 * width / (n_nodes - 1)
-    if payoff.strike is not None:
-        k_star = math.log(payoff.strike / S0)
-        if abs(k_star) > 1e-12:
-            if abs(k_star) >= width:
-                raise ValueError("strike lies outside the grid; "
-                                 "increase half_width")
-            cells = round(k_star / h)
-            if cells == 0:
-                raise ValueError(
-                    f"strike {payoff.strike!r} lies within half a grid cell of "
-                    f"the spot {S0!r}, so the grid cannot be snapped to it")
-            h = k_star / cells
-    n_half = math.ceil(width / abs(h))
-    x = x0 + h * np.arange(-n_half, n_half + 1)
+    x = math.log(S0) + h * np.arange(-(n_nodes // 2), n_nodes // 2 + 1)
     s = np.exp(x)
     n = x.size
+    if payoff.strike is not None and not s[0] < payoff.strike < s[-1]:
+        raise ValueError(f"strike {payoff.strike!r} lies outside the grid's "
+                         f"price range [{s[0]:.6g}, {s[-1]:.6g}]; increase "
+                         "half_width")
 
-    f = np.asarray(payoff.terminal(s), dtype=float)
+    u = (np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS - 0.5
+    cell = np.exp(x[:, None] + h * u).ravel()
+    f = np.asarray(payoff.terminal(cell), dtype=float).reshape(n, _CELL_POINTS).mean(axis=1)
     if not np.all(np.isfinite(f)):
         raise ValueError("terminal payoff must be finite on the grid")
 

@@ -685,12 +685,16 @@ def test_closed_form_price_routes_need_the_gbm_family(tmp_path, capsys, method,
         in capsys.readouterr().err
 
 
-def test_pde_strike_next_to_the_spot_exits_2(tmp_path, capsys):
+def test_pde_strike_next_to_the_spot_is_priced(tmp_path):
+    # the snapped grid refused a strike within half a cell of the spot
     cfg = write_config(tmp_path, "pde.json", dict(
         GBM_PRICE_DOC, method="pde",
         payoff={"kind": "call", "strike": 100.001}))
-    assert main(["price", "--config", cfg]) == 2
-    assert "half a grid cell" in capsys.readouterr().err
+    out = tmp_path / "pde_out.json"
+    assert main(["price", "--config", cfg, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["results"]["pde"]["value"]
+    want = bs_price(BSParams(S=100.0, K=100.001, r=0.05, sigma=0.2, t=1.0))
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_fractional_config_seed_is_rejected(tmp_path, capsys):

@@ -675,12 +675,19 @@ def test_pv_pde_matches_closed_form():
     gf = pv_pde(call_payoff(100.0), curve, 0.2, 100.0, 1.0)
     want = bs_price(BSParams(S=100.0, K=100.0, r=0.05, sigma=0.2, t=1.0))
     assert abs(gf(100.0) - want) < 1e-3 * want
-    # strike lands on a node so the kink is resolved exactly where it sits
+    # the grid is centred on ln S0, so the spot is a node of every grid
     assert float(np.min(np.abs(gf.s_values - 100.0))) < 1e-9 * 100.0
     pf = pv_pde(put_payoff(120.0), curve, 0.4, 100.0, 0.5)
     want_p = bs_price(BSParams(S=100.0, K=120.0, r=0.05, sigma=0.4, t=0.5),
                       "put")
     assert abs(pf(100.0) - want_p) < 1e-3 * want_p
+    # a digital jumps by a whole cell at a node; the cell-averaged payoff
+    # weights the jump by where it falls (the snapped grid missed by 7.7e-3)
+    for K, sigma, T in _GRID:
+        p = BSParams(S=100.0, K=K, r=0.05, sigma=sigma, t=T)
+        want_d = math.exp(-p.r * T) * norm_cdf(p.d_minus)
+        got = float(pv_pde(digital_payoff(K), curve, sigma, 100.0, T)(100.0))
+        assert abs(got - want_d) <= 1e-3 * want_d, (K, sigma, T)
 
 
 def test_pv_pde_constant_stream_is_an_annuity():
@@ -700,7 +707,8 @@ def test_pv_pde_validation():
     bumpy = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06))
     with pytest.raises(ValueError, match="flat"):
         pv_pde(call_payoff(100.0), bumpy, 0.2, 100.0, 1.0)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"strike 100\.0 lies outside the grid's "
+                       r"price range \[0\.\d+, [\d.]+\]"):
         pv_pde(call_payoff(100.0), flat, 0.2, 1.0, 1.0, half_width=2.0)
     with pytest.raises(ValueError):
         pv_pde(call_payoff(100.0), flat, -0.2, 100.0, 1.0)
@@ -708,14 +716,15 @@ def test_pv_pde_validation():
         pv_pde(call_payoff(100.0), flat, 0.2, 100.0, 0.0)
 
 
-def test_pv_pde_rejects_a_strike_within_half_a_cell_of_the_spot():
-    # snapping such a strike to a node divided by zero
+def test_pv_pde_prices_a_strike_next_to_the_spot():
+    # the snapped grid could not place a node on a strike within half a
+    # cell of the spot and refused it
     flat = DiscountCurve(times=(0.0,), rates=(0.05,))
-    with pytest.raises(ValueError, match=r"strike 100\.001 .*half a grid cell"):
-        pv_pde(call_payoff(100.001), flat, 0.2, 100.0, 1.0)
-    want = bs_price(BSParams(S=100.0, K=100.1, r=0.05, sigma=0.2, t=1.0))
-    gf = pv_pde(call_payoff(100.1), flat, 0.2, 100.0, 1.0)
-    assert float(gf(100.0)) == pytest.approx(want, rel=1e-3)
+    for sigma in (0.1, 0.2, 0.4):
+        for T in (0.25, 1.0, 2.0):
+            want = bs_price(BSParams(S=100.0, K=100.001, r=0.05, sigma=sigma, t=T))
+            gf = pv_pde(call_payoff(100.001), flat, sigma, 100.0, T)
+            assert float(gf(100.0)) == pytest.approx(want, rel=1e-3), (sigma, T)
 
 
 @pytest.mark.parametrize("kwargs, name", [
