@@ -162,13 +162,23 @@ def _load_config(path: str | None) -> dict:
 def _require(cfg: dict, key: str, caster, what: str = "", default=None,
              where: str = "config"):
     """caster(cfg[key]), else caster(default); an error names the key as
-    where.key. With no default the key is required."""
+    where.key. With no default the key is required. float() would read JSON
+    true and false as 1 and 0, so a float key refuses them."""
     if default is None and key not in cfg:
         raise ValueError(f"{where}.{key} is required ({what})")
     try:
+        if caster is float and isinstance(cfg.get(key), bool):
+            raise TypeError(f"expected a number, not {json.dumps(cfg[key])}")
         return caster(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}.{key}: {exc}") from exc
+
+
+def _reals(value) -> list:
+    """A JSON array of numbers as a list of floats."""
+    if not isinstance(value, list) or any(isinstance(v, bool) for v in value):
+        raise ValueError(f"expected an array of numbers, not {json.dumps(value)}")
+    return [float(v) for v in value]
 
 
 def _section(cfg: dict, key: str) -> dict | None:
@@ -235,7 +245,7 @@ def _curve_from_config(cfg: dict) -> DiscountCurve:
     if doc is None:
         raise ValueError("config.curve is required (a rate or a [{t, r}] list)")
     if isinstance(doc, (int, float)):
-        return DiscountCurve.flat(float(doc))
+        return DiscountCurve.flat(_require(cfg, "curve", float))
     return load_curve(doc)
 
 
@@ -505,7 +515,7 @@ def cmd_hedge(args) -> int:
     report = risk_mod.neutralize(
         instruments, targets,
         normalization=cfg.get("normalization", "first"),
-        values=cfg.get("values"))
+        values=None if cfg.get("values") is None else _require(cfg, "values", _reals))
     doc = risk_mod.hedge_report_doc(report)
     doc["names"] = [inst.name for inst in instruments]
     doc["targets"] = list(targets)
@@ -525,8 +535,8 @@ def cmd_hedge(args) -> int:
 def cmd_index(args) -> int:
     cfg = _load_config(args.config)
     inputs = risk_mod.IndexInputs(
-        prices=_require(cfg, "prices", list, "asset prices"),
-        sigmas=_require(cfg, "sigmas", list, "asset volatilities"))
+        prices=_require(cfg, "prices", _reals, "asset prices"),
+        sigmas=_require(cfg, "sigmas", _reals, "asset volatilities"))
     result = risk_mod.index_weights(inputs)
     doc = {"weights": list(result.weights),
            "index_variance": result.index_variance,

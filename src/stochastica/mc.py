@@ -182,6 +182,8 @@ def _resolve_threads(threads) -> int:
 
 def _step_count(span: float, dt: float) -> int:
     """Number of steps of length dt in span; span/dt must be a positive integer."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     steps = span / dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ValueError(f"horizon/dt = {steps!r} must be a positive integer")
@@ -265,7 +267,7 @@ def _batch_args(model: ModelSpec, S0, n_paths, seed, threads):
 
 
 def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
-                   *, threads=None, memory_limit: int = _DEFAULT_MEMORY_LIMIT) -> PathBatch:
+                   *, threads=None) -> PathBatch:
     """Simulate a full batch of Euler paths.
 
     Deterministic for fixed (model, S0, grid, n_paths, seed); an overflow
@@ -273,9 +275,9 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     """
     S0, n_paths, seed, threads = _batch_args(model, S0, n_paths, seed, threads)
     need = n_paths * (grid.n_steps + 1) * model.dim * 8
-    if need > memory_limit:
+    if need > _DEFAULT_MEMORY_LIMIT:
         raise ValueError(
-            f"batch would need {need} bytes of path storage (> {memory_limit}); "
+            f"batch would need {need} bytes of path storage (> {_DEFAULT_MEMORY_LIMIT}); "
             "reduce n_paths or use simulate_terminal for streaming statistics")
     out = np.empty((n_paths, grid.n_steps + 1, model.dim))
 

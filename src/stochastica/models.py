@@ -437,9 +437,9 @@ def load_model_config(doc: dict) -> ModelSpec:
     if not isinstance(type_name, str) or type_name not in _BUILDERS:
         raise ValueError(f"unknown model type {type_name!r}")
     one_asset, correlated, keys = _BUILDERS[type_name]
-    missing = [k for k in keys if params.get(k) is None]
+    missing = [k for k in keys if params.get(k) is None or isinstance(params[k], bool)]
     if missing:
-        raise ValueError(f"params.{missing[0]} required for type {type_name!r}")
+        raise ValueError(f"params.{missing[0]} (numeric) required for type {type_name!r}")
     args = [params[k] for k in keys]
     if doc.get("correlation") is None:
         return one_asset(*args)

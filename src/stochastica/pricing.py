@@ -7,12 +7,13 @@ risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
 
 The Monte Carlo route steps with mc's Euler core (_euler_march) and keeps
-its latest simulation's terminal states, so consecutive pv_mc calls on one
-path set simulate once. The PDE route solves on one grid per spot, whatever
-the strike, starting from the payoff averaged over each log cell, and steps
-with density's factored theta system (_ThetaSystem), rebuilt only when
-sigma's values change. The routes share these numerical primitives but
-never call each other.
+its latest simulation's terminal states: consecutive pv_mc calls on one
+path set, like the payoffs of a strip, priced in order, simulate once,
+stream payoffs excepted. The PDE route solves on one grid per spot,
+whatever the strike, starting from the payoff averaged over each log cell,
+and steps with density's factored theta system (_ThetaSystem), rebuilt
+only when sigma's values change. The routes share these numerical
+primitives but never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
 norm_cdf), so importing this module loads no scipy.
@@ -98,8 +99,9 @@ def payoff_from_config(doc: dict) -> PayoffSpec:
                          "kind, strike and table only")
     kind = doc["kind"]
     if kind in ("call", "put", "digital"):
-        if "strike" not in doc:
-            raise ValueError(f"payoff.strike required for kind {kind!r}")
+        # float() would read JSON true and false as 1 and 0
+        if doc.get("strike") is None or isinstance(doc["strike"], bool):
+            raise ValueError(f"payoff.strike (a number) required for kind {kind!r}")
         maker = {"call": call_payoff, "put": put_payoff,
                  "digital": digital_payoff}[kind]
         return maker(doc["strike"])
@@ -301,9 +303,9 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     """Discounted Monte Carlo value of a payoff, or of a payoff strip, at T.
 
     payoff is one PayoffSpec, which returns one MCEstimate, or a sequence
-    of them (a strip), which returns a tuple with one MCEstimate per
-    payoff from a single simulation; each equals, bit for bit, what a
-    call with that payoff alone returns.
+    of them (a strip), which returns a tuple of what a call with each
+    payoff alone returns: the strip is priced payoff by payoff, in order,
+    so payoffs on one sampler share one simulation through the memo below.
 
     The model is risk-neutralized internally (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
@@ -316,14 +318,17 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     The latest simulation's terminal states are kept until the next one
     replaces them, keyed by the model object, curve, risk-neutral model
     hash, S0, T, dt, step and path counts, seed and sampler: a call with
-    that key and no stream payoff draws no noise. Each terminal payoff is
-    evaluated once, on a copy of the full terminal array.
+    that key draws no noise unless its payoff has a stream, which always
+    simulates. The terminal payoff is evaluated once, on a copy of the full
+    terminal array.
     """
-    single = isinstance(payoff, PayoffSpec)
-    payoffs = (payoff,) if single else tuple(payoff)
-    if not payoffs or not all(isinstance(p, PayoffSpec) for p in payoffs):
-        raise ValueError("payoff must be a PayoffSpec or a non-empty "
-                         "sequence of them")
+    if not isinstance(payoff, PayoffSpec):
+        strip = tuple(payoff)
+        if not strip or not all(isinstance(p, PayoffSpec) for p in strip):
+            raise ValueError("payoff must be a PayoffSpec or a non-empty "
+                             "sequence of them")
+        return tuple(pv_mc(model, curve, p, S0, T, dt, n_paths, seed, threads=threads,
+                           exact_terminal=exact_terminal) for p in strip)
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
     if not T > 0:
@@ -332,64 +337,50 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     n_steps = _step_count(T, dt)
     rn = risk_neutralize(model, curve) if not model.risk_neutral else model
     start = _initial_state(rn, S0)
-    disc_T = curve.discount(0.0, T)
-    metadata = {"risk_neutralized": True, "model_hash": model_hash(rn),
-                "dt": dt, "n_steps": n_steps, "discount": disc_T}
-    key = (curve, metadata["model_hash"], start.tobytes(), T, dt, n_steps,
-           n_paths, seed)
-
-    can = [isinstance(rn.family, GBM) and p.stream is None for p in payoffs]
-    if exact_terminal and not all(can):
+    can = isinstance(rn.family, GBM) and payoff.stream is None
+    if exact_terminal and not can:
         raise ValueError("exact terminal sampling needs a model of family GBM "
                          "and a pure terminal payoff")
-    exact = can if exact_terminal is None else [bool(exact_terminal)] * len(payoffs)
-    states = {}
+    exact = can if exact_terminal is None else bool(exact_terminal)
+    disc_T = curve.discount(0.0, T)
+    metadata = {"risk_neutralized": True, "model_hash": model_hash(rn),
+                "dt": dt, "n_steps": n_steps, "discount": disc_T,
+                "sampler": "exact-terminal" if exact else "euler-paths"}
+    key = (curve, metadata["model_hash"], start.tobytes(), T, dt, n_steps,
+           n_paths, seed, exact)
+    acc = None if payoff.stream is None else np.zeros(n_paths)
 
-    if any(exact):
-        def draw() -> np.ndarray:
-            sigma = rn.family.sigma
-            z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
-            return start[0] * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
-                                     + sigma * math.sqrt(T) * z)
+    def draw() -> np.ndarray:
+        sigma = rn.family.sigma
+        z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
+        return start[0] * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
+                                 + sigma * math.sqrt(T) * z)
 
-        states[True] = _terminal_states(model, key + (True,), draw, True)
+    def march() -> np.ndarray:
+        grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
+        disc_steps = [curve.discount(0.0, m * dt) * dt for m in range(n_steps)]
+        terminal = np.empty(n_paths)
 
-    euler = [i for i, e in enumerate(exact) if not e]
-    streams = [i for i in euler if payoffs[i].stream is not None]
-    acc = {i: np.zeros(n_paths) for i in streams}
-    if euler:
-        def march() -> np.ndarray:
-            grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
-            disc_steps = [curve.discount(0.0, m * dt) * dt for m in range(n_steps)]
-            terminal = np.empty(n_paths)
+        def work(lo: int, hi: int) -> None:
+            def visit(m: int, s: np.ndarray) -> None:
+                if m < n_steps:
+                    acc[lo:hi] += disc_steps[m] * np.asarray(
+                        payoff.stream(m * dt, s[:, 0]), dtype=float)
 
-            def work(lo: int, hi: int) -> None:
-                def visit(m: int, s: np.ndarray) -> None:
-                    if m < n_steps:
-                        for i in streams:
-                            acc[i][lo:hi] += disc_steps[m] * np.asarray(
-                                payoffs[i].stream(m * dt, s[:, 0]), dtype=float)
+            terminal[lo:hi] = _euler_march(rn, start, grid, seed, lo, hi,
+                                           visit if payoff.stream else None)[:, 0]
 
-                terminal[lo:hi] = _euler_march(rn, start, grid, seed, lo, hi,
-                                               visit if streams else None)[:, 0]
+        _run_chunks(n_paths, threads, work)
+        return terminal
 
-            _run_chunks(n_paths, threads, work)
-            return terminal
-
-        states[False] = _terminal_states(model, key + (False,), march, not streams)
-
-    estimates = []
-    for i, (p, e) in enumerate(zip(payoffs, exact)):
-        v = disc_T * np.asarray(p.terminal(states[e].copy()), dtype=float)
-        v = v + acc[i] if i in acc else v
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("payoff produced non-finite values")
-        mean, se = _mean_and_se(v)
-        estimates.append(MCEstimate(
-            mean=mean, std_error=se, n_paths=n_paths,
-            metadata=dict(metadata,
-                          sampler="exact-terminal" if e else "euler-paths")))
-    return estimates[0] if single else tuple(estimates)
+    states = _terminal_states(model, key, draw if exact else march,
+                              payoff.stream is None)
+    v = disc_T * np.asarray(payoff.terminal(states.copy()), dtype=float)
+    v = v if payoff.stream is None else v + acc
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("payoff produced non-finite values")
+    mean, se = _mean_and_se(v)
+    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -505,27 +496,23 @@ def pv_green(green: GreensFunction, payoff: PayoffSpec) -> float:
     trapezoid time integral over the lattice times. Warns when the payoff
     weight near the lattice edges exceeds 1e-4 of the total.
     """
-    value = green.integrate(payoff.terminal)
-    edge = _edge_share(green, payoff.terminal, -1)
+    w = trapezoid_weights(green.native_values)
+    weighted = w * green.transition[-1] * np.asarray(
+        payoff.terminal(green.price_values), dtype=float)
+    value = float(green.discounts[-1] * np.sum(weighted))
     if payoff.stream is not None:
         tw = trapezoid_weights(green.times)
         for idx, t_m in enumerate(green.times):
             value += tw[idx] * green.integrate(lambda s: payoff.stream(t_m, s),
                                                idx)
+    # the weights and the transition are >= 0, so this is the weight of |payoff|
+    size = np.abs(weighted)
+    total = float(np.sum(size))
+    k = max(2, len(w) // 100)
+    edge = float(np.sum(size[:k]) + np.sum(size[-k:])) / total if total != 0 else 0.0
     if edge > 1e-4:
         warnings.warn(
             f"payoff support leaks past the lattice edges (edge share "
             f"{edge:.3g}); the value is biased by up to that fraction",
             RuntimeWarning, stacklevel=2)
     return value
-
-
-def _edge_share(green: GreensFunction, terminal, index: int) -> float:
-    w = trapezoid_weights(green.native_values)
-    vals = np.abs(np.asarray(terminal(green.price_values), dtype=float))
-    weighted = w * green.transition[index] * vals
-    total = float(np.sum(weighted))
-    if total == 0:
-        return 0.0
-    k = max(2, len(w) // 100)
-    return float(np.sum(weighted[:k]) + np.sum(weighted[-k:])) / total

@@ -511,6 +511,10 @@ def test_validation_errors_exit_2(tmp_path, capsys):
      "config.mc.n_steps"),
     ("density", {"resolution": {"n_steps": 0}}, "config.resolution.n_steps"),
     ("density", {"resolution": {"n_steps": 2.5}}, "config.resolution.n_steps"),
+    # a zero dt divided by zero before any check
+    ("price", {"method": "mc", "mc": {"dt": 0}}, "dt must be finite and positive"),
+    ("price", {"method": "green", "green": {"dt": 0}},
+     "dt must be finite and positive"),
 ])
 def test_bad_step_counts_exit_2_naming_the_key(tmp_path, capsys, command,
                                                extra, key):
@@ -563,6 +567,8 @@ def test_bad_counts_exit_2_naming_the_key(tmp_path, capsys, command, extra,
 HEDGE_DOC = {"instruments": [
     {"name": "a", "delta": 0.6, "kappa": 1.0, "gamma": 0.02},
     {"name": "b", "delta": 0.4, "kappa": -1.0, "gamma": 0.01}]}
+GREEKS_DOC = {"S": 100.0, "K": 100.0, "r": 0.05, "sigma": 0.2, "t": 1.0}
+INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
 
 
 @pytest.mark.parametrize("command, extra, key", [
@@ -595,11 +601,20 @@ HEDGE_DOC = {"instruments": [
        "config.mc.exact_terminal") for flag in ("false", "no", 0, 1)),
     *(("simulate", {"format": "json", "include_paths": flag},
        "config.include_paths") for flag in ("false", "no", 0, 1)),
+    # float() read true as 1 (r = 1, sigma = 1, K = 1) and exited 0
+    ("price", {"curve": True}, "config.curve"),
+    ("greeks", {"sigma": True}, "config.sigma"),
+    ("price", {"payoff": {"kind": "call", "strike": True}}, "payoff.strike"),
+    ("price", {"model": {"type": "gbm", "params": {"mu": 0.05, "sigma": True}}},
+     "params.sigma"),
+    # an object in a list of numbers raised a TypeError
+    ("index", {"prices": [100, {}]}, "config.prices"),
+    ("hedge", {"normalization": "value", "values": [1, {}]}, "config.values"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):
     base = {"price": GBM_PRICE_DOC, "density": DENSITY_DOC, "hedge": HEDGE_DOC,
-            "simulate": SIM_DOC}[command]
+            "simulate": SIM_DOC, "greeks": GREEKS_DOC, "index": INDEX_DOC}[command]
     cfg = write_config(tmp_path, "settings.json", dict(base, **extra))
     assert main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err

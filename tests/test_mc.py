@@ -8,13 +8,16 @@ import pytest
 from scipy import stats
 
 from stochastica import (
+    DiscountCurve,
     MCEstimate,
     ModelSpec,
     PathBatch,
     TimeGrid,
+    call_payoff,
     evolve_step,
     expectation,
     export_paths_csv,
+    greens_function,
     ito_check,
     make_bm,
     make_correlated_gbm,
@@ -22,6 +25,8 @@ from stochastica import (
     make_vasicek,
     mgf,
     pi_expectation,
+    pv_mc,
+    risk_neutralize,
     scaling_check,
     simulate_paths,
     simulate_terminal,
@@ -401,6 +406,26 @@ def test_scaling_gbm_weak_error():
     with pytest.raises(ValueError):
         scaling_check(m, 100.0, T=1.0, dt=0.3, refine_factor=2,
                       n_paths=100, seed=0)
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan])
+@pytest.mark.parametrize("route", ["pv_mc", "greens_function", "pi_expectation",
+                                   "scaling_check"])
+def test_a_zero_or_nan_dt_is_refused_naming_dt(route, dt):
+    # span / dt came first: 0 raised ZeroDivisionError, nan "cannot convert
+    # float NaN to integer"
+    gbm, curve = make_gbm(0.05, 0.2), DiscountCurve.flat(0.05)
+    call = {
+        "pv_mc": lambda: pv_mc(gbm, curve, call_payoff(100.0), 100.0, 1.0, dt,
+                               100, 0),
+        "greens_function": lambda: greens_function(risk_neutralize(gbm, curve),
+                                                   curve, 0.0, 100.0, 1.0, dt),
+        "pi_expectation": lambda: pi_expectation(gbm, lambda s: s, 0.0, 100.0,
+                                                 1.0, dt, 100, 0),
+        "scaling_check": lambda: scaling_check(gbm, 100.0, 1.0, dt, 2, 100, 0),
+    }[route]
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        call()
 
 
 _GRID4 = TimeGrid(0.0, 0.25, 4)

@@ -598,6 +598,18 @@ def test_pv_mc_memo_misses_after_the_model_config_changes(draws):
     assert renamed.metadata["model_hash"] != cold.metadata["model_hash"]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_pv_mc_strip_simulates_once_per_sampler(draws, exact):
+    # a strip is priced payoff by payoff; the memo serves all but the first
+    strip = (call_payoff(90.0), put_payoff(110.0), digital_payoff(100.0))
+    _memo_call(payoff=strip[0], exact=exact)
+    lone = list(draws)
+    pricing._clear_path_memo()
+    draws.clear()
+    _memo_call(payoff=strip, exact=exact)
+    assert lone and draws == lone
+
+
 def test_pv_mc_stream_payoff_still_simulates(draws):
     _memo_call()
     draws.clear()
