@@ -5,10 +5,10 @@ monotone maps, a conservative finite-difference solver for the forward
 (Fokker-Planck) equation, a backward solver for conditional expectations,
 and quadrature composition of transition densities. The forward and
 backward solvers and pricing.pv_pde share one theta step, _ThetaSystem:
-the tridiagonal system I - theta*dt*L is factored (LAPACK gttrf) at most
-once per theta and each step is one gttrs solve. Each solver builds its
-own coefficients and runs its own checks; the forward and backward solvers
-build a new system only when mu or sigma on the grid change, bit for bit.
+one gttrs solve a step, factored (LAPACK gttrf) at most once per theta, the
+bits of solve_banded on the one-solve right-hand side. Each solver builds
+its own coefficients and runs its own checks; the forward and backward
+solvers rebuild only when mu or sigma on the grid change, bit for bit.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -529,16 +529,21 @@ def _same_arrays(new: tuple, old: tuple | None) -> bool:
                                    for a, b in zip(new, old))
 
 
+def _fixed_maps(model: ModelSpec) -> bool:
+    """Whether a march may evaluate the maps once: their family declares them free of t."""
+    return model.family is not None and model.family.time_homogeneous()
+
+
 class _ThetaSystem:
     """Theta stepping of du/dt = L u (+ source/dt) for a fixed tridiagonal L.
 
     step(u, m) is step m of the Rannacher (1984) schedule: two fully
-    implicit startup steps, then trapezoidal stepping. I - theta*dt*L is
-    factored with LAPACK gttrf the first time a theta is needed and each
-    step is one gttrs solve, the same pivoted elimination (and the same
-    bits) as scipy.linalg.solve_banded's gtsv. Coefficient and right-hand
-    side checks match solve_banded's: non-finite input is a ValueError, a
-    singular system a LinAlgError.
+    implicit startup steps, then trapezoidal stepping. As A = I - theta*dt*L
+    gives I + (1 - theta)*dt*L = (I - (1 - theta)*A)/theta, a step is the one
+    solve x = A^-1 (u/theta + source) - (1/theta - 1) u, with exact scalings.
+    A is factored with LAPACK gttrf at most once per theta; a solve is one
+    gttrs, the bits of scipy.linalg.solve_banded on that right-hand side, and
+    non-finite input is a ValueError, a singular system a LinAlgError.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -547,7 +552,7 @@ class _ThetaSystem:
         self._factors = {}
 
     def _factor(self, theta: float):
-        from scipy.linalg import lapack  # looked up per call, not at import
+        from scipy.linalg import lapack  # loaded on first use, not at import
 
         dt = self.dt
         dl = -theta * dt * self.lower[1:]
@@ -559,24 +564,22 @@ class _ThetaSystem:
                                        overwrite_du=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        return factors
+        return lapack.dgttrs, factors   # the solver, looked up once per factoring
 
     def step(self, u: np.ndarray, m: int, source=None) -> np.ndarray:
         """u advanced by step m; source is added to the right-hand side as is."""
-        from scipy.linalg import lapack
-
         theta = 1.0 if m < 2 else 0.5
-        Lu = self.diag * u
-        Lu[:-1] += self.upper[:-1] * u[1:]
-        Lu[1:] += self.lower[1:] * u[:-1]
-        rhs = u + (1.0 - theta) * self.dt * Lu
+        rhs = u / theta
         if source is not None:
             rhs += source
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         if theta not in self._factors:
             self._factors[theta] = self._factor(theta)
-        x, _info = lapack.dgttrs(*self._factors[theta], rhs, overwrite_b=1)
+        solve, factors = self._factors[theta]
+        x, _info = solve(*factors, rhs, overwrite_b=1)
+        if theta != 1.0:
+            x -= u      # (1/theta - 1) u at theta 1/2
         return x
 
 
@@ -623,10 +626,11 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
     coeffs = system = None
     for m in range(grid.n_steps):
         try:
-            new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
-            if not _same_arrays(new, coeffs):
-                coeffs = new
-                system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
+            if coeffs is None or not _fixed_maps(model):
+                new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
+                if not _same_arrays(new, coeffs):
+                    coeffs = new
+                    system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
             p = system.step(p, m)
             peak = float(p.max())
             if float(p.min()) < -1e-6 * peak:
@@ -761,7 +765,7 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     Marches du/dtau = mu du/dS + sigma^2/2 d2u/dS2 from the terminal data
     back to t0 on the given grid. Edge rows use one-sided first derivatives
     from zero-curvature extrapolation, so constants and linear functions
-    pass through exactly.
+    pass through to rounding.
     """
     if model.dim != 1:
         raise ValueError("backward solver handles one-dimensional models")
@@ -781,20 +785,21 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     coeffs = system = None
     for m in range(n_steps):
         tau = t1 - (m + 0.5) * dt
-        new = (model.mu1(tau, s), 0.5 * model.sigma1(tau, s) ** 2)
-        if not _same_arrays(new, coeffs):
-            coeffs = mu, d = new
-            lower, diag, upper = np.zeros((3, s.size))
-            # interior: central first and second differences
-            upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-            lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-            diag[1:-1] = -2 * d[1:-1] / (h * h)
-            # edges: zero curvature, one-sided slope
-            diag[0], upper[0] = -mu[0] / h, mu[0] / h
-            diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
-            system = _ThetaSystem(lower, diag, upper, dt)
+        if coeffs is None or not _fixed_maps(model):
+            new = (model.mu1(tau, s), 0.5 * model.sigma1(tau, s) ** 2)
+            if not _same_arrays(new, coeffs):
+                coeffs = mu, d = new
+                lower, diag, upper = np.zeros((3, s.size))
+                # interior: central first and second differences
+                upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+                lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+                diag[1:-1] = -2 * d[1:-1] / (h * h)
+                # edges: zero curvature, one-sided slope
+                diag[0], upper[0] = -mu[0] / h, mu[0] / h
+                diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
+                system = _ThetaSystem(lower, diag, upper, dt)
         u = system.step(u, m)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
         tv = float(np.abs(np.diff(u)).sum())
         scale = float(np.abs(u).max())

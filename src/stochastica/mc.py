@@ -173,11 +173,7 @@ def _resolve_threads(threads) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    return int(threads)
+    return _int_at_least("threads", threads, 1)
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -395,36 +391,31 @@ def _fd_guard(name: str, supplied: float, estimate: float, scale: float) -> None
 
 def _validate_derivatives(f, dfdt, grad, hess, t0, S0):
     n = S0.size
-    f0 = float(f(t0, S0))
+
+    def at(*moves, t=t0) -> float:
+        """f of one state: at t and S0 moved by d along axis j for each (j, d)."""
+        x = S0.copy()
+        for j, d in moves:
+            x[j] += d
+        return float(np.asarray(f(t, x[None, :]), dtype=float).reshape(()))
+
+    f0 = at()
     scale = max(1.0, abs(f0))
     ht = 6e-6 * max(1.0, abs(t0))
-    _fd_guard("df/dt", dfdt, (float(f(t0 + ht, S0)) - float(f(t0 - ht, S0))) / (2 * ht), scale)
+    _fd_guard("df/dt", dfdt, (at(t=t0 + ht) - at(t=t0 - ht)) / (2 * ht), scale)
     for j in range(n):
         h = 6e-6 * max(1.0, abs(S0[j]))
-        up, dn = S0.copy(), S0.copy()
-        up[j] += h
-        dn[j] -= h
-        _fd_guard(f"df/dS[{j}]", grad[j],
-                  (float(f(t0, up)) - float(f(t0, dn))) / (2 * h), scale)
+        _fd_guard(f"df/dS[{j}]", grad[j], (at((j, h)) - at((j, -h))) / (2 * h), scale)
     for j in range(n):
         h = 1e-4 * max(1.0, abs(S0[j]))
-        up, dn = S0.copy(), S0.copy()
-        up[j] += h
-        dn[j] -= h
-        est = (float(f(t0, up)) - 2 * f0 + float(f(t0, dn))) / (h * h)
+        est = (at((j, h)) - 2 * f0 + at((j, -h))) / (h * h)
         _fd_guard(f"d2f/dS[{j}]2", hess[j, j], est, scale)
     for j in range(n):
         for l in range(j + 1, n):
             hj = 1e-4 * max(1.0, abs(S0[j]))
             hl = 1e-4 * max(1.0, abs(S0[l]))
-            pts = {}
-            for sj in (+1, -1):
-                for sl in (+1, -1):
-                    x = S0.copy()
-                    x[j] += sj * hj
-                    x[l] += sl * hl
-                    pts[sj, sl] = float(f(t0, x))
-            est = (pts[1, 1] - pts[1, -1] - pts[-1, 1] + pts[-1, -1]) / (4 * hj * hl)
+            est = (at((j, hj), (l, hl)) - at((j, hj), (l, -hl)) - at((j, -hj), (l, hl))
+                   + at((j, -hj), (l, -hl))) / (4 * hj * hl)
             _fd_guard(f"d2f/dS[{j}]dS[{l}]", hess[j, l], est, scale)
 
 
@@ -441,19 +432,14 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
     and return (n,) values.
     """
     seed = noise.validate_seed(seed)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    grid = TimeGrid(t0=t0, dt=dt, n_steps=1)
     n_paths = _int_at_least("n_paths", n_paths, 2)
     S0 = _initial_state(model, S0)
     grad = np.atleast_1d(np.asarray(dfdS, dtype=float))
     hess = np.atleast_2d(np.asarray(d2fdS2, dtype=float))
     if grad.shape != (model.dim,) or hess.shape != (model.dim, model.dim):
         raise ValueError("derivative shapes must match the model dimension")
-
-    def f_point(t, s):
-        return np.asarray(f(t, s[None, :]), dtype=float).reshape(())
-
-    _validate_derivatives(f_point, float(dfdt), grad, hess, t0, S0)
+    _validate_derivatives(f, float(dfdt), grad, hess, t0, S0)
 
     mu = model.drift(t0, S0[None, :])[0]
     sig = model.vol(t0, S0[None, :])[0]
@@ -461,7 +447,7 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
     predicted_drift = float(dfdt + mu @ grad + 0.5 * np.sum(diffusion * hess))
     predicted_vol = float(np.linalg.norm(sig.T @ grad))
 
-    S1 = _euler_march(model, S0, TimeGrid(t0=t0, dt=dt, n_steps=1), seed, 0, n_paths)
+    S1 = _euler_march(model, S0, grid, seed, 0, n_paths)
     dX = np.asarray(f(t0 + dt, S1), dtype=float) - float(f(t0, S0[None, :])[0])
     if dX.shape != (n_paths,):
         raise ValueError("f must return one value per path")

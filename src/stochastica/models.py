@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import DiscountCurve
+from .portfolio import DiscountCurve, _no_bools
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,11 @@ class Family:
         """A model of ln S with a family of its own, run in place of this one."""
         return None
 
+    def time_homogeneous(self) -> bool:
+        """Whether the maps are the same at every t, so that a march may
+        evaluate them once. Opt-in: a wrong True freezes them at their first t."""
+        return False
+
 
 @dataclass(frozen=True)
 class BM(Family):
@@ -78,6 +83,9 @@ class BM(Family):
         from .density import density_bm
 
         return density_bm(t, S0, self.mu, self.sigma)
+
+    def time_homogeneous(self):
+        return True
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,9 @@ class GBM(Family):
                              "curve the log drift r(t) - sigma^2/2 is time-dependent")
         return make_bm(self.mu - 0.5 * self.sigma ** 2, self.sigma)
 
+    def time_homogeneous(self):
+        return self.mu is not None
+
 
 @dataclass(frozen=True)
 class Vasicek(Family):
@@ -123,6 +134,9 @@ class Vasicek(Family):
         from .density import density_vasicek
 
         return density_vasicek(t, S0, self.a, self.b, self.sigma)
+
+    def time_homogeneous(self):
+        return True
 
 
 @dataclass(frozen=True)
@@ -440,9 +454,9 @@ def load_model_config(doc: dict) -> ModelSpec:
     missing = [k for k in keys if params.get(k) is None or isinstance(params[k], bool)]
     if missing:
         raise ValueError(f"params.{missing[0]} (numeric) required for type {type_name!r}")
-    args = [params[k] for k in keys]
+    args = [_no_bools(f"params.{k}", params[k]) for k in keys]
     if doc.get("correlation") is None:
         return one_asset(*args)
     if correlated is None:
         raise ValueError(f"correlated {type_name} models are not supported")
-    return correlated(*args, doc["correlation"])
+    return correlated(*args, _no_bools("correlation", doc["correlation"]))

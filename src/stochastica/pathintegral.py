@@ -25,11 +25,11 @@ import numpy as np
 
 from . import noise
 from .errors import DegenerateKernelError, NumericalError
-from .mc import _CHUNK, MCEstimate, _int_at_least, _mean_and_se, _step_count
+from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and_se, _step_count
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
-                      _check_densities, _grid_nodes, _require_vanishing_edges,
-                      _same_arrays)
+                      _check_densities, _fixed_maps, _grid_nodes,
+                      _require_vanishing_edges, _same_arrays)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -157,11 +157,12 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
     coeffs = None
     for m in range(rows.shape[0] - 1):
         t_m = t0 + m * kernel.dt
-        new = (kernel.model.mu1(t_m, s), kernel.model.sigma1(t_m, s))
-        if not _same_arrays(new, coeffs):
-            coeffs = new
-            tm = kernel_matrix(kernel, t_m, s)
-            leak_weights = w * (1.0 - tm.raw_row_mass)
+        if coeffs is None or not _fixed_maps(kernel.model):
+            new = (kernel.model.mu1(t_m, s), kernel.model.sigma1(t_m, s))
+            if not _same_arrays(new, coeffs):
+                coeffs = new
+                tm = kernel_matrix(kernel, t_m, s)
+                leak_weights = w * (1.0 - tm.raw_row_mass)
         leak += float(leak_weights @ p) / mass0
         if leak > _LEAK_LIMIT:
             _check_densities(s, rows[1:m + 1])   # a bad slice is reported first
@@ -298,8 +299,6 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
     f of a constant array must be defined (used for the trivial check).
     """
     seed = noise.validate_seed(seed)
-    if model.dim != 1:
-        raise ValueError("pi_expectation handles one-dimensional models")
     if not T > t0:
         raise ValueError("T must exceed t0")
     n_paths = _int_at_least("n_paths", n_paths, 1)
@@ -314,10 +313,7 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
             t_m = t0 + m * dt
             z = noise.normal_block(seed, noise.KERNEL, n_steps, m, lo, hi, 1)[:, 0]
             s = kernel.mean(t_m, s) + kernel.std(t_m, s) * z
-            if not np.all(np.isfinite(s)):
-                bad = lo + int(np.argwhere(~np.isfinite(s))[0][0])
-                raise NumericalError(
-                    f"non-finite state at path {bad}, step {m + 1}")
+            _check_finite_step(s, m + 1, lo)
         values[lo:hi] = np.asarray(f(s), dtype=float)
     if not np.all(np.isfinite(values)):
         raise NumericalError("functional produced non-finite values")

@@ -21,6 +21,16 @@ _POSITION_KINDS = ("spot", "promise")
 _OPTIONALITY = (None, "holder", "issuer")
 
 
+def _no_bools(key: str, value):
+    """value as given; a bool in it or its nested lists would read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be numeric, not {str(value).lower()}")
+    if isinstance(value, list):
+        for v in value:
+            _no_bools(key, v)
+    return value
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -208,8 +218,6 @@ def futures_value(S: float, K: float, curve: DiscountCurve, t: float, T: float,
     K = _require_finite("K", K)
     if S < 0:
         raise ValueError("spot must be >= 0")
-    if T < t:
-        raise ValueError("need T >= t")
     if side not in ("long", "short"):
         raise ValueError("side must be 'long' or 'short'")
     value = S - K * zero_coupon_price(curve, t, T)
@@ -233,6 +241,6 @@ def load_curve(doc) -> DiscountCurve:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "t" not in entry or "r" not in entry:
             raise ValueError(f"curve[{i}] must be an object with keys 't' and 'r'")
-        times.append(entry["t"])
-        rates.append(entry["r"])
+        times.append(_no_bools(f"curve[{i}].t", entry["t"]))
+        rates.append(_no_bools(f"curve[{i}].r", entry["r"]))
     return DiscountCurve(times=tuple(times), rates=tuple(rates))

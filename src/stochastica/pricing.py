@@ -36,7 +36,7 @@ from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_lea
                  _mean_and_se, _resolve_threads, _run_chunks, _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import DiscountCurve
+from .portfolio import DiscountCurve, _no_bools
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -99,17 +99,17 @@ def payoff_from_config(doc: dict) -> PayoffSpec:
                          "kind, strike and table only")
     kind = doc["kind"]
     if kind in ("call", "put", "digital"):
-        # float() would read JSON true and false as 1 and 0
-        if doc.get("strike") is None or isinstance(doc["strike"], bool):
+        if doc.get("strike") is None:
             raise ValueError(f"payoff.strike (a number) required for kind {kind!r}")
         maker = {"call": call_payoff, "put": put_payoff,
                  "digital": digital_payoff}[kind]
-        return maker(doc["strike"])
+        return maker(_no_bools("payoff.strike", doc["strike"]))
     if kind == "custom":
         table = doc.get("table")
         if not isinstance(table, dict) or "s" not in table or "values" not in table:
             raise ValueError("custom payoff needs table: {s: [...], values: [...]}")
-        return table_payoff(table["s"], table["values"])
+        return table_payoff(_no_bools("payoff.table.s", table["s"]),
+                            _no_bools("payoff.table.values", table["values"]))
     raise ValueError(f"unknown payoff kind {kind!r}")
 
 
@@ -456,9 +456,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     def system(sig_m: np.ndarray) -> _ThetaSystem:
         a = 0.5 * sig_m ** 2
         b = r - 0.5 * sig_m ** 2
-        lower = np.zeros(n)
-        diag = np.zeros(n)
-        upper = np.zeros(n)
+        lower, diag, upper = np.zeros((3, n))
         upper[1:-1] = a[1:-1] / (h * h) + b[1:-1] / (2 * h)
         lower[1:-1] = a[1:-1] / (h * h) - b[1:-1] / (2 * h)
         diag[1:-1] = -2 * a[1:-1] / (h * h) - r
@@ -468,18 +466,17 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
         return _ThetaSystem(lower, diag, upper, dt)
 
-    step_system = None if callable(sigma) else system(sig_fn(T, s))
-    built = None
+    built = step_system = None
     for m in range(n_steps):
         tau = T - (m + 0.5) * dt
         source = None if payoff.stream is None \
             else dt * np.asarray(payoff.stream(tau, s), dtype=float)
-        if callable(sigma):
+        if built is None or callable(sigma):
             sig_m = (sig_fn(tau, s),)
             if not _same_arrays(sig_m, built):
                 built, step_system = sig_m, system(*sig_m)
         f = step_system.step(f, m, source)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise NumericalError(
                 f"pricing solve produced non-finite values at step {m + 1}")
     return GridFunction(s_values=s, values=f, t=0.0)
@@ -501,10 +498,12 @@ def pv_green(green: GreensFunction, payoff: PayoffSpec) -> float:
         payoff.terminal(green.price_values), dtype=float)
     value = float(green.discounts[-1] * np.sum(weighted))
     if payoff.stream is not None:
+        # GreensFunction.integrate per slice, with w built once, not per slice
         tw = trapezoid_weights(green.times)
         for idx, t_m in enumerate(green.times):
-            value += tw[idx] * green.integrate(lambda s: payoff.stream(t_m, s),
-                                               idx)
+            rate = np.asarray(payoff.stream(t_m, green.price_values), dtype=float)
+            value += tw[idx] * float(green.discounts[idx]
+                                     * np.sum(w * green.transition[idx] * rate))
     # the weights and the transition are >= 0, so this is the weight of |payoff|
     size = np.abs(weighted)
     total = float(np.sum(size))

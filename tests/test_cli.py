@@ -610,6 +610,19 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
     # an object in a list of numbers raised a TypeError
     ("index", {"prices": [100, {}]}, "config.prices"),
     ("hedge", {"normalization": "value", "values": [1, {}]}, "config.values"),
+    # numpy and float() read true nested in a list as 1 and exited 0
+    ("price", {"curve": [{"t": 0, "r": True}]}, "curve[0].r"),
+    ("price", {"curve": [{"t": 0, "r": 0.05}, {"t": True, "r": 0.06}]}, "curve[1].t"),
+    ("price", {"payoff": {"kind": "custom", "table": {"s": [True, 100, 150],
+                                                      "values": [0, 0, 50]}}},
+     "payoff.table.s"),
+    ("price", {"payoff": {"kind": "custom", "table": {"s": [50, 100, 150],
+                                                      "values": [0, True, 50]}}},
+     "payoff.table.values"),
+    ("simulate", {"model": {"type": "bm", "params": {"mu": [0, 0], "sigma": [1, 1]},
+                            "correlation": [[1, 0], [0, True]]}}, "correlation"),
+    ("simulate", {"model": {"type": "custom-grid", "params": {
+        "s": [50, 100, 150], "drift": [0, 0, 0], "vol": [1, True, 1]}}}, "params.vol"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):

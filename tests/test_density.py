@@ -34,7 +34,7 @@ from stochastica import (
 )
 from stochastica import density, pathintegral
 from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
-from stochastica.models import GBM
+from stochastica.models import GBM, Family
 from stochastica.errors import NumericalError
 
 
@@ -296,8 +296,32 @@ def test_forward_solver_requires_vanishing_edges():
         fokker_planck_forward(model, broad, TimeGrid(0.0, 0.01, 10))
 
 
+def _banded(lower, diag, upper, dt, theta):
+    """I - theta*dt*L in scipy.linalg.solve_banded's (1, 1) layout."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = -theta * dt * upper[:-1]
+    ab[1, :] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * lower[1:]
+    return ab
+
+
 def _solve_banded_step(u, lower, diag, upper, dt, m, source=None):
-    """One theta step written out with scipy.linalg.solve_banded."""
+    """One theta step in its one-solve form, written out with
+    scipy.linalg.solve_banded: A^-1 (u/theta + source) - (1/theta - 1) u
+    with A = I - theta*dt*L."""
+    from scipy.linalg import solve_banded
+
+    theta = 1.0 if m < 2 else 0.5
+    rhs = u / theta
+    if source is not None:
+        rhs += source
+    x = solve_banded((1, 1), _banded(lower, diag, upper, dt, theta), rhs)
+    return x - (1.0 / theta - 1.0) * u
+
+
+def _explicit_product_step(u, lower, diag, upper, dt, m, source=None):
+    """One theta step as A^-1 (B u + source) with the explicit half
+    B = I + (1 - theta)*dt*L applied as a tridiagonal product."""
     from scipy.linalg import solve_banded
 
     theta = 1.0 if m < 2 else 0.5
@@ -307,11 +331,7 @@ def _solve_banded_step(u, lower, diag, upper, dt, m, source=None):
     rhs = u + (1.0 - theta) * dt * Lu
     if source is not None:
         rhs += source
-    ab = np.zeros((3, u.size))
-    ab[0, 1:] = -theta * dt * upper[:-1]
-    ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), _banded(lower, diag, upper, dt, theta), rhs)
 
 
 @pytest.mark.parametrize("n", [401, 4097])
@@ -329,6 +349,26 @@ def test_theta_system_step_equals_solve_banded_bit_for_bit(n, m):
         want = _solve_banded_step(u.copy(), lower, diag, upper, dt, m, source)
         got = system.step(u, m, None if source is None else source.copy())
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [401, 4097])
+@pytest.mark.parametrize("m", [0, 2])            # theta = 1, 1/2
+@pytest.mark.parametrize("dt", [0.01, 0.7, 50.0])
+def test_one_solve_step_agrees_with_the_explicit_product_step(n, m, dt):
+    # the two forms differ only in rounding: at theta 1 not at all, at
+    # theta 1/2 by at most 32 eps of the larger of |x| and |u| (5 eps seen)
+    rng = np.random.default_rng(n + m)
+    lower = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(-1.0, 1.0, n)
+    diag = -(np.abs(lower) + np.abs(upper)) - rng.uniform(0.0, 1.0, n)
+    system = _ThetaSystem(lower, diag, upper, dt)
+    for k in range(2):
+        u = rng.normal(size=n)
+        source = rng.normal(size=n) if k == 1 else None
+        want = _explicit_product_step(u.copy(), lower, diag, upper, dt, m, source)
+        got = system.step(u, m, None if source is None else source.copy())
+        bound = 32 * np.finfo(float).eps * max(np.abs(want).max(), np.abs(u).max())
+        assert np.abs(got - want).max() <= (0.0 if m < 2 else bound)
 
 
 def test_theta_system_rejects_what_solve_banded_rejects():
@@ -466,9 +506,10 @@ def _count_builds(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("kind", sorted(_REUSE_CASES))
 def test_reused_operators_equal_a_rebuild_every_step_bit_for_bit(kind, monkeypatch):
-    # the reference builds every step's operator anew from the model
-    monkeypatch.setattr(density, "_same_arrays", lambda new, old: False)
-    monkeypatch.setattr(pathintegral, "_same_arrays", lambda new, old: False)
+    # the reference evaluates the maps and builds the operator anew every step
+    for module in (density, pathintegral):
+        monkeypatch.setattr(module, "_same_arrays", lambda new, old: False)
+        monkeypatch.setattr(module, "_fixed_maps", lambda model: False)
     want = {name: run() for name, run in _solvers(*_REUSE_CASES[kind]).items()}
     monkeypatch.undo()
     for name, run in _solvers(*_REUSE_CASES[kind]).items():
@@ -503,6 +544,43 @@ def test_time_dependent_drift_rebuilds_every_step(monkeypatch):
     assert (counts["systems"], counts["factors"]) == (2 * n, 2 * n)
     propagate(one_step_kernel(rn, 0.0, 1.0 / n), point_mass_on_grid(s, 0.0), n)
     assert counts["kernels"] == n
+
+
+_TWO_RATES = DiscountCurve(times=(0.0, 0.25), rates=(0.03, 0.06))
+_MAP_CASES = {  # model, whether its family declares maps independent of t
+    "bm": (make_bm(0.1, 0.3), True),
+    "vasicek": (make_vasicek(1.0, 0.05, 0.02), True),
+    "gbm": (risk_neutralize(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05)), True),
+    "gbm two-rate": (risk_neutralize(make_gbm(0.05, 0.2), _TWO_RATES), False),
+    "undeclared": (dataclasses.replace(make_bm(0.1, 0.3), family=Family()), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MAP_CASES))
+def test_marches_evaluate_fixed_maps_once_and_others_every_step(kind):
+    model, fixed = _MAP_CASES[kind]
+    times = []
+
+    def drift(t, S):
+        times.append(t)
+        return model.drift(t, S)
+
+    counted = dataclasses.replace(model, drift=drift)
+    # the grid and start of the reuse case of the same maps
+    _, s, S0, _ = _REUSE_CASES[{"gbm two-rate": "gbm", "undeclared": "bm"}.get(kind, kind)]
+    n, T = 40, 0.5
+    marches = {
+        "forward": lambda: fokker_planck_forward(counted, point_mass_on_grid(s, S0),
+                                                 TimeGrid(0.0, T / n, n)),
+        "backward": lambda: kolmogorov_backward(counted, lambda x: np.tanh(x - S0), s,
+                                                0.0, T, n_steps=n),
+        "lattice": lambda: propagate(one_step_kernel(counted, 0.0, T / n),
+                                     point_mass_on_grid(s, S0), n),
+    }
+    for name, march in marches.items():
+        times.clear()
+        march()
+        assert len(set(times)) == (1 if fixed else n), name
 
 
 @pytest.mark.parametrize("fault, message", [

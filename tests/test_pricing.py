@@ -37,7 +37,7 @@ from stochastica import (
     risk_neutralize,
     table_payoff,
 )
-from stochastica import mc, noise, pricing
+from stochastica import mc, noise, pathintegral, pricing
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 from stochastica.models import GBM
 
@@ -846,6 +846,31 @@ def test_pv_green_stream_annuity():
                         stream=lambda t, s: np.ones_like(s))
     want = (1.0 - math.exp(-r * T)) / r
     assert pv_green(g, payoff) == pytest.approx(want, rel=1e-4)
+
+
+def test_pv_green_stream_equals_the_per_slice_integrate_sum(monkeypatch):
+    curve = DiscountCurve.flat(0.05)
+    g = greens_function(risk_neutralize(make_gbm(0.1, 0.2), curve), curve, 0.0,
+                        100.0, 1.0, 1.0 / 32, n_nodes=401)
+    payoff = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
+                        stream=lambda t, s: (1.0 + t) * np.sqrt(s))
+    tw = pricing.trapezoid_weights(g.times)
+    want = g.integrate(payoff.terminal)
+    for idx, t_m in enumerate(g.times):
+        want += tw[idx] * g.integrate(lambda s: payoff.stream(t_m, s), idx)
+    builds = []
+
+    def counted(real):
+        def weights(x):
+            builds.append(x.size)
+            return real(x)
+        return weights
+
+    for module in (pricing, pathintegral):
+        monkeypatch.setattr(module, "trapezoid_weights", counted(module.trapezoid_weights))
+    assert pv_green(g, payoff) == want
+    # one set of weights for the nodes and one for the times, not one per slice
+    assert sorted(builds) == [g.times.size, g.native_values.size]
 
 
 def test_pv_green_warns_when_payoff_leaks():
