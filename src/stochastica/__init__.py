@@ -28,7 +28,6 @@ from .mc import (
     MCEstimate,
     PathBatch,
     TimeGrid,
-    evolve_step,
     expectation,
     export_paths_csv,
     ito_check,
@@ -64,7 +63,6 @@ from .pathintegral import (
 from .portfolio import (
     Cashflow,
     DiscountCurve,
-    Position,
     annual_to_continuous,
     continuous_to_annual,
     fixed_loan_coupon,

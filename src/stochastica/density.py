@@ -265,40 +265,19 @@ def compose_transition(first, second: TransitionMatrix):
 
 
 class AnalyticDensity1D:
-    """Closed-form density: a pdf callable plus exact or quadrature moments."""
+    """Closed-form density: a pdf callable plus its exact mean and variance."""
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray], *, t: float,
-                 mean: float | None = None, variance: float | None = None,
+                 mean: float, variance: float,
                  support: tuple[float, float] = (-math.inf, math.inf)):
         self.pdf = pdf
         self.t = float(t)
         self.support = (float(support[0]), float(support[1]))
-        self._mean = mean if mean is None else float(mean)
-        self._variance = variance if variance is None else float(variance)
+        self.mean = float(mean)
+        self.variance = float(variance)
 
     def __call__(self, s):
         return self.pdf(np.asarray(s, dtype=float))
-
-    def _moment(self, g) -> float:
-        from scipy import integrate
-
-        lo, hi = self.support
-        val, _err = integrate.quad(lambda x: g(x) * float(self.pdf(np.array([x]))[0]),
-                                   lo, hi, limit=200)
-        return val
-
-    @property
-    def mean(self) -> float:
-        if self._mean is None:
-            self._mean = self._moment(lambda x: x)
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self._variance is None:
-            m = self.mean
-            self._variance = self._moment(lambda x: (x - m) ** 2)
-        return self._variance
 
     @property
     def std(self) -> float:
@@ -392,76 +371,31 @@ def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
 # Change of variables
 
 
-def _monotone_derivative(dYdx, x: np.ndarray, where: str) -> np.ndarray:
-    """dYdx at the points x; a zero, non-finite or sign-changing value is a
-    ValueError that names where the points lie."""
-    d = np.asarray([float(dYdx(v)) for v in x])
-    if not np.all(np.isfinite(d)) or np.any(d == 0):
-        raise ValueError(f"dYdx must be finite and nonzero on the {where}")
-    if np.any(np.sign(d) != np.sign(d[0])):
-        raise ValueError(f"map is not monotone: dYdx changes sign on the {where}")
-    return d
-
-
-def _map_endpoint(Y, x: float, fallback: float) -> float:
-    if not math.isfinite(x):
-        return fallback
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = float(Y(x))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return fallback
-    return v if math.isfinite(v) else fallback
-
-
 def change_of_variable(p_x, Y, Y_inv, dYdx):
     """Density of y = Y(x) for a strictly monotone map.
 
-    p_y(y) = p_x(Y_inv(y)) / |dYdx(Y_inv(y))|. Works on AnalyticDensity1D
-    (returns a new analytic density; Y_inv required) and on DensityGrid
-    (transforms the nodes in place; Y_inv unused and may be None).
-    Monotonicity is checked by sampling the sign of dYdx.
+    p_y(y) = p_x(Y_inv(y)) / |dYdx(Y_inv(y))|. Works on a DensityGrid
+    (transforms the nodes; Y_inv unused and may be None) and on a PointMass
+    (moves the center). An AnalyticDensity1D is a TypeError: sample it with
+    on_grid first. Monotonicity is checked by the sign of dYdx at every node.
     """
     if isinstance(p_x, PointMass):
         return PointMass(center=float(Y(p_x.center)), t=p_x.t)
-
-    if isinstance(p_x, DensityGrid):
-        s = p_x.s_values
-        d = _monotone_derivative(dYdx, s, "grid")
-        y = np.asarray([float(Y(x)) for x in s])
-        p = p_x.p_values / np.abs(d)
-        if d[0] < 0:
-            y, p = y[::-1], p[::-1]
-        return DensityGrid(s_values=y, p_values=p, t=p_x.t,
-                           model_hash=p_x.model_hash)
-
-    if not isinstance(p_x, AnalyticDensity1D):
-        raise TypeError("p_x must be an AnalyticDensity1D, DensityGrid or PointMass")
-    if Y_inv is None:
-        raise ValueError("Y_inv is required for analytic densities")
-
-    sign = np.sign(_monotone_derivative(dYdx, p_x.default_grid(129), "support")[0])
-    lo, hi = p_x.support
-
-    a = _map_endpoint(Y, lo, -math.inf if sign > 0 else math.inf)
-    b = _map_endpoint(Y, hi, math.inf if sign > 0 else -math.inf)
-    support_y = (min(a, b), max(a, b))
-
-    src_pdf = p_x.pdf
-
-    def pdf(y):
-        y = np.asarray(y, dtype=float)
-        # endpoint probes can overflow the inverse map; those carry density 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x = np.asarray([float(Y_inv(v)) for v in np.atleast_1d(y)])
-            vals = np.asarray(src_pdf(x), dtype=float)
-            der = np.abs(np.asarray([float(dYdx(v)) for v in x]))
-        vals = np.where(np.isfinite(x) & np.isfinite(vals), vals, 0.0)
-        der = np.where(np.isfinite(der), der, np.inf)
-        out = np.where(der > 0, vals / np.where(der > 0, der, 1.0), 0.0)
-        return out.reshape(y.shape)
-
-    return AnalyticDensity1D(pdf, t=p_x.t, support=support_y)
+    if not isinstance(p_x, DensityGrid):
+        raise TypeError("p_x must be a DensityGrid or PointMass; sample an "
+                        "analytic density with on_grid first")
+    s = p_x.s_values
+    d = np.asarray([float(dYdx(x)) for x in s])
+    if not np.all(np.isfinite(d)) or np.any(d == 0):
+        raise ValueError("dYdx must be finite and nonzero on the grid")
+    if np.any(np.sign(d) != np.sign(d[0])):
+        raise ValueError("map is not monotone: dYdx changes sign on the grid")
+    y = np.asarray([float(Y(x)) for x in s])
+    p = p_x.p_values / np.abs(d)
+    if d[0] < 0:
+        y, p = y[::-1], p[::-1]
+    return DensityGrid(s_values=y, p_values=p, t=p_x.t,
+                       model_hash=p_x.model_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +654,9 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     initial may be a PointMass, an AnalyticDensity1D or a DensityGrid. A
     model whose family has a log-space form (GBM) runs on a log-price grid
     and the result is mapped back, so the returned grid is log-uniform in
-    that case. n_nodes must be an integer >= 5, half_width finite and > 0.
+    that case; an analytic start is first sampled with on_grid(n=n_nodes,
+    half_width=half_width), and a start that reaches S <= 0 is refused.
+    n_nodes must be an integer >= 5, half_width finite and > 0.
     """
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
@@ -734,6 +670,12 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     log_model = None if model.family is None else model.family.log_space()
     if log_model is not None:
         model = log_model
+        if isinstance(initial, AnalyticDensity1D):
+            initial = initial.on_grid(n=n_nodes, half_width=half_width)
+        low = initial.center if isinstance(initial, PointMass) else initial.s_values[0]
+        if not low > 0:
+            raise ValueError("this model needs S > 0; the start reaches "
+                             f"S = {float(low)!r}")
         initial = change_of_variable(initial, np.log, np.exp, lambda s: 1.0 / s)
     start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
     rows, start_hash = _forward_march(model, start, tg)

@@ -128,23 +128,6 @@ def _check_finite_step(S: np.ndarray, step: int, lo: int) -> None:
         raise err
 
 
-def evolve_step(model: ModelSpec, t: float, S, xi, dt: float):
-    """One Euler update. S: (dim,) or (batch, dim); xi: matching noise.
-
-    Returns S + mu*dt + vol*sqrt(dt)*xi as the path simulator computes it;
-    a non-finite result is a NumericalError.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    Sb = np.atleast_2d(np.asarray(S, dtype=float))
-    xb = np.atleast_2d(np.asarray(xi, dtype=float))
-    if Sb.shape[-1] != model.dim or xb.shape[-1] != model.noise_dim:
-        raise ValueError("state/noise dimensions do not match the model")
-    out = _euler_inplace(model, t, Sb, xb, dt, np.sqrt(dt))
-    _check_finite_step(out, 1, 0)
-    return out.reshape(np.shape(S))
-
-
 def _euler_inplace(model: ModelSpec, t: float, S: np.ndarray, xi: np.ndarray,
                    dt: float, sqdt: float) -> np.ndarray:
     """Hot-loop Euler update without per-call validation (S is (batch, dim))."""

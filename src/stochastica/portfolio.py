@@ -1,4 +1,4 @@
-"""Positions, cashflows and deterministic present value.
+"""Cashflows, discount curves and deterministic present value.
 
 Everything here is risk-free arithmetic: continuously compounded
 discounting against a piecewise-constant rate curve, zero-coupon bond
@@ -14,11 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-_POSITION_KINDS = ("spot", "promise")
-# Optionality on a promise is recorded but intentionally never acted on:
-# exercise logic is out of scope, the flag is data only.
-_OPTIONALITY = (None, "holder", "issuer")
 
 
 def _no_bools(key: str, value):
@@ -36,37 +31,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
-
-
-@dataclass(frozen=True, slots=True)
-class Position:
-    """A holding of an asset, either spot or a promise of future delivery.
-
-    ``optionality`` marks whether the holder or the issuer may choose not
-    to deliver; it is stored for bookkeeping and never branched on.
-    """
-
-    asset_id: str
-    quantity: float
-    kind: str = "spot"
-    maturity: float | None = None
-    optionality: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.asset_id, str) or not self.asset_id:
-            raise ValueError("asset_id must be a non-empty string")
-        _require_finite("quantity", self.quantity)
-        if self.kind not in _POSITION_KINDS:
-            raise ValueError(f"kind must be one of {_POSITION_KINDS}")
-        if self.kind == "promise":
-            if self.maturity is None:
-                raise ValueError("a promise needs a maturity")
-            if _require_finite("maturity", self.maturity) < 0:
-                raise ValueError("maturity must be >= 0")
-        elif self.maturity is not None:
-            raise ValueError("spot positions carry no maturity")
-        if self.optionality not in _OPTIONALITY:
-            raise ValueError(f"optionality must be one of {_OPTIONALITY}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -307,7 +307,8 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     payoff alone returns: the strip is priced payoff by payoff, in order,
     so payoffs on one sampler share one simulation through the memo below.
 
-    The model is risk-neutralized internally (recorded in metadata).
+    The model must have dim 1: a payoff reads one asset's state. It is
+    risk-neutralized internally (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
     left endpoints. For plain terminal payoffs under a model of family GBM
     the terminal value is drawn from its exact lognormal law instead of
@@ -329,6 +330,8 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
                              "sequence of them")
         return tuple(pv_mc(model, curve, p, S0, T, dt, n_paths, seed, threads=threads,
                            exact_terminal=exact_terminal) for p in strip)
+    if model.dim != 1:
+        raise ValueError(f"pv_mc prices one asset; the model has dim {model.dim}")
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
     if not T > 0:

@@ -173,43 +173,54 @@ def test_point_mass_on_grid_concentration():
 
 
 def test_change_of_variable_identity():
-    d = density_bm(1.0, 0.0, 0.0, 1.0)
-    same = change_of_variable(d, lambda x: x, lambda y: y, lambda x: np.ones_like(x))
-    x = np.linspace(-3, 3, 13)
-    np.testing.assert_allclose(same(x), d(x), rtol=1e-12)
+    g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
+    same = change_of_variable(g, lambda x: x, lambda y: y, lambda x: np.ones_like(x))
+    np.testing.assert_allclose(same.s_values, g.s_values, rtol=1e-12)
+    np.testing.assert_allclose(same.p_values, g.p_values, rtol=1e-12)
 
 
 def test_change_of_variable_linear_scaling():
-    d = density_bm(1.0, 0.0, 0.0, 1.0)
-    doubled = change_of_variable(d, lambda x: 2 * x, lambda y: 0.5 * y,
+    g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
+    doubled = change_of_variable(g, lambda x: 2 * x, lambda y: 0.5 * y,
                                  lambda x: 2 * np.ones_like(x))
-    assert doubled(np.array([0.0]))[0] == pytest.approx(d(np.array([0.0]))[0] / 2)
+    mid = g.s_values.size // 2
+    assert doubled.s_values[mid] == g.s_values[mid] == 0.0
+    assert doubled.p_values[mid] == pytest.approx(g.p_values[mid] / 2)
     assert doubled.variance == pytest.approx(4.0, rel=1e-6)
 
 
 def test_log_return_of_gbm_is_bm():
     mu, sigma, S0, t = 0.1, 0.3, 20.0, 1.5
-    d = density_gbm(t, S0, mu, sigma)
-    log_ret = change_of_variable(d, lambda s: np.log(s / S0),
+    g = density_gbm(t, S0, mu, sigma).on_grid()
+    log_ret = change_of_variable(g, lambda s: np.log(s / S0),
                                  lambda y: S0 * np.exp(y),
                                  lambda s: 1.0 / s)
     target = density_bm(t, 0.0, mu - 0.5 * sigma ** 2, sigma)
-    x = np.linspace(-1.5, 1.5, 41)
-    np.testing.assert_allclose(log_ret(x), target(x), rtol=1e-9)
+    np.testing.assert_allclose(log_ret.s_values, np.log(g.s_values / S0), rtol=1e-12)
+    np.testing.assert_allclose(log_ret.p_values, target(log_ret.s_values), rtol=1e-9)
 
 
 def test_change_of_variable_roundtrip():
-    d = density_gbm(1.0, 10.0, 0.05, 0.2)
-    fwd = change_of_variable(d, np.log, np.exp, lambda s: 1.0 / s)
+    g = density_gbm(1.0, 10.0, 0.05, 0.2).on_grid()
+    fwd = change_of_variable(g, np.log, np.exp, lambda s: 1.0 / s)
     back = change_of_variable(fwd, np.exp, np.log, np.exp)
-    s = np.linspace(5.0, 20.0, 31)
-    np.testing.assert_allclose(back(s), d(s), rtol=1e-9)
+    np.testing.assert_allclose(back.s_values, g.s_values, rtol=1e-9)
+    np.testing.assert_allclose(back.p_values, g.p_values, rtol=1e-9)
 
 
 def test_change_of_variable_rejects_non_monotone():
-    d = density_bm(1.0, 0.0, 0.0, 1.0)
+    g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
     with pytest.raises(ValueError, match="monotone|nonzero"):
-        change_of_variable(d, lambda x: x ** 2, np.sqrt, lambda x: 2 * x)
+        change_of_variable(g, lambda x: x ** 2, np.sqrt, lambda x: 2 * x)
+    shifted = DensityGrid(s_values=g.s_values + 0.01, p_values=g.p_values, t=g.t)
+    with pytest.raises(ValueError, match="not monotone"):
+        change_of_variable(shifted, lambda x: x ** 2, np.sqrt, lambda x: 2 * x)
+
+
+def test_change_of_variable_asks_to_sample_an_analytic_density():
+    with pytest.raises(TypeError, match="on_grid"):
+        change_of_variable(density_gbm(1.0, 10.0, 0.05, 0.2), np.log, np.exp,
+                           lambda s: 1.0 / s)
 
 
 def test_change_of_variable_point_mass():
@@ -267,6 +278,40 @@ def test_forward_solver_matches_gbm():
     exact = density_gbm(t, S0, mu, sigma)
     assert l1_distance(final.s_values, final.p_values,
                        exact(final.s_values)) < 5e-3
+
+
+@pytest.mark.parametrize("mu, sigma, S0, t0, t1", [
+    (0.05, 0.2, 100.0, 0.5, 1.5),
+    (0.1, 0.4, 20.0, 0.25, 1.0),
+])
+def test_forward_solver_evolves_an_analytic_gbm_start(mu, sigma, S0, t0, t1):
+    # the start is sampled on a grid, mapped to log price and evolved
+    final = evolve_density(make_gbm(mu, sigma), density_gbm(t0, S0, mu, sigma), t1)
+    exact = density_gbm(t1, S0, mu, sigma)
+    assert final.t == pytest.approx(t1)
+    assert l1_distance(final.s_values, final.p_values,
+                       exact(final.s_values)) < 5e-3
+
+
+def _normal_grid(lo, hi, n=401):
+    s = np.linspace(lo, hi, n)
+    return DensityGrid(s_values=s, p_values=np.exp(-0.5 * ((s - 1.0) / 0.2) ** 2)
+                       / (0.2 * math.sqrt(2 * math.pi)), t=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, reached", [
+    (PointMass(center=0.0), 0.0),
+    (PointMass(center=-1.0), -1.0),
+    (_normal_grid(0.0, 2.0), 0.0),
+    (_normal_grid(-1.0, 3.0), -1.0),
+    (density_bm(1.0, 0.5, 0.0, 1.0), -7.5),
+], ids=["point-mass-at-0", "point-mass-below-0", "grid-from-0", "grid-from-below-0",
+        "bm-density"])
+def test_log_space_model_refuses_a_start_at_or_below_zero(start, reached):
+    with pytest.raises(ValueError, match=re.escape(f"needs S > 0; the start "
+                                                   f"reaches S = {reached!r}")):
+        evolve_density(make_gbm(0.05, 0.2), start, start.t + 1.0)
 
 
 def test_forward_solver_rejects_boundary_pileup():

@@ -14,7 +14,6 @@ from stochastica import (
     PathBatch,
     TimeGrid,
     call_payoff,
-    evolve_step,
     expectation,
     export_paths_csv,
     greens_function,
@@ -62,31 +61,33 @@ def test_time_grid_keeps_an_integer_step_count():
 # single step
 
 
-def test_evolve_step_trivial():
-    m = make_bm(0.0, 1.0)
-    s = evolve_step(m, 0.0, np.array([3.0]), np.array([0.0]), 0.25)
-    assert s[0] == 3.0
+def _euler_step(model, t, S, xi, dt):
+    return mc._euler_inplace(model, t, np.array([S]), np.array([xi]), dt, np.sqrt(dt))
 
 
-def test_evolve_step_pure_drift():
-    m = make_bm(1.0, 0.0)
-    s = evolve_step(m, 0.0, np.array([3.0]), np.array([0.7]), 0.5)
-    assert s[0] == pytest.approx(3.5, abs=1e-15)
+def test_euler_step_trivial():
+    s = _euler_step(make_bm(0.0, 1.0), 0.0, [3.0], [0.0], 0.25)
+    assert s[0, 0] == 3.0
 
 
-def test_evolve_step_hand_arithmetic():
+def test_euler_step_pure_drift():
+    s = _euler_step(make_bm(1.0, 0.0), 0.0, [3.0], [0.7], 0.5)
+    assert s[0, 0] == pytest.approx(3.5, abs=1e-15)
+
+
+def test_euler_step_hand_arithmetic():
     # 100 + 0.2 * 100 * sqrt(0.01) * 1 = 102
-    m = make_gbm(0.0, 0.2)
-    s = evolve_step(m, 0.0, np.array([100.0]), np.array([1.0]), 0.01)
-    assert s[0] == pytest.approx(102.0, abs=1e-12)
+    s = _euler_step(make_gbm(0.0, 0.2), 0.0, [100.0], [1.0], 0.01)
+    assert s[0, 0] == pytest.approx(102.0, abs=1e-12)
 
 
-def test_evolve_step_reports_bad_model():
+def test_euler_step_reports_bad_model():
     bad = ModelSpec(dim=1, noise_dim=1,
                     drift=lambda t, s: np.full_like(s, np.nan),
                     vol=lambda t, s: np.ones(s.shape + (1,)))
+    s = _euler_step(bad, 1.25, [2.0], [0.1], 0.1)
     with pytest.raises(NumericalError, match="drift"):
-        evolve_step(bad, 1.25, np.array([2.0]), np.array([0.1]), 0.1)
+        mc._check_finite_step(s, 1, 0)
 
 
 # ---------------------------------------------------------------------------

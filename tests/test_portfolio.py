@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from stochastica import (
     Cashflow,
     DiscountCurve,
-    Position,
     annual_to_continuous,
     continuous_to_annual,
     fixed_loan_coupon,
@@ -181,18 +180,11 @@ def test_pv_deterministic_linearity():
 # types and loaders
 
 
-def test_position_and_cashflow_validation():
-    Position(asset_id="x", quantity=2.0, kind="spot")
-    promise = Position(asset_id="y", quantity=-1.0, kind="promise", maturity=1.5)
-    assert promise.maturity == 1.5
-    with pytest.raises(ValueError):
-        Position(asset_id="x", quantity=float("nan"), kind="spot")
-    with pytest.raises(ValueError):
-        Position(asset_id="x", quantity=1.0, kind="promise", maturity=-1.0)
-    with pytest.raises(ValueError):
-        Position(asset_id="x", quantity=1.0, kind="lease")
+def test_cashflow_validation():
     with pytest.raises(ValueError):
         Cashflow(1.0, -0.5)
+    with pytest.raises(ValueError, match="amount must be finite"):
+        Cashflow(float("nan"), 1.0)
 
 
 def test_curve_validation():

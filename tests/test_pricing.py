@@ -296,6 +296,15 @@ def test_risk_neutralize_correlated_gbm_without_a_family():
     assert est.metadata["sampler"] == "euler-paths"
 
 
+@pytest.mark.parametrize("S0", [100.0, [100.0, 50.0]], ids=["scalar-S0", "vector-S0"])
+def test_pv_mc_refuses_a_multi_asset_model(S0):
+    # asset 0 alone used to be priced, silently, at its Black-Scholes value
+    model = make_correlated_gbm([0.05, 0.05], [0.2, 0.4], [[1.0, 0.5], [0.5, 1.0]])
+    for payoff in (call_payoff(100.0), [call_payoff(100.0), put_payoff(100.0)]):
+        with pytest.raises(ValueError, match="dim 2"):
+            pv_mc(model, DiscountCurve.flat(0.05), payoff, S0, 1.0, 0.25, 1000, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 
