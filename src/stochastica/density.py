@@ -32,6 +32,7 @@ from .models import BM, GBM, ModelSpec, Vasicek, model_hash
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
+_BLOCK = 64               # slices a march stores between two density checks
 
 
 def trapezoid_weights(s: np.ndarray) -> np.ndarray:
@@ -371,13 +372,13 @@ def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
 # Change of variables
 
 
-def change_of_variable(p_x, Y, Y_inv, dYdx):
+def change_of_variable(p_x, Y, dYdx):
     """Density of y = Y(x) for a strictly monotone map.
 
-    p_y(y) = p_x(Y_inv(y)) / |dYdx(Y_inv(y))|. Works on a DensityGrid
-    (transforms the nodes; Y_inv unused and may be None) and on a PointMass
-    (moves the center). An AnalyticDensity1D is a TypeError: sample it with
-    on_grid first. Monotonicity is checked by the sign of dYdx at every node.
+    p_y(Y(x)) = p_x(x) / |dYdx(x)|. Works on a DensityGrid (transforms the
+    nodes) and on a PointMass (moves the center). An AnalyticDensity1D is a
+    TypeError: sample it with on_grid first. Monotonicity is checked by the
+    sign of dYdx at every node.
     """
     if isinstance(p_x, PointMass):
         return PointMass(center=float(Y(p_x.center)), t=p_x.t)
@@ -534,15 +535,20 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     (fully implicit) startup steps. Returns one DensityGrid per grid time,
     the initial condition included.
     """
-    rows, mhash = _forward_march(model, initial, grid)
+    rows = np.empty((grid.n_steps + 1, initial.s_values.size))
+    _, mhash = _forward_march(model, initial, grid, rows)
     return [DensityGrid(s_values=initial.s_values, p_values=p, t=grid.time(m),
                         model_hash=mhash) for m, p in enumerate(rows)]
 
 
-def _forward_march(model: ModelSpec, initial: DensityGrid,
-                   grid: TimeGrid) -> tuple[np.ndarray, str]:
-    """The march as rows (n_steps + 1, n) and their model hash. The density
-    checks run once over all rows; a failing step checks the rows before it
+def _forward_march(model: ModelSpec, initial: DensityGrid, grid: TimeGrid,
+                   rows: np.ndarray) -> tuple[np.ndarray, str]:
+    """The march into rows, from the initial density in row 0; returns the
+    last slice and the model hash. rows holds every slice (n_steps + 1 rows)
+    or a window of _BLOCK + 1, whose rows 1 to _BLOCK each later window
+    reuses once checked, so memory is bounded by the grid, not the step
+    count. The density checks run on each _BLOCK stored slices and on the
+    rest at the end; a failing step checks the window's unchecked slices
     first, so the first error is the one a check per step would raise."""
     if model.dim != 1:
         raise ValueError("forward solver handles one-dimensional models")
@@ -550,7 +556,6 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
     h = _require_uniform(s)
     if abs(initial.t - grid.t0) > 1e-9 * max(1.0, abs(grid.t0)):
         raise ValueError("initial density time must equal grid.t0")
-    rows = np.empty((grid.n_steps + 1, s.size))
     p = rows[0] = initial.p_values
     _require_vanishing_edges(p)
     w = trapezoid_weights(s)
@@ -558,6 +563,7 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
     tv0 = float(np.abs(np.diff(p)).sum())
     mhash = initial.model_hash or model_hash(model)
     coeffs = system = None
+    k = checked = 0     # rows[k] holds the latest slice, rows[checked + 1:k + 1] are unchecked
     for m in range(grid.n_steps):
         try:
             if coeffs is None or not _fixed_maps(model):
@@ -586,11 +592,28 @@ def _forward_march(model: ModelSpec, initial: DensityGrid,
                 raise NumericalError(
                     f"density reached the domain edge at step {m + 1}; widen the grid")
         except (ValueError, NumericalError):
-            _check_densities(s, rows[1:m + 1])   # a bad slice is reported first
+            _check_densities(s, rows[checked + 1:k + 1])   # a bad slice is reported first
             raise
-        rows[m + 1] = p
-    _check_densities(s, rows[1:])
-    return rows, mhash
+        k, checked = _store_slice(s, rows, k, checked, p, m + 1 == grid.n_steps)
+    return rows[k], mhash
+
+
+def _store_slice(s: np.ndarray, rows: np.ndarray, k: int, checked: int,
+                 p: np.ndarray, last: bool) -> tuple[int, int]:
+    """Store slice p of a march on grid s after rows[k], the latest, with
+    rows[checked + 1:k + 1] not yet checked; returns the new k and checked.
+    The unchecked rows are checked when _BLOCK of them are stored and at the
+    last slice. Row 0 holds the start; a full window of _BLOCK + 1 rows is
+    checked, and the next slice goes to row 1 again. The march steps from
+    its own copy of the slice, so it never reads the rows back."""
+    if k + 1 == rows.shape[0]:
+        k = checked = 0
+    k += 1
+    rows[k] = p
+    if k - checked == _BLOCK or last:
+        _check_densities(s, rows[checked + 1:k + 1])
+        checked = k
+    return k, checked
 
 
 def _grid_nodes(n_nodes, half_width) -> int:
@@ -656,7 +679,9 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     and the result is mapped back, so the returned grid is log-uniform in
     that case; an analytic start is first sampled with on_grid(n=n_nodes,
     half_width=half_width), and a start that reaches S <= 0 is refused.
-    n_nodes must be an integer >= 5, half_width finite and > 0.
+    n_nodes must be an integer >= 5, half_width finite and > 0. Only a
+    window of _BLOCK + 1 slices is kept, so memory is O(_BLOCK * n_nodes)
+    whatever n_steps is, and the slices are checked per window.
     """
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
@@ -676,12 +701,13 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
         if not low > 0:
             raise ValueError("this model needs S > 0; the start reaches "
                              f"S = {float(low)!r}")
-        initial = change_of_variable(initial, np.log, np.exp, lambda s: 1.0 / s)
+        initial = change_of_variable(initial, np.log, lambda s: 1.0 / s)
     start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
-    rows, start_hash = _forward_march(model, start, tg)
-    final = DensityGrid(s_values=start.s_values, p_values=rows[-1],
+    window = np.empty((_BLOCK + 1, start.s_values.size))
+    last, start_hash = _forward_march(model, start, tg, window)
+    final = DensityGrid(s_values=start.s_values, p_values=last,
                         t=tg.time(n_steps), model_hash=start_hash)
-    return final if log_model is None else change_of_variable(final, np.exp, np.log, np.exp)
+    return final if log_model is None else change_of_variable(final, np.exp, np.exp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,15 +175,14 @@ def test_point_mass_on_grid_concentration():
 
 def test_change_of_variable_identity():
     g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
-    same = change_of_variable(g, lambda x: x, lambda y: y, lambda x: np.ones_like(x))
+    same = change_of_variable(g, lambda x: x, lambda x: np.ones_like(x))
     np.testing.assert_allclose(same.s_values, g.s_values, rtol=1e-12)
     np.testing.assert_allclose(same.p_values, g.p_values, rtol=1e-12)
 
 
 def test_change_of_variable_linear_scaling():
     g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
-    doubled = change_of_variable(g, lambda x: 2 * x, lambda y: 0.5 * y,
-                                 lambda x: 2 * np.ones_like(x))
+    doubled = change_of_variable(g, lambda x: 2 * x, lambda x: 2 * np.ones_like(x))
     mid = g.s_values.size // 2
     assert doubled.s_values[mid] == g.s_values[mid] == 0.0
     assert doubled.p_values[mid] == pytest.approx(g.p_values[mid] / 2)
@@ -192,9 +192,7 @@ def test_change_of_variable_linear_scaling():
 def test_log_return_of_gbm_is_bm():
     mu, sigma, S0, t = 0.1, 0.3, 20.0, 1.5
     g = density_gbm(t, S0, mu, sigma).on_grid()
-    log_ret = change_of_variable(g, lambda s: np.log(s / S0),
-                                 lambda y: S0 * np.exp(y),
-                                 lambda s: 1.0 / s)
+    log_ret = change_of_variable(g, lambda s: np.log(s / S0), lambda s: 1.0 / s)
     target = density_bm(t, 0.0, mu - 0.5 * sigma ** 2, sigma)
     np.testing.assert_allclose(log_ret.s_values, np.log(g.s_values / S0), rtol=1e-12)
     np.testing.assert_allclose(log_ret.p_values, target(log_ret.s_values), rtol=1e-9)
@@ -202,8 +200,8 @@ def test_log_return_of_gbm_is_bm():
 
 def test_change_of_variable_roundtrip():
     g = density_gbm(1.0, 10.0, 0.05, 0.2).on_grid()
-    fwd = change_of_variable(g, np.log, np.exp, lambda s: 1.0 / s)
-    back = change_of_variable(fwd, np.exp, np.log, np.exp)
+    fwd = change_of_variable(g, np.log, lambda s: 1.0 / s)
+    back = change_of_variable(fwd, np.exp, np.exp)
     np.testing.assert_allclose(back.s_values, g.s_values, rtol=1e-9)
     np.testing.assert_allclose(back.p_values, g.p_values, rtol=1e-9)
 
@@ -211,21 +209,20 @@ def test_change_of_variable_roundtrip():
 def test_change_of_variable_rejects_non_monotone():
     g = density_bm(1.0, 0.0, 0.0, 1.0).on_grid()
     with pytest.raises(ValueError, match="monotone|nonzero"):
-        change_of_variable(g, lambda x: x ** 2, np.sqrt, lambda x: 2 * x)
+        change_of_variable(g, lambda x: x ** 2, lambda x: 2 * x)
     shifted = DensityGrid(s_values=g.s_values + 0.01, p_values=g.p_values, t=g.t)
     with pytest.raises(ValueError, match="not monotone"):
-        change_of_variable(shifted, lambda x: x ** 2, np.sqrt, lambda x: 2 * x)
+        change_of_variable(shifted, lambda x: x ** 2, lambda x: 2 * x)
 
 
 def test_change_of_variable_asks_to_sample_an_analytic_density():
     with pytest.raises(TypeError, match="on_grid"):
-        change_of_variable(density_gbm(1.0, 10.0, 0.05, 0.2), np.log, np.exp,
-                           lambda s: 1.0 / s)
+        change_of_variable(density_gbm(1.0, 10.0, 0.05, 0.2), np.log, lambda s: 1.0 / s)
 
 
 def test_change_of_variable_point_mass():
     pm = PointMass(center=4.0, t=0.0)
-    out = change_of_variable(pm, lambda x: np.log(x), np.exp, lambda x: 1 / x)
+    out = change_of_variable(pm, lambda x: np.log(x), lambda x: 1 / x)
     assert isinstance(out, PointMass)
     assert out.center == pytest.approx(math.log(4.0))
 
@@ -235,8 +232,7 @@ def test_change_of_variable_on_grid_density():
     var = 0.25
     p = np.exp(-0.5 * (s - 5.0) ** 2 / var) / math.sqrt(2 * math.pi * var)
     g = DensityGrid(s_values=s, p_values=p, t=0.0)
-    flipped = change_of_variable(g, lambda x: -x, lambda y: -y,
-                                 lambda x: -np.ones_like(x))
+    flipped = change_of_variable(g, lambda x: -x, lambda x: -np.ones_like(x))
     assert isinstance(flipped, DensityGrid)
     assert flipped.mean == pytest.approx(-5.0, abs=1e-9)
     assert flipped.mass == pytest.approx(1.0, abs=1e-9)
@@ -631,30 +627,135 @@ def test_marches_evaluate_fixed_maps_once_and_others_every_step(kind):
 @pytest.mark.parametrize("fault, message", [
     ("mass", r"density mass 0\.9988"), ("nan", "density values must be finite")])
 def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypatch):
-    # slice 4 fails the density checks only; the march goes on until a
-    # later step fails, and the error is still slice 4's
+    # slice f + 4 fails the density checks only; the march goes on until a
+    # later step fails, and the error is still slice f + 4's, whether the
+    # fault lies in the first window of checked slices (f = 0) or a later one
     model = make_bm(0.0, 0.5)
     s = np.linspace(-4.0, 4.0, 201)
-    w = trapezoid_weights(s)
     start = point_mass_on_grid(s, 0.0)
     initial = DensityGrid(s_values=s, p_values=0.9995 * start.p_values, t=0.0)
-    real_step = _ThetaSystem.step
+    grids = []
+    real_uniform, real_step = density._require_uniform, _ThetaSystem.step
+
+    def require_uniform(grid):
+        grids.append(grid)      # the grid the march runs on
+        return real_uniform(grid)
 
     def step(self, u, m, source=None):
         x = real_step(self, u, m, source)
-        if m == 3 and fault == "mass":
-            x *= 0.9988 / float(np.sum(w * x))     # 7e-4 from the start's mass
-        if m == 4 and fault == "mass":
-            x *= 0.9986 / float(np.sum(w * x))     # slice 5 fails too
-        if m == 3 and fault == "nan":
-            x[s.size // 2] = np.nan
-        if m == 6:
-            x[s.size // 2] = -1.0                  # a NumericalError at step 7
+        w = trapezoid_weights(grids[-1])
+        if m == f + 3 and fault == "mass":
+            x *= 0.99881 / float(np.sum(w * x))    # 6.9e-4 from the start's mass,
+            # so that every summation order prints the mass as 0.9988...
+        if m == f + 4 and fault == "mass":
+            x *= 0.9986 / float(np.sum(w * x))     # slice f + 5 fails too
+        if m == f + 3 and fault == "nan":
+            x[x.size // 2] = np.nan
+        if m == f + 6:
+            x[x.size // 2] = -1.0                  # a NumericalError at step f + 7
         return x
 
+    monkeypatch.setattr(density, "_require_uniform", require_uniform)
     monkeypatch.setattr(_ThetaSystem, "step", step)
-    with pytest.raises(ValueError, match=message):
-        fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, 10))
+    for f in (0, density._BLOCK + 5):
+        n = f + 10
+        with pytest.raises(ValueError, match=message):
+            fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, n))
+        with pytest.raises(ValueError, match=message):
+            evolve_density(model, initial, 0.01 * n, n_steps=n, n_nodes=s.size)
+
+
+_B = density._BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_windowed_marches_equal_every_slice_bit_for_bit(n_steps):
+    # evolve_density keeps a window of _BLOCK + 1 slices; its last slice is
+    # the last of the march that keeps every slice, across window edges
+    model, S0, T = make_bm(0.1, 0.3), 0.2, 0.5
+    s = density.default_domain(model, S0, T, 201)
+    start = point_mass_on_grid(s, S0)
+    final = evolve_density(model, PointMass(center=S0), T, n_steps=n_steps,
+                           n_nodes=s.size)
+    every = fokker_planck_forward(model, start, TimeGrid(0.0, T / n_steps, n_steps))
+    assert len(every) == n_steps + 1
+    assert np.array_equal(final.s_values, s)
+    assert np.array_equal(final.p_values, every[-1].p_values)
+    assert final.t == every[-1].t
+
+
+@pytest.mark.parametrize("bad", [1, _B, _B + 1, 2 * _B + 3])
+def test_windowed_marches_check_every_slice(bad, monkeypatch):
+    # only slice `bad` fails the density checks and no guard trips: every
+    # march still reports it, wherever it lies among its windows
+    n = 2 * _B + 3
+    model = dataclasses.replace(make_bm(0.0, 0.5), risk_neutral=True)
+    s = np.linspace(-4.0, 4.0, 201)
+    start = point_mass_on_grid(s, 0.0)
+    initial = DensityGrid(s_values=s, p_values=0.9995 * start.p_values, t=0.0)
+    real_step, real_apply = _ThetaSystem.step, pathintegral.quadrature_apply
+    applied, scale = [], []
+
+    def fault(x, k):    # slice k has mass 0.99881, 6.9e-4 from the start's; k + 1 is restored
+        if k == bad:
+            x *= scale[0]
+        if k == bad + 1:
+            x /= scale[0]
+        return x
+
+    def step(self, u, m, source=None):
+        return fault(real_step(self, u, m, source), m + 1)
+
+    def apply(w, p, matrix):
+        applied.append(1)
+        return fault(real_apply(w, p, matrix), len(applied))
+
+    monkeypatch.setattr(_ThetaSystem, "step", step)
+    monkeypatch.setattr(pathintegral, "quadrature_apply", apply)
+    marches = {  # start mass, march
+        "fokker_planck_forward": (0.9995, lambda: fokker_planck_forward(
+            model, initial, TimeGrid(0.0, 0.5 / n, n))),
+        "evolve_density": (0.9995, lambda: evolve_density(
+            model, initial, 0.5, n_steps=n, n_nodes=s.size)),
+        "propagate": (0.9995, lambda: propagate(
+            one_step_kernel(model, 0.0, 0.5 / n), initial, n)),
+        # the lattice's slice k + 1 is step k from the unit-mass kernel row
+        "greens_function": (1.0, lambda: greens_function(
+            model, DiscountCurve.flat(0.0), 0.0, 0.0, 0.5 / n * (n + 1), 0.5 / n,
+            n_nodes=s.size)),
+    }
+    for name, (mass, march) in marches.items():
+        applied.clear()
+        scale[:] = [0.99881 / mass]
+        with pytest.raises(ValueError, match=r"density mass 0\.9988"):
+            march()
+
+
+def _traced_peak(run) -> int:
+    run()   # first-use imports and caches are not the march's memory
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_slice_routes_hold_memory_bounded_by_the_grid():
+    # propagate and evolve_density return one slice: ten times the steps
+    # must not cost ten times the memory
+    model = make_bm(0.0, 1.0)
+    s = np.linspace(-12.0, 12.0, 401)
+    routes = {
+        "propagate": lambda n: propagate(one_step_kernel(model, 0.0, 1.0 / n),
+                                         point_mass_on_grid(s, 0.0), n),
+        "evolve_density": lambda n: evolve_density(model, PointMass(center=0.0), 1.0,
+                                                   n_steps=n, n_nodes=s.size),
+    }
+    for name, route in routes.items():
+        short = _traced_peak(lambda: route(200))
+        long = _traced_peak(lambda: route(2000))
+        assert long <= 1.5 * short, (name, short, long)
 
 
 # ---------------------------------------------------------------------------

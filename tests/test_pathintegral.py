@@ -24,7 +24,8 @@ from stochastica import (
     propagate,
     risk_neutralize,
 )
-from stochastica.density import TransitionMatrix, quadrature_apply, trapezoid_weights
+from stochastica import pathintegral
+from stochastica.density import _BLOCK, TransitionMatrix, quadrature_apply, trapezoid_weights
 from stochastica.pathintegral import _WINDOW_STD
 
 
@@ -291,6 +292,45 @@ def test_propagate_aborts_when_grid_too_narrow():
     k = one_step_kernel(make_bm(0.0, 1.0), 0.0, 1.0 / 32)
     with pytest.raises(NumericalError, match="narrow"):
         propagate(k, initial, 32)
+
+
+def test_leak_abort_reports_an_earlier_bad_slice_of_its_window(monkeypatch):
+    # the grid is too narrow: the leak aborts the march in its second window
+    # of checked slices, and a slice of that window that fails the density
+    # checks before the abort is still the error reported
+    s = np.linspace(-1.5, 1.5, 301)
+    k = one_step_kernel(make_bm(0.0, 1.0), 0.0, 1.0 / 400)
+    start = point_mass_on_grid(s, 0.0)
+    with pytest.raises(NumericalError, match=r"narrow") as clean:
+        propagate(k, start, 400)
+    abort = int(str(clean.value).split("by step ")[1].split(";")[0])
+    assert _BLOCK + 20 < abort <= 2 * _BLOCK
+    real_apply, calls = pathintegral.quadrature_apply, []
+
+    def apply(w, p, matrix):
+        calls.append(1)
+        q = real_apply(w, p, matrix)
+        return 0.99851 * q if len(calls) == _BLOCK + 20 else q   # mass 0.9985...
+
+    monkeypatch.setattr(pathintegral, "quadrature_apply", apply)
+    with pytest.raises(ValueError, match=r"density mass 0\.9985"):
+        propagate(k, start, 400)
+    assert len(calls) == abort - 1
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_propagate_equals_a_plain_quadrature_loop_across_windows(n_steps):
+    # propagate keeps a window of _BLOCK + 1 slices; its result is the last
+    # of a loop that keeps them all
+    s = np.linspace(-2.0, 2.2, 401)
+    w = trapezoid_weights(s)
+    initial = point_mass_on_grid(s, 0.1)
+    k = one_step_kernel(make_bm(0.1, 0.3), 0.0, 1.0 / 256)
+    tm = kernel_matrix(k, 0.0, s)
+    p = initial.p_values
+    for _ in range(n_steps):
+        p = quadrature_apply(w, p, tm.matrix)
+    assert np.array_equal(propagate(k, initial, n_steps).p_values, p)
 
 
 def test_propagate_input_validation():
