@@ -9,6 +9,7 @@ one gttrs solve a step, factored (LAPACK gttrf) at most once per theta, the
 bits of solve_banded on the one-solve right-hand side. Each solver builds
 its own coefficients and runs its own checks; the forward and backward
 solvers rebuild only when mu or sigma on the grid change, bit for bit.
+The forward march checks each density slice as it makes it.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -32,7 +33,6 @@ from .models import BM, GBM, ModelSpec, Vasicek, model_hash
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
-_BLOCK = 64               # slices a march stores between two density checks
 
 
 def trapezoid_weights(s: np.ndarray) -> np.ndarray:
@@ -49,34 +49,28 @@ def trapezoid_weights(s: np.ndarray) -> np.ndarray:
 # Grid densities
 
 
-def _check_densities(s: np.ndarray, p: np.ndarray) -> None:
-    """The checks of a density on grid s, for one slice p of shape (n,) or
-    for stacked slices (k, n) at once: values finite, no value below
-    -_NEG_CLAMP of its slice's peak, trapezoid mass within _MASS_TOL of 1.
-    Negatives that pass are zeroed in place. A failure is reported for the
-    first failing slice, by the first check it fails, as a lone check of
-    that slice would report it.
+def _check_densities(s: np.ndarray, p: np.ndarray, w: np.ndarray | None = None) -> None:
+    """The checks of a density p on grid s, whose trapezoid weights w are
+    built when not given, in this order: values finite, no value below
+    -_NEG_CLAMP of the peak, trapezoid mass (negatives left out) within
+    _MASS_TOL of 1. Negatives that pass are zeroed in place.
     """
-    rows = np.atleast_2d(p)
-    with np.errstate(invalid="ignore"):
-        nonfinite = ~np.isfinite(rows).all(axis=1)
-        peak = rows.max(axis=1, initial=0.0, keepdims=True)
-        bad = rows < -_NEG_CLAMP * np.maximum(peak, 1e-300)
-        negative = bad.any(axis=1)
-        mass = (trapezoid_weights(s) * np.where(rows < 0, 0.0, rows)).sum(axis=1)
-        off = np.abs(mass - 1.0) > _MASS_TOL
-    failing = np.flatnonzero(nonfinite | negative | off)
-    if failing.size:
-        k = failing[0]
-        if nonfinite[k]:
-            raise ValueError("density values must be finite")
-        if negative[k]:
-            j = np.flatnonzero(bad[k])[0]
+    if w is None:
+        w = trapezoid_weights(s)
+    mass = float(np.sum(w * p))
+    # the weights are > 0, so a value that is not finite makes the mass so
+    if not math.isfinite(mass) and not np.isfinite(p).all():
+        raise ValueError("density values must be finite")
+    if float(p.min()) < 0:
+        bad = np.flatnonzero(p < -_NEG_CLAMP * max(float(p.max()), 1e-300))
+        if bad.size:
             raise ValueError(
-                f"density is negative at S={s[j]!r} (value {rows[k, j]!r})")
+                f"density is negative at S={s[bad[0]]!r} (value {p[bad[0]]!r})")
+        p[p < 0] = 0.0
+        mass = float(np.sum(w * p))
+    if abs(mass - 1.0) > _MASS_TOL:
         raise ValueError(
-            f"density mass {float(mass[k])!r} outside [1-{_MASS_TOL}, 1+{_MASS_TOL}]")
-    rows[rows < 0] = 0.0
+            f"density mass {mass!r} outside [1-{_MASS_TOL}, 1+{_MASS_TOL}]")
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,9 @@ class DensityGrid:
         if np.any(np.diff(s) <= 0):
             raise ValueError("grid must be strictly increasing")
         _check_densities(s, p)
-        s = s.copy()
+        # a read-only grid that owns its memory, as a DensityGrid's, is shared
+        if s.flags.writeable or not s.flags.owndata:
+            s = s.copy()
         for arr in (s, p):
             arr.setflags(write=False)
         object.__setattr__(self, "s_values", s)
@@ -181,6 +177,8 @@ class TransitionMatrix:
         m = self.matrix if sparse else np.asarray(self.matrix, dtype=float)
         if m.shape != (src.size, tgt.size):
             raise ValueError("matrix shape must be (n_source, n_target)")
+        if not np.isfinite(m.data if sparse else m).all():
+            raise ValueError("transition weights must be finite")
         if np.any((m.data if sparse else m) < 0):
             raise ValueError("transition weights must be >= 0")
         masses = m @ trapezoid_weights(tgt)
@@ -533,87 +531,60 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     Conservative exponential-fitted flux discretization, zero flux through
     the domain edges, trapezoidal-rule-in-time stepping with two damped
     (fully implicit) startup steps. Returns one DensityGrid per grid time,
-    the initial condition included.
+    the initial condition included, each built as the march yields its
+    slice; all of them share the initial density's grid.
     """
-    rows = np.empty((grid.n_steps + 1, initial.s_values.size))
-    _, mhash = _forward_march(model, initial, grid, rows)
+    mhash = initial.model_hash or model_hash(model)
     return [DensityGrid(s_values=initial.s_values, p_values=p, t=grid.time(m),
-                        model_hash=mhash) for m, p in enumerate(rows)]
+                        model_hash=mhash)
+            for m, p in enumerate(_forward_march(model, initial, grid))]
 
 
-def _forward_march(model: ModelSpec, initial: DensityGrid, grid: TimeGrid,
-                   rows: np.ndarray) -> tuple[np.ndarray, str]:
-    """The march into rows, from the initial density in row 0; returns the
-    last slice and the model hash. rows holds every slice (n_steps + 1 rows)
-    or a window of _BLOCK + 1, whose rows 1 to _BLOCK each later window
-    reuses once checked, so memory is bounded by the grid, not the step
-    count. The density checks run on each _BLOCK stored slices and on the
-    rest at the end; a failing step checks the window's unchecked slices
-    first, so the first error is the one a check per step would raise."""
+def _forward_march(model: ModelSpec, initial: DensityGrid, grid: TimeGrid):
+    """Yield the march's slices: the initial density's values, then each
+    step's slice, density-checked right after the step's own guards, so the
+    first error raised is that of the earliest failing step."""
     if model.dim != 1:
         raise ValueError("forward solver handles one-dimensional models")
     s = initial.s_values
     h = _require_uniform(s)
     if abs(initial.t - grid.t0) > 1e-9 * max(1.0, abs(grid.t0)):
         raise ValueError("initial density time must equal grid.t0")
-    p = rows[0] = initial.p_values
+    p = initial.p_values
     _require_vanishing_edges(p)
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     tv0 = float(np.abs(np.diff(p)).sum())
-    mhash = initial.model_hash or model_hash(model)
+    yield p
     coeffs = system = None
-    k = checked = 0     # rows[k] holds the latest slice, rows[checked + 1:k + 1] are unchecked
     for m in range(grid.n_steps):
-        try:
-            if coeffs is None or not _fixed_maps(model):
-                new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
-                if not _same_arrays(new, coeffs):
-                    coeffs = new
-                    system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
-            p = system.step(p, m)
-            peak = float(p.max())
-            if float(p.min()) < -1e-6 * peak:
-                raise NumericalError(
-                    f"solution went negative at step {m + 1}: the advection is "
-                    f"under-resolved; retry with dt <= {grid.dt / 4:.6g}")
-            p[p < 0] = 0.0
-            tv = float(np.abs(np.diff(p)).sum())
-            if tv > 10.0 * tv0 and tv > 1e-9:
-                raise NumericalError(
-                    f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
-                    f"{m + 1}: unstable resolution; retry with dt <= {grid.dt / 4:.6g}")
-            mass = float(np.sum(w * p))
-            if abs(mass - mass0) > _MASS_TOL:
-                raise NumericalError(
-                    f"mass drifted to {mass!r} at step {m + 1}; the domain or "
-                    "resolution cannot represent this evolution")
-            if max(p[0], p[-1]) > 1e-3 * peak:
-                raise NumericalError(
-                    f"density reached the domain edge at step {m + 1}; widen the grid")
-        except (ValueError, NumericalError):
-            _check_densities(s, rows[checked + 1:k + 1])   # a bad slice is reported first
-            raise
-        k, checked = _store_slice(s, rows, k, checked, p, m + 1 == grid.n_steps)
-    return rows[k], mhash
-
-
-def _store_slice(s: np.ndarray, rows: np.ndarray, k: int, checked: int,
-                 p: np.ndarray, last: bool) -> tuple[int, int]:
-    """Store slice p of a march on grid s after rows[k], the latest, with
-    rows[checked + 1:k + 1] not yet checked; returns the new k and checked.
-    The unchecked rows are checked when _BLOCK of them are stored and at the
-    last slice. Row 0 holds the start; a full window of _BLOCK + 1 rows is
-    checked, and the next slice goes to row 1 again. The march steps from
-    its own copy of the slice, so it never reads the rows back."""
-    if k + 1 == rows.shape[0]:
-        k = checked = 0
-    k += 1
-    rows[k] = p
-    if k - checked == _BLOCK or last:
-        _check_densities(s, rows[checked + 1:k + 1])
-        checked = k
-    return k, checked
+        if coeffs is None or not _fixed_maps(model):
+            new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
+            if not _same_arrays(new, coeffs):
+                coeffs = new
+                system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
+        p = system.step(p, m)
+        peak = float(p.max())
+        if float(p.min()) < -1e-6 * peak:
+            raise NumericalError(
+                f"solution went negative at step {m + 1}: the advection is "
+                f"under-resolved; retry with dt <= {grid.dt / 4:.6g}")
+        p[p < 0] = 0.0
+        tv = float(np.abs(np.diff(p)).sum())
+        if tv > 10.0 * tv0 and tv > 1e-9:
+            raise NumericalError(
+                f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
+                f"{m + 1}: unstable resolution; retry with dt <= {grid.dt / 4:.6g}")
+        mass = float(np.sum(w * p))
+        if abs(mass - mass0) > _MASS_TOL:
+            raise NumericalError(
+                f"mass drifted to {mass!r} at step {m + 1}; the domain or "
+                "resolution cannot represent this evolution")
+        if max(p[0], p[-1]) > 1e-3 * peak:
+            raise NumericalError(
+                f"density reached the domain edge at step {m + 1}; widen the grid")
+        _check_densities(s, p, w)
+        yield p
 
 
 def _grid_nodes(n_nodes, half_width) -> int:
@@ -679,9 +650,9 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     and the result is mapped back, so the returned grid is log-uniform in
     that case; an analytic start is first sampled with on_grid(n=n_nodes,
     half_width=half_width), and a start that reaches S <= 0 is refused.
-    n_nodes must be an integer >= 5, half_width finite and > 0. Only a
-    window of _BLOCK + 1 slices is kept, so memory is O(_BLOCK * n_nodes)
-    whatever n_steps is, and the slices are checked per window.
+    n_nodes must be an integer >= 5, half_width finite and > 0. Only the
+    latest slice is kept, so memory is O(n_nodes) whatever n_steps is; each
+    slice is checked as the march makes it.
     """
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
@@ -703,10 +674,10 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
                              f"S = {float(low)!r}")
         initial = change_of_variable(initial, np.log, lambda s: 1.0 / s)
     start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
-    window = np.empty((_BLOCK + 1, start.s_values.size))
-    last, start_hash = _forward_march(model, start, tg, window)
-    final = DensityGrid(s_values=start.s_values, p_values=last,
-                        t=tg.time(n_steps), model_hash=start_hash)
+    for last in _forward_march(model, start, tg):
+        pass
+    final = DensityGrid(s_values=start.s_values, p_values=last, t=tg.time(n_steps),
+                        model_hash=start.model_hash or model_hash(model))
     return final if log_model is None else change_of_variable(final, np.exp, np.exp)
 
 
@@ -741,6 +712,8 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
         raise ValueError("t1 must exceed t0")
     n_steps = _int_at_least("n_steps", n_steps, 1)
     s = np.asarray(s_values, dtype=float)
+    if s.ndim != 1 or s.size < 3 or not np.all(np.diff(s) > 0):
+        raise ValueError("s_values must be a strictly increasing grid of >= 3 nodes")
     h = _require_uniform(s)
     u = np.asarray(terminal(s) if callable(terminal) else terminal, dtype=float)
     if u.shape != s.shape:

@@ -9,10 +9,9 @@ on first use), and each lattice step is one sparse product through
 density.quadrature_apply. Kernel rows are normalized on the working grid,
 so each propagation step conserves mass exactly; the mass removed by
 window truncation is tracked as boundary leak. A kernel matrix is rebuilt
-only when mu or sigma on the grid change. The march checks its slices per
-block of density._BLOCK as it stores them; propagate, which returns one
-slice, keeps a window of _BLOCK + 1, so its memory is O(_BLOCK * n) in the
-grid size n and does not grow with the step count.
+only when mu or sigma on the grid change. The march checks each slice as
+it makes it; propagate, which returns one slice, keeps only the latest, so
+its memory is O(n) in the grid size n and does not grow with the step count.
 
 A model whose family has a log-space form (GBM) propagates on a log-price
 lattice where the kernel is translation invariant; results are reported on
@@ -31,8 +30,8 @@ from .errors import DegenerateKernelError, NumericalError
 from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and_se, _step_count
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
-                      _BLOCK, _check_densities, _fixed_maps, _grid_nodes,
-                      _require_vanishing_edges, _same_arrays, _store_slice)
+                      _check_densities, _fixed_maps, _grid_nodes,
+                      _require_vanishing_edges, _same_arrays)
 from .models import ModelSpec, model_hash
 from .portfolio import DiscountCurve
 
@@ -146,24 +145,15 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
 
 
 def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
-                        rows: np.ndarray, n_steps: int) -> np.ndarray:
-    """Take n_steps lattice steps from rows[0], the density on grid s at time
-    t0, and return the last slice. rows holds every slice (n_steps + 1 rows)
-    or a window of _BLOCK + 1, whose rows 1 to _BLOCK each later window
-    reuses once checked. The density checks run on each _BLOCK stored slices
-    and on the rest at the end.
-
-    Aborts when the cumulative mass truncated at the grid edges exceeds 1%,
-    after checking the window's unchecked slices, so that a bad slice is
-    reported first.
-    """
-    p = rows[0]
+                        p: np.ndarray, n_steps: int):
+    """Yield the n_steps lattice steps from p, the density on grid s at time
+    t0, each slice density-checked as it is made; aborts when the cumulative
+    mass truncated at the grid edges exceeds 1%."""
     _require_vanishing_edges(p)
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     leak = 0.0
     coeffs = None
-    k = checked = 0     # rows[k] holds the latest slice, rows[checked + 1:k + 1] are unchecked
     for m in range(n_steps):
         t_m = t0 + m * kernel.dt
         if coeffs is None or not _fixed_maps(kernel.model):
@@ -174,13 +164,12 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
                 leak_weights = w * (1.0 - tm.raw_row_mass)
         leak += float(leak_weights @ p) / mass0
         if leak > _LEAK_LIMIT:
-            _check_densities(s, rows[checked + 1:k + 1])   # a bad slice is reported first
             raise NumericalError(
                 f"boundary leak reached {leak:.3%} of the mass by step {m + 1}; "
                 "the grid is too narrow for this horizon")
         p = quadrature_apply(w, p, tm.matrix)
-        k, checked = _store_slice(s, rows, k, checked, p, m + 1 == n_steps)
-    return rows[k]
+        _check_densities(s, p, w)
+        yield p
 
 
 def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
@@ -188,16 +177,16 @@ def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
     """Apply the kernel quadrature n_steps times to a grid density.
 
     n_steps = 0 returns the initial density unchanged. Aborts when the
-    cumulative mass truncated at the grid edges exceeds 1%. Only a window
-    of _BLOCK + 1 slices is kept, so memory is O(_BLOCK * n) whatever
-    n_steps is, and the slices are checked per window.
+    cumulative mass truncated at the grid edges exceeds 1%. Only the latest
+    slice is kept, so memory is O(n) whatever n_steps is; each slice is
+    checked as it is made.
     """
     n_steps = _int_at_least("n_steps", n_steps, 0)
     if n_steps == 0:
         return initial
-    window = np.empty((_BLOCK + 1, initial.s_values.size))
-    window[0] = initial.p_values
-    last = _propagate_sequence(kernel, initial.s_values, initial.t, window, n_steps)
+    for last in _propagate_sequence(kernel, initial.s_values, initial.t,
+                                    initial.p_values, n_steps):
+        pass
     # t_{n-1} + dt, as the step loop counts time, not t0 + n*dt
     t_last = initial.t + (n_steps - 1) * kernel.dt + kernel.dt
     return DensityGrid(s_values=initial.s_values, p_values=last, t=t_last,
@@ -253,7 +242,8 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
 
     The model must already carry the risk-neutral drift (the caller
     applies risk_neutralize); this function only discounts. n_nodes must
-    be an integer >= 5 and half_width finite and positive.
+    be an integer >= 5 and half_width finite and positive. Each slice is
+    checked as it is made and stored in transition.
     """
     if not model.risk_neutral:
         raise ValueError(
@@ -266,6 +256,8 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
 
     log_model = None if model.family is None else model.family.log_space()
     log_coords = log_model is not None
+    if log_coords and not S0 > 0:
+        raise ValueError(f"this model needs S > 0; S0 = {float(S0)!r}")
     work_model = log_model if log_coords else model
     x0 = math.log(S0) if log_coords else float(S0)
     grid = default_domain(work_model, x0, t - t0, n_nodes, half_width)
@@ -283,9 +275,11 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     transition = np.empty((n_steps + 1, grid.size))
     transition[0] = start.p_values
     transition[1] = row / row_mass
-    _check_densities(grid, transition[1])
+    _check_densities(grid, transition[1], w)
     if n_steps > 1:
-        _propagate_sequence(kernel, grid, t0 + dt, transition[1:], n_steps - 1)
+        for m, p in enumerate(_propagate_sequence(kernel, grid, t0 + dt, transition[1],
+                                                  n_steps - 1), 2):
+            transition[m] = p
 
     times = t0 + dt * np.arange(n_steps + 1)
     discounts = np.asarray([curve.discount(t0, tm) for tm in times])

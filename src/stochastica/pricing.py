@@ -431,7 +431,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     n_nodes = _grid_nodes(n_nodes, half_width)
     sig_fn = _resolve_sigma(sigma)
     sig0 = float(np.max(sig_fn(0.0, np.asarray([S0]))))
-    if sig0 <= 0:
+    if not sig0 > 0:
         raise ValueError("sigma must be positive at the spot")
     width = half_width * sig0 * math.sqrt(T) + abs(r - 0.5 * sig0 ** 2) * T
     h = 2 * width / (n_nodes - 1)

@@ -713,6 +713,14 @@ def test_closed_form_price_routes_need_the_gbm_family(tmp_path, capsys, method,
         in capsys.readouterr().err
 
 
+def test_green_price_of_a_log_space_family_at_a_zero_spot_exits_2_naming_s0(tmp_path,
+                                                                          capsys):
+    # it exited 2 printing "math domain error"
+    cfg = write_config(tmp_path, "green.json", dict(GBM_PRICE_DOC, S0=0.0, method="green"))
+    assert main(["price", "--config", cfg]) == 2
+    assert "needs S > 0; S0 = 0.0" in capsys.readouterr().err
+
+
 def test_pde_strike_next_to_the_spot_is_priced(tmp_path):
     # the snapped grid refused a strike within half a cell of the spot
     cfg = write_config(tmp_path, "pde.json", dict(

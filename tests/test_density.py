@@ -123,38 +123,43 @@ def test_density_grid_validation():
         DensityGrid(s_values=s, p_values=bad, t=1.0)
 
 
-def test_stacked_density_checks_report_the_first_bad_slice():
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_one_slice_density_check_reports_as_density_grid():
+    # a march passes its grid's weights; the message is the one the rebuilt
+    # weights and DensityGrid give, checks in the order finite, sign, mass
     s = np.linspace(-4, 4, 201)
+    w = trapezoid_weights(s)
     p = np.exp(-0.5 * s * s) / math.sqrt(2 * math.pi)
+    cases = [("density values must be finite", [(7, np.nan), (150, -0.1)]),
+             ("density values must be finite", [(3, -np.inf)]),
+             ("density is negative at S=", [(150, -0.1), (None, 2.0)]),
+             ("density mass 1.999", [(None, 2.0)]),
+             # -0.1 is within the clamp of a 1e300 peak: left out of the mass
+             ("density mass 4.0", [(150, -0.1), (160, 1e300)]),
+             ("density mass inf", [(slice(None), 1.7e308)])]   # finite, but the mass overflows
+    for message, faults in cases:
+        bad = p.copy()
+        for j, v in faults:
+            if j is None:
+                bad *= v
+            else:
+                bad[j] = v
+        errors = []
+        for check in (lambda q: _check_densities(s, q, w), lambda q: _check_densities(s, q),
+                      lambda q: DensityGrid(s_values=s, p_values=q, t=0.0)):
+            with pytest.raises(ValueError) as err:
+                check(bad.copy())
+            errors.append(str(err.value))
+        assert errors[0].startswith(message), errors
+        assert errors[0] == errors[1] == errors[2]
+    # negatives within the clamp are zeroed in place, as DensityGrid does
     tiny_negative = p.copy()
     tiny_negative[0] = -1e-15
-    negative = p.copy()
-    negative[150] = -0.1
-    nonfinite = p.copy()
-    nonfinite[7] = np.nan
-    for rows in ([p, negative, nonfinite, 2 * p], [p, 2 * p, negative],
-                 [tiny_negative, nonfinite, negative]):
-        stacked = np.array(rows)
-        bad = next(r for r in rows if not _lone_check_passes(s, r))
-        with pytest.raises(ValueError) as lone:
-            DensityGrid(s_values=s, p_values=bad, t=0.0)
-        with pytest.raises(ValueError) as together:
-            _check_densities(s, stacked)
-        assert str(together.value) == str(lone.value)
-    # negatives within the clamp are zeroed in place, as DensityGrid does
-    stacked = np.array([p, tiny_negative])
-    _check_densities(s, stacked)
-    assert stacked[1, 0] == 0.0
-    assert np.array_equal(stacked[1],
+    checked = tiny_negative.copy()
+    _check_densities(s, checked, w)
+    assert checked[0] == 0.0
+    assert np.array_equal(checked,
                           DensityGrid(s_values=s, p_values=tiny_negative, t=0.0).p_values)
-
-
-def _lone_check_passes(s, p):
-    try:
-        DensityGrid(s_values=s, p_values=p, t=0.0)
-    except ValueError:
-        return False
-    return True
 
 
 def test_point_mass_on_grid_concentration():
@@ -627,9 +632,9 @@ def test_marches_evaluate_fixed_maps_once_and_others_every_step(kind):
 @pytest.mark.parametrize("fault, message", [
     ("mass", r"density mass 0\.9988"), ("nan", "density values must be finite")])
 def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypatch):
-    # slice f + 4 fails the density checks only; the march goes on until a
-    # later step fails, and the error is still slice f + 4's, whether the
-    # fault lies in the first window of checked slices (f = 0) or a later one
+    # slice f + 4 fails the density checks only, and a later step would
+    # fail a guard: the error is slice f + 4's, early in the march (f = 0)
+    # or late (f = 69)
     model = make_bm(0.0, 0.5)
     s = np.linspace(-4.0, 4.0, 201)
     start = point_mass_on_grid(s, 0.0)
@@ -657,7 +662,7 @@ def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypat
 
     monkeypatch.setattr(density, "_require_uniform", require_uniform)
     monkeypatch.setattr(_ThetaSystem, "step", step)
-    for f in (0, density._BLOCK + 5):
+    for f in (0, 69):
         n = f + 10
         with pytest.raises(ValueError, match=message):
             fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, n))
@@ -665,13 +670,10 @@ def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypat
             evolve_density(model, initial, 0.01 * n, n_steps=n, n_nodes=s.size)
 
 
-_B = density._BLOCK
-
-
-@pytest.mark.parametrize("n_steps", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
 def test_windowed_marches_equal_every_slice_bit_for_bit(n_steps):
-    # evolve_density keeps a window of _BLOCK + 1 slices; its last slice is
-    # the last of the march that keeps every slice, across window edges
+    # evolve_density keeps only the latest slice; it is the last of the
+    # march that keeps every slice
     model, S0, T = make_bm(0.1, 0.3), 0.2, 0.5
     s = density.default_domain(model, S0, T, 201)
     start = point_mass_on_grid(s, S0)
@@ -684,11 +686,11 @@ def test_windowed_marches_equal_every_slice_bit_for_bit(n_steps):
     assert final.t == every[-1].t
 
 
-@pytest.mark.parametrize("bad", [1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("bad", [1, 64, 65, 131])
 def test_windowed_marches_check_every_slice(bad, monkeypatch):
     # only slice `bad` fails the density checks and no guard trips: every
-    # march still reports it, wherever it lies among its windows
-    n = 2 * _B + 3
+    # march still reports it, wherever it lies in the march
+    n = 131
     model = dataclasses.replace(make_bm(0.0, 0.5), risk_neutral=True)
     s = np.linspace(-4.0, 4.0, 201)
     start = point_mass_on_grid(s, 0.0)
@@ -758,8 +760,35 @@ def test_single_slice_routes_hold_memory_bounded_by_the_grid():
         assert long <= 1.5 * short, (name, short, long)
 
 
+def test_forward_slices_share_one_grid_and_hold_little_beyond_their_rows():
+    # each slice used to copy the grid and the row on top of the march's own
+    # row buffer: the peak read about 3x the bytes of the rows
+    model = make_bm(0.0, 1.0)
+    s = np.linspace(-12.0, 12.0, 801)
+    start = point_mass_on_grid(s, 0.0)
+    grid = TimeGrid(0.0, 1.0 / 500, 500)
+    slices = fokker_planck_forward(model, start, grid)
+    assert all(g.s_values is start.s_values for g in slices)
+    rows = len(slices) * s.nbytes
+    peak = _traced_peak(lambda: fokker_planck_forward(model, start, grid))
+    assert peak <= 1.3 * rows, (peak, rows)
+
+
 # ---------------------------------------------------------------------------
 # backward solver
+
+
+@pytest.mark.parametrize("s", [np.array([0.5]), np.array([0.0, 1.0]), np.full(41, 0.5),
+                               np.linspace(3.0, -3.0, 601)],
+                         ids=["one-node", "two-nodes", "constant", "decreasing"])
+def test_backward_refuses_a_grid_that_is_short_or_not_increasing(s):
+    # these raised IndexError, a LAPACK size error and a NaN error; the
+    # decreasing grid read E[S_1^2 | S_0 = 0.5] as 9.0 where 0.34 is right
+    model = make_bm(0.0, 0.3)
+    with pytest.raises(ValueError, match="s_values"):
+        kolmogorov_backward(model, lambda x: x * x, s, 0.0, 1.0)
+    fn = kolmogorov_backward(model, lambda x: x * x, np.linspace(-3.0, 3.0, 601), 0.0, 1.0)
+    assert float(fn(0.5)) == pytest.approx(0.34, rel=1e-9)
 
 
 def test_backward_constant_terminal():
@@ -886,6 +915,18 @@ def test_compose_near_delta_is_identity():
     composed = compose_transition(tiny, wide)
     mid = len(s) // 2
     assert l1_distance(s, composed.matrix[mid], wide.matrix[mid]) < 0.05
+
+
+def test_transition_matrix_refuses_weights_that_are_not_finite():
+    # an all-NaN matrix passed the sign and mass checks, built directly or
+    # from a NaN pdf, and composing two of them gave a NaN matrix silently
+    s = np.linspace(-4.0, 4.0, 41)
+    with pytest.raises(ValueError, match="transition weights must be finite"):
+        TransitionMatrix(t_from=0.0, t_to=1.0, source_values=s, target_values=s,
+                         matrix=np.full((s.size, s.size), np.nan))
+    with pytest.raises(ValueError, match="transition weights must be finite"):
+        TransitionMatrix.from_pdf(lambda s0: lambda x: np.full_like(x, np.nan),
+                                  0.0, 1.0, s, s)
 
 
 def test_compose_grid_mismatch():

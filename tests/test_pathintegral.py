@@ -1,6 +1,7 @@
 """Short-time kernels, lattice propagation, Green's functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from stochastica import (
     risk_neutralize,
 )
 from stochastica import pathintegral
-from stochastica.density import _BLOCK, TransitionMatrix, quadrature_apply, trapezoid_weights
+from stochastica.density import TransitionMatrix, quadrature_apply, trapezoid_weights
 from stochastica.pathintegral import _WINDOW_STD
 
 
@@ -295,33 +296,33 @@ def test_propagate_aborts_when_grid_too_narrow():
 
 
 def test_leak_abort_reports_an_earlier_bad_slice_of_its_window(monkeypatch):
-    # the grid is too narrow: the leak aborts the march in its second window
-    # of checked slices, and a slice of that window that fails the density
-    # checks before the abort is still the error reported
+    # the grid is too narrow: the leak aborts the march late, and a slice
+    # that fails the density checks before the abort is the error reported,
+    # with the march stopped at that slice
     s = np.linspace(-1.5, 1.5, 301)
     k = one_step_kernel(make_bm(0.0, 1.0), 0.0, 1.0 / 400)
     start = point_mass_on_grid(s, 0.0)
     with pytest.raises(NumericalError, match=r"narrow") as clean:
         propagate(k, start, 400)
     abort = int(str(clean.value).split("by step ")[1].split(";")[0])
-    assert _BLOCK + 20 < abort <= 2 * _BLOCK
+    assert 84 < abort <= 128
     real_apply, calls = pathintegral.quadrature_apply, []
 
     def apply(w, p, matrix):
         calls.append(1)
         q = real_apply(w, p, matrix)
-        return 0.99851 * q if len(calls) == _BLOCK + 20 else q   # mass 0.9985...
+        return 0.99851 * q if len(calls) == 84 else q   # mass 0.9985...
 
     monkeypatch.setattr(pathintegral, "quadrature_apply", apply)
     with pytest.raises(ValueError, match=r"density mass 0\.9985"):
         propagate(k, start, 400)
-    assert len(calls) == abort - 1
+    assert len(calls) == 84
 
 
-@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
 def test_propagate_equals_a_plain_quadrature_loop_across_windows(n_steps):
-    # propagate keeps a window of _BLOCK + 1 slices; its result is the last
-    # of a loop that keeps them all
+    # propagate keeps only the latest slice; its result is the last of a
+    # loop that keeps them all
     s = np.linspace(-2.0, 2.2, 401)
     w = trapezoid_weights(s)
     initial = point_mass_on_grid(s, 0.1)
@@ -437,6 +438,14 @@ def test_greens_integrate_prices_forward():
     model, curve = _rn_gbm(r, sigma)
     g = greens_function(model, curve, 0.0, S0, T, 1.0 / 64)
     assert g.integrate(lambda s: s) == pytest.approx(S0, rel=1e-4)
+
+
+@pytest.mark.parametrize("S0", [0.0, -5.0])
+def test_greens_on_a_log_space_family_refuses_a_spot_at_or_below_zero(S0):
+    # log(S0) used to raise "math domain error"
+    model, curve = _rn_gbm(0.05, 0.2)
+    with pytest.raises(ValueError, match=re.escape(f"needs S > 0; S0 = {S0!r}")):
+        greens_function(model, curve, 0.0, S0, 1.0, 1.0 / 64)
 
 
 def test_greens_names_a_non_flat_curve():

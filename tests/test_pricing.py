@@ -737,6 +737,13 @@ def test_pv_pde_validation():
         pv_pde(call_payoff(100.0), flat, 0.2, 100.0, 0.0)
 
 
+def test_pv_pde_refuses_a_sigma_that_is_nan_at_the_spot():
+    # the NaN width made a NaN grid, and the strike was said to lie outside it
+    flat = DiscountCurve(times=(0.0,), rates=(0.05,))
+    with pytest.raises(ValueError, match="sigma must be positive at the spot"):
+        pv_pde(call_payoff(100.0), flat, lambda t, s: np.full_like(s, np.nan), 100.0, 1.0)
+
+
 def test_pv_pde_prices_a_strike_next_to_the_spot():
     # the snapped grid could not place a node on a strike within half a
     # cell of the spot and refused it
