@@ -342,8 +342,10 @@ def cmd_density(args) -> int:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require(cfg, "S0", float, "initial state")
     t = _require(cfg, "t", float, "target time")
-    if not t > 0:
-        raise ValueError("config.t must be positive")
+    if not math.isfinite(S0):
+        raise ValueError(f"config.S0 must be finite, got {S0!r}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"config.t must be finite and positive, got {t!r}")
     methods = cfg.get("method", "analytic")
     if isinstance(methods, str):
         methods = [methods]

@@ -7,8 +7,10 @@ and quadrature composition of transition densities. The forward and
 backward solvers and pricing.pv_pde share one theta step, _ThetaSystem:
 one gttrs solve a step, factored (LAPACK gttrf) at most once per theta, the
 bits of solve_banded on the one-solve right-hand side. Each solver builds
-its own coefficients and runs its own checks; the forward and backward
-solvers rebuild only when mu or sigma on the grid change, bit for bit.
+its own coefficients and runs its own checks. The one rule for when a
+march reuses its operator lives here, in _Reused: those two solvers,
+pricing.pv_pde and the pathintegral lattice rebuild only when the maps
+they read on the grid change, bit for bit, and read maps free of t once.
 The forward march checks each density slice as it makes it.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import NumericalError
 from .mc import TimeGrid, _int_at_least
 from .models import BM, GBM, ModelSpec, Vasicek, model_hash
+from .portfolio import _require_finite
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
@@ -97,6 +100,16 @@ class DensityGrid:
             arr.setflags(write=False)
         object.__setattr__(self, "s_values", s)
         object.__setattr__(self, "p_values", p)
+
+    @classmethod
+    def _of_checked(cls, s: np.ndarray, p: np.ndarray, t: float, model_hash: str):
+        """The grid of values p that a march has density-checked on s, a
+        DensityGrid's grid: p is made read-only in place, not copied or
+        checked again."""
+        p.setflags(write=False)
+        grid = object.__new__(cls)
+        vars(grid).update(s_values=s, p_values=p, t=t, model_hash=model_hash)
+        return grid
 
     @property
     def weights(self) -> np.ndarray:
@@ -455,11 +468,20 @@ def _flux_stencil(sig_nodes, sig_faces, mu_faces, h: float):
     return lower, diag, upper
 
 
-def _same_arrays(new: tuple, old: tuple | None) -> bool:
-    """Whether old holds new's arrays bit for bit, so that the operator built
-    from old is the one new would build. Bytes compare faster than values."""
-    return old is not None and all(a.shape == b.shape and a.tobytes() == b.tobytes()
-                                   for a, b in zip(new, old))
+class _Reused:
+    """The operator reuse of every grid march: self(t) is build(t, *inputs(t)), rebuilt
+    only when the arrays inputs(t) change bit for bit; if fixed, built at the first t only."""
+
+    def __init__(self, build, inputs, fixed: bool):
+        self.build, self.inputs, self.fixed, self.key = build, inputs, fixed, None
+
+    def __call__(self, t):
+        if self.key is None or not self.fixed:
+            new = self.inputs(t)
+            key = [(a.shape, a.tobytes()) for a in new]  # bytes compare faster than values
+            if key != self.key:
+                self.key, self.operator = key, self.build(t, *new)
+        return self.operator
 
 
 def _fixed_maps(model: ModelSpec) -> bool:
@@ -532,11 +554,11 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     the domain edges, trapezoidal-rule-in-time stepping with two damped
     (fully implicit) startup steps. Returns one DensityGrid per grid time,
     the initial condition included, each built as the march yields its
-    slice; all of them share the initial density's grid.
+    slice, which the march has checked, so it is not checked again; all of
+    them share the initial density's grid.
     """
     mhash = initial.model_hash or model_hash(model)
-    return [DensityGrid(s_values=initial.s_values, p_values=p, t=grid.time(m),
-                        model_hash=mhash)
+    return [DensityGrid._of_checked(initial.s_values, p, grid.time(m), mhash)
             for m, p in enumerate(_forward_march(model, initial, grid))]
 
 
@@ -556,14 +578,10 @@ def _forward_march(model: ModelSpec, initial: DensityGrid, grid: TimeGrid):
     mass0 = float(np.sum(w * p))
     tv0 = float(np.abs(np.diff(p)).sum())
     yield p
-    coeffs = system = None
+    operator = _Reused(lambda t, *maps: _ThetaSystem(*_flux_stencil(*maps, h), grid.dt),
+                       lambda t: _flux_inputs(model, s, t), _fixed_maps(model))
     for m in range(grid.n_steps):
-        if coeffs is None or not _fixed_maps(model):
-            new = _flux_inputs(model, s, grid.time(m) + 0.5 * grid.dt)
-            if not _same_arrays(new, coeffs):
-                coeffs = new
-                system = _ThetaSystem(*_flux_stencil(*coeffs, h), grid.dt)
-        p = system.step(p, m)
+        p = operator(grid.time(m) + 0.5 * grid.dt).step(p, m)
         peak = float(p.max())
         if float(p.min()) < -1e-6 * peak:
             raise NumericalError(
@@ -656,6 +674,9 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     """
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
+    _require_finite("t1", t1)
+    if isinstance(initial, PointMass):
+        _require_finite("center", initial.center)
     t0 = float(initial.t)
     if not t1 > t0:
         raise ValueError("t1 must exceed the initial density's time")
@@ -708,6 +729,8 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     """
     if model.dim != 1:
         raise ValueError("backward solver handles one-dimensional models")
+    _require_finite("t0", t0)
+    _require_finite("t1", t1)
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     n_steps = _int_at_least("n_steps", n_steps, 1)
@@ -723,23 +746,22 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
 
     dt = (t1 - t0) / n_steps
     tv0 = float(np.abs(np.diff(u)).sum())
-    coeffs = system = None
+
+    def stencil(tau, mu, d):
+        lower, diag, upper = np.zeros((3, s.size))
+        # interior: central first and second differences
+        upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+        lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
+        diag[1:-1] = -2 * d[1:-1] / (h * h)
+        # edges: zero curvature, one-sided slope
+        diag[0], upper[0] = -mu[0] / h, mu[0] / h
+        diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
+        return _ThetaSystem(lower, diag, upper, dt)
+
+    operator = _Reused(stencil, lambda t: (model.mu1(t, s), 0.5 * model.sigma1(t, s) ** 2),
+                       _fixed_maps(model))
     for m in range(n_steps):
-        tau = t1 - (m + 0.5) * dt
-        if coeffs is None or not _fixed_maps(model):
-            new = (model.mu1(tau, s), 0.5 * model.sigma1(tau, s) ** 2)
-            if not _same_arrays(new, coeffs):
-                coeffs = mu, d = new
-                lower, diag, upper = np.zeros((3, s.size))
-                # interior: central first and second differences
-                upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-                lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-                diag[1:-1] = -2 * d[1:-1] / (h * h)
-                # edges: zero curvature, one-sided slope
-                diag[0], upper[0] = -mu[0] / h, mu[0] / h
-                diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
-                system = _ThetaSystem(lower, diag, upper, dt)
-        u = system.step(u, m)
+        u = operator(t1 - (m + 0.5) * dt).step(u, m)
         if not np.isfinite(u).all():
             raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
         tv = float(np.abs(np.diff(u)).sum())

@@ -66,7 +66,7 @@ class TimeGrid:
         if not np.isfinite(self.t0):
             raise ValueError("t0 must be finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         object.__setattr__(self, "n_steps", _int_at_least("n_steps", self.n_steps, 1))
 
     def time(self, m: int) -> float:

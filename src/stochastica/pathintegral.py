@@ -9,7 +9,8 @@ on first use), and each lattice step is one sparse product through
 density.quadrature_apply. Kernel rows are normalized on the working grid,
 so each propagation step conserves mass exactly; the mass removed by
 window truncation is tracked as boundary leak. A kernel matrix is rebuilt
-only when mu or sigma on the grid change. The march checks each slice as
+only when mu or sigma on the grid change, by the reuse rule of the density
+solvers, density._Reused. The march checks each slice as
 it makes it; propagate, which returns one slice, keeps only the latest, so
 its memory is O(n) in the grid size n and does not grow with the step count.
 
@@ -31,9 +32,9 @@ from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
                       _check_densities, _fixed_maps, _grid_nodes,
-                      _require_vanishing_edges, _same_arrays)
+                      _require_vanishing_edges, _Reused)
 from .models import ModelSpec, model_hash
-from .portfolio import DiscountCurve
+from .portfolio import DiscountCurve, _require_finite
 
 _WINDOW_STD = 8.0   # kernel row support: +- this many std around the drifted center
 _LEAK_LIMIT = 0.01  # cumulative truncated mass that aborts propagation
@@ -54,8 +55,8 @@ class ShortTimeKernel:
     def __post_init__(self):
         if self.model.dim != 1:
             raise ValueError("kernels are one-dimensional")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
 
     def mean(self, t: float, s_from) -> np.ndarray:
         s = np.asarray(s_from, dtype=float)
@@ -153,21 +154,21 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
     leak = 0.0
-    coeffs = None
+
+    def build(t_m, *maps):  # kernel_matrix evaluates the maps itself
+        tm = kernel_matrix(kernel, t_m, s)
+        return tm.matrix, w * (1.0 - tm.raw_row_mass)
+
+    operator = _Reused(build, lambda t: (kernel.model.mu1(t, s), kernel.model.sigma1(t, s)),
+                       _fixed_maps(kernel.model))
     for m in range(n_steps):
-        t_m = t0 + m * kernel.dt
-        if coeffs is None or not _fixed_maps(kernel.model):
-            new = (kernel.model.mu1(t_m, s), kernel.model.sigma1(t_m, s))
-            if not _same_arrays(new, coeffs):
-                coeffs = new
-                tm = kernel_matrix(kernel, t_m, s)
-                leak_weights = w * (1.0 - tm.raw_row_mass)
+        matrix, leak_weights = operator(t0 + m * kernel.dt)
         leak += float(leak_weights @ p) / mass0
         if leak > _LEAK_LIMIT:
             raise NumericalError(
                 f"boundary leak reached {leak:.3%} of the mass by step {m + 1}; "
                 "the grid is too narrow for this horizon")
-        p = quadrature_apply(w, p, tm.matrix)
+        p = quadrature_apply(w, p, matrix)
         _check_densities(s, p, w)
         yield p
 
@@ -249,6 +250,9 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
         raise ValueError(
             "greens_function requires a risk-neutralized model; apply "
             "risk_neutralize(model, curve) first")
+    _require_finite("t0", t0)
+    _require_finite("S0", S0)
+    _require_finite("t", t)
     if not t > t0:
         raise ValueError("t must exceed t0")
     n_steps = _step_count(t - t0, dt)
@@ -304,6 +308,8 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
     f of a constant array must be defined (used for the trivial check).
     """
     seed = noise.validate_seed(seed)
+    _require_finite("t0", t0)
+    _require_finite("T", T)
     if not T > t0:
         raise ValueError("T must exceed t0")
     n_paths = _int_at_least("n_paths", n_paths, 1)

@@ -12,8 +12,9 @@ path set, like the payoffs of a strip, priced in order, simulate once,
 stream payoffs excepted. The PDE route solves on one grid per spot,
 whatever the strike, starting from the payoff averaged over each log cell,
 and steps with density's factored theta system (_ThetaSystem), rebuilt
-only when sigma's values change. The routes share these numerical
-primitives but never call each other.
+only when sigma's values change, by the one reuse rule of the grid
+marches, density._Reused. The routes share these numerical primitives but
+never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
 norm_cdf), so importing this module loads no scipy.
@@ -29,14 +30,14 @@ from typing import Callable
 import numpy as np
 
 from . import noise
-from .density import (GridFunction, _ThetaSystem, _grid_nodes, _same_arrays,
+from .density import (GridFunction, _ThetaSystem, _grid_nodes, _Reused,
                       trapezoid_weights)
 from .errors import NumericalError
 from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_least,
                  _mean_and_se, _resolve_threads, _run_chunks, _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import DiscountCurve, _no_bools
+from .portfolio import DiscountCurve, _no_bools, _require_finite
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -143,6 +144,8 @@ class BSParams:
     t: float
 
     def __post_init__(self):
+        for name in ("S", "K", "r", "sigma", "t"):
+            _require_finite(name, getattr(self, name))
         if not (self.S > 0 and self.K > 0):
             raise ValueError("S and K must be positive")
         if self.sigma < 0:
@@ -334,6 +337,7 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
         raise ValueError(f"pv_mc prices one asset; the model has dim {model.dim}")
     seed = noise.validate_seed(seed)
     threads = _resolve_threads(threads)
+    _require_finite("T", T)
     if not T > 0:
         raise ValueError("T must be positive")
     n_paths = _int_at_least("n_paths", n_paths, 1)
@@ -425,6 +429,8 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
     r = curve.rates[0]
+    _require_finite("S0", S0)
+    _require_finite("T", T)
     if not (S0 > 0 and T > 0):
         raise ValueError("S0 and T must be positive")
     n_steps = _int_at_least("n_steps", n_steps, 1)
@@ -456,7 +462,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     gamma_c = 2.0 / (1.0 - 0.5 * h)
     delta_c = -(1.0 + 0.5 * h) / (1.0 - 0.5 * h)
 
-    def system(sig_m: np.ndarray) -> _ThetaSystem:
+    def system(tau: float, sig_m: np.ndarray) -> _ThetaSystem:
         a = 0.5 * sig_m ** 2
         b = r - 0.5 * sig_m ** 2
         lower, diag, upper = np.zeros((3, n))
@@ -469,16 +475,12 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
         return _ThetaSystem(lower, diag, upper, dt)
 
-    built = step_system = None
+    operator = _Reused(system, lambda tau: (sig_fn(tau, s),), not callable(sigma))
     for m in range(n_steps):
         tau = T - (m + 0.5) * dt
         source = None if payoff.stream is None \
             else dt * np.asarray(payoff.stream(tau, s), dtype=float)
-        if built is None or callable(sigma):
-            sig_m = (sig_fn(tau, s),)
-            if not _same_arrays(sig_m, built):
-                built, step_system = sig_m, system(*sig_m)
-        f = step_system.step(f, m, source)
+        f = operator(tau).step(f, m, source)
         if not np.isfinite(f).all():
             raise NumericalError(
                 f"pricing solve produced non-finite values at step {m + 1}")

@@ -669,6 +669,27 @@ def test_density_half_width_must_be_finite_and_positive(tmp_path, capsys,
     assert "half_width must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("greeks", {"S": 100.0, "K": 100.0, "r": 0.05, "sigma": 0.2, "t": math.inf},
+     "t must be finite"),
+    ("greeks", {"S": 100.0, "K": 100.0, "r": 0.05, "sigma": math.inf, "t": 1.0},
+     "sigma must be finite"),
+    ("price", dict(GBM_PRICE_DOC, method="analytic", T=math.inf), "t must be finite"),
+    # the default dt is T / n_steps, so T must be named before dt
+    ("price", dict(GBM_PRICE_DOC, T=math.inf, mc={"n_paths": 2000}), "T must be finite"),
+    ("density", dict(DENSITY_DOC, t=math.inf), "config.t must be finite and positive"),
+    ("density", dict(DENSITY_DOC, S0=math.inf), "config.S0 must be finite"),
+], ids=["greeks t", "greeks sigma", "price analytic T", "price mc T", "density t", "density S0"])
+def test_non_finite_inputs_exit_2_naming_them(tmp_path, capsys, command, doc, message):
+    # these used to write nan values, or fail on another name, and exit 0 or 1
+    cfg = write_config(tmp_path, "inf.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "got inf" in err
+    assert not out.exists()
+
+
 def test_integral_counts_are_accepted(tmp_path, capsys):
     cfg = write_config(tmp_path, "ok.json", dict(
         DENSITY_DOC, grid={"lo": -2.0, "hi": 2.0, "n": 3},

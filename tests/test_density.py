@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from scipy.integrate import quad
 from stochastica import (
     DensityGrid,
     DiscountCurve,
+    PayoffSpec,
     PointMass,
     TimeGrid,
     TransitionMatrix,
+    call_payoff,
     change_of_variable,
     compose_transition,
     density_bm,
@@ -31,9 +34,11 @@ from stochastica import (
     one_step_kernel,
     point_mass_on_grid,
     propagate,
+    pv_mc,
+    pv_pde,
     risk_neutralize,
 )
-from stochastica import density, pathintegral
+from stochastica import density, pathintegral, pricing
 from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
 from stochastica.models import GBM, Family
 from stochastica.errors import NumericalError
@@ -550,15 +555,43 @@ def _count_builds(monkeypatch) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("kind", sorted(_REUSE_CASES))
+def _pde_solvers(n=64):
+    """pv_pde on each kind of sigma and on a stream payoff, as calls that
+    return the value array."""
+    curve = DiscountCurve.flat(0.05)
+    stream = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
+                        stream=lambda t, s: 0.01 * s)
+    cases = {
+        "scalar sigma": (call_payoff(100.0), 0.2),
+        "constant callable sigma": (call_payoff(100.0), lambda t, s: np.full_like(s, 0.2)),
+        "time-dependent sigma": (call_payoff(100.0),
+                                 lambda t, s: np.full_like(s, 0.2 + 0.01 * t)),
+        "stream payoff": (stream, lambda t, s: 0.2 + 0.05 * np.tanh(np.log(s / 100.0) + t)),
+    }
+    return {name: lambda payoff=payoff, sigma=sigma: pv_pde(
+        payoff, curve, sigma, 100.0, 1.0, n_nodes=513, n_steps=n).values
+        for name, (payoff, sigma) in cases.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(_REUSE_CASES) + ["pv_pde"])
 def test_reused_operators_equal_a_rebuild_every_step_bit_for_bit(kind, monkeypatch):
-    # the reference evaluates the maps and builds the operator anew every step
-    for module in (density, pathintegral):
-        monkeypatch.setattr(module, "_same_arrays", lambda new, old: False)
-        monkeypatch.setattr(module, "_fixed_maps", lambda model: False)
-    want = {name: run() for name, run in _solvers(*_REUSE_CASES[kind]).items()}
+    # the reference evaluates the maps and builds the operator anew every
+    # step: every march gets its operator from density._Reused
+    solvers = _pde_solvers if kind == "pv_pde" else lambda: _solvers(*_REUSE_CASES[kind])
+    builds = []
+
+    def rebuild_every_step(build, inputs, fixed):
+        return lambda t: builds.append(t) or build(t, *inputs(t))
+
+    for module in (density, pathintegral, pricing):
+        monkeypatch.setattr(module, "_Reused", rebuild_every_step)
+    want = {}
+    for name, run in solvers().items():
+        builds.clear()
+        want[name] = run()
+        assert builds, name
     monkeypatch.undo()
-    for name, run in _solvers(*_REUSE_CASES[kind]).items():
+    for name, run in solvers().items():
         assert np.array_equal(run(), want[name]), name
 
 
@@ -668,6 +701,74 @@ def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypat
             fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, n))
         with pytest.raises(ValueError, match=message):
             evolve_density(model, initial, 0.01 * n, n_steps=n, n_nodes=s.size)
+
+
+def test_fokker_planck_forward_checks_each_slice_once(monkeypatch):
+    # the start is checked when it is built and each step's slice by the
+    # march; the grids returned are built from those slices as they are
+    checks = []
+    real_check = density._check_densities
+
+    def check(*args):
+        checks.append(1)
+        return real_check(*args)
+
+    monkeypatch.setattr(density, "_check_densities", check)
+    n = 200
+    s = np.linspace(-40.0, 40.0, 401)
+    start = point_mass_on_grid(s, 0.0)
+    grids = fokker_planck_forward(make_bm(0.0, 1.0), start, TimeGrid(0.0, 1.0 / n, n))
+    assert len(checks) == n + 1
+    assert np.array_equal(grids[0].p_values, start.p_values)
+    for g in grids:
+        assert g.s_values is start.s_values
+        assert not g.p_values.flags.writeable
+        rebuilt = DensityGrid(s_values=g.s_values, p_values=g.p_values, t=g.t,
+                              model_hash=g.model_hash)
+        assert np.array_equal(rebuilt.p_values, g.p_values)
+
+
+_S = np.linspace(-4.0, 4.0, 101)
+_FLAT = DiscountCurve.flat(0.05)
+_RN_GBM = risk_neutralize(make_gbm(0.05, 0.2), _FLAT)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("t1", lambda: kolmogorov_backward(make_bm(0.0, 0.5), np.tanh, _S, 0.0,
+                                                   math.inf), id="kolmogorov_backward t1"),
+    pytest.param("t0", lambda: kolmogorov_backward(make_bm(0.0, 0.5), np.tanh, _S, -math.inf,
+                                                   1.0), id="kolmogorov_backward t0"),
+    pytest.param("S0", lambda: greens_function(_RN_GBM, _FLAT, 0.0, math.inf, 1.0, 0.01),
+                 id="greens_function S0"),
+    pytest.param("t", lambda: greens_function(_RN_GBM, _FLAT, 0.0, 100.0, math.inf, 0.01),
+                 id="greens_function t"),
+    # T is checked before dt, which a caller may derive from T
+    pytest.param("T", lambda: pv_mc(make_gbm(0.05, 0.2), _FLAT, call_payoff(100.0), 100.0,
+                                    math.inf, math.inf, 100, 1), id="pv_mc T"),
+    pytest.param("center", lambda: evolve_density(make_bm(0.0, 0.5),
+                                                  PointMass(center=math.nan), 1.0),
+                 id="evolve_density nan center"),
+    pytest.param("center", lambda: evolve_density(make_gbm(0.0, 0.5),
+                                                  PointMass(center=math.inf), 1.0),
+                 id="evolve_density inf center"),
+    pytest.param("t1", lambda: evolve_density(make_bm(0.0, 0.5), PointMass(center=0.0),
+                                              math.inf), id="evolve_density t1"),
+    pytest.param("T", lambda: pv_pde(call_payoff(100.0), _FLAT, 0.2, 100.0, math.inf),
+                 id="pv_pde T"),
+    pytest.param("T", lambda: pathintegral.pi_expectation(make_bm(0.0, 0.5), np.tanh, 0.0, 0.0,
+                                                          math.inf, 0.01, 100, 1),
+                 id="pi_expectation T"),
+    pytest.param("dt", lambda: one_step_kernel(make_bm(0.0, 0.5), 0.0, math.inf),
+                 id="one_step_kernel dt"),
+    pytest.param("S0", lambda: pv_pde(call_payoff(100.0), _FLAT, 0.2, math.inf, 1.0),
+                 id="pv_pde S0"),
+])
+def test_non_finite_horizons_spots_and_centres_are_named(name, call):
+    # refused by name before any array is built, so numpy never warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])

@@ -139,6 +139,15 @@ def test_params_validation():
         bs_price(BSParams(S=100.0, K=100.0, r=0.0, sigma=0.2, t=1.0), "straddle")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["S", "K", "r", "sigma", "t"])
+def test_params_refuse_a_non_finite_input_by_name(field, value):
+    # an infinite expiry or volatility used to price as nan, an infinite spot as inf
+    base = dict(S=100.0, K=100.0, r=0.05, sigma=0.2, t=1.0)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        BSParams(**dict(base, **{field: value}))
+
+
 def test_gaussian_helpers_match_scipy():
     x = np.linspace(-6.0, 6.0, 25)
     np.testing.assert_allclose(norm_cdf(x), norm.cdf(x), atol=1e-15)
