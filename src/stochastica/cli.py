@@ -1,6 +1,9 @@
 """Batch command-line front end.
 
-Subcommands: simulate | density | price | greeks | hedge | index | check.
+Subcommands: simulate | density | price | greeks | hedge | index | check,
+one row each of the command table _COMMANDS. main loads the config and
+resolves the format, and the seed and thread count of the three commands
+that sample noise (only they take --seed and --threads), for the handler.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
@@ -10,7 +13,8 @@ by one %-template per row and written as they are rendered, so memory
 does not grow with the output, and the bytes match a value-by-value
 rendering. --out is moved into place only once its body is complete.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 1 stdout closed by its reader before the output was
+written, 2 validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from .mc import (_CHUNK, TimeGrid, _mean_and_se, export_paths_csv, fmt17, simula
 from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
                      model_hash)
 from .noise import validate_seed
-from .portfolio import DiscountCurve, load_curve
+from .portfolio import DiscountCurve, _json_numbers, _require_finite, load_curve
 
 _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
 _PRICE_METHODS = ("analytic", "pde", "green", "mc")
 _NONFINITE = re.compile(r"-?inf|nan")
+_JSON_TYPES = {float: "a number", list: "an array", dict: "an object"}
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +164,26 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _require(cfg: dict, key: str, caster, what: str = "", default=None,
+def _require(cfg: dict, key: str, kind: type, what: str = "", default=None,
              where: str = "config"):
-    """caster(cfg[key]), else caster(default); an error names the key as
-    where.key. With no default the key is required. float() would read JSON
-    true and false as 1 and 0, so a float key refuses them."""
+    """cfg[key], else default, of JSON type kind: float takes a number and
+    gives it as a float, list and dict take an array and an object as they
+    are; an error names the key as where.key. With no default the key is
+    required."""
+    name = f"{where}.{key}"
     if default is None and key not in cfg:
-        raise ValueError(f"{where}.{key} is required ({what})")
-    try:
-        if caster is float and isinstance(cfg.get(key), bool):
-            raise TypeError(f"expected a number, not {json.dumps(cfg[key])}")
-        return caster(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}.{key}: {exc}") from exc
+        raise ValueError(f"{name} is required ({what})")
+    value = cfg.get(key, default)
+    if kind is float and not isinstance(value, list):
+        return float(_json_numbers(name, value))
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
 
 
-def _reals(value) -> list:
-    """A JSON array of numbers as a list of floats."""
-    if not isinstance(value, list) or any(isinstance(v, bool) for v in value):
-        raise ValueError(f"expected an array of numbers, not {json.dumps(value)}")
-    return [float(v) for v in value]
+def _reals(cfg: dict, key: str, what: str = "") -> list:
+    """config.key, a JSON array of numbers."""
+    return _json_numbers(f"config.{key}", _require(cfg, key, list, what))
 
 
 def _section(cfg: dict, key: str) -> dict | None:
@@ -190,9 +195,7 @@ def _section(cfg: dict, key: str) -> dict | None:
 
 
 def _resolve_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return validate_seed(cfg.get("seed", 0))
+    return validate_seed(cfg.get("seed", 0) if args.seed is None else args.seed)
 
 
 def _resolve_threads(args, cfg: dict) -> int:
@@ -211,7 +214,7 @@ def _resolve_threads(args, cfg: dict) -> int:
 def _resolve_format(args, cfg: dict, default: str) -> str:
     fmt = args.format or cfg.get("format") or default
     if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}")
+        raise ValueError(f"config.format must be one of {_FORMATS}, not {fmt!r}")
     return fmt
 
 
@@ -253,25 +256,21 @@ def _curve_from_config(cfg: dict) -> DiscountCurve:
 # simulate
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_simulate(args, cfg: dict, fmt: str) -> None:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require(cfg, "S0", float, "initial state")
     grid = TimeGrid(t0=_require(cfg, "t0", float, default=0.0),
                     dt=_require(cfg, "dt", float, "step size"),
                     n_steps=_count(cfg, "n_steps", 1))
     n_paths = _count(cfg, "n_paths", 1)
-    seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
-    fmt = _resolve_format(args, cfg, "csv")
     include_paths = _flag(cfg, "include_paths", False)
 
-    batch = simulate_paths(model, S0, grid, n_paths, seed, threads=threads)
+    batch = simulate_paths(model, S0, grid, n_paths, args.seed, threads=args.threads)
     terminal = [_mean_and_se(batch.paths[:, -1, a]) for a in range(batch.dim)]
 
     if fmt == "csv":
         def body(fh):
-            fh.write(f"# seed = {seed}\n"
+            fh.write(f"# seed = {args.seed}\n"
                      f"# model_hash = {batch.model_hash}\n"
                      f"# t0 = {fmt17(grid.t0)}\n"
                      f"# dt = {fmt17(grid.dt)}\n"
@@ -282,7 +281,7 @@ def cmd_simulate(args) -> int:
             export_paths_csv(batch, fh)
     else:
         doc = {
-            "seed": seed, "model_hash": batch.model_hash,
+            "seed": args.seed, "model_hash": batch.model_hash,
             "grid": {"t0": grid.t0, "dt": grid.dt, "n_steps": grid.n_steps},
             "n_paths": n_paths,
             "terminal": {"mean": [m for m, _ in terminal],
@@ -291,8 +290,7 @@ def cmd_simulate(args) -> int:
         if include_paths:
             doc["paths"] = batch.paths
         body = _json_body(doc)
-    _write_output(args.out, {"command": "simulate", "seed": seed}, body)
-    return 0
+    _write_output(args.out, {"command": "simulate", "seed": args.seed}, body)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +335,10 @@ def _density_by_method(method: str, model, S0: float, t: float,
     return pi_mod.propagate(kernel, start, n_steps).p_values
 
 
-def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_density(args, cfg: dict, fmt: str) -> None:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
-    S0 = _require(cfg, "S0", float, "initial state")
+    S0 = _require_finite("config.S0", _require(cfg, "S0", float, "initial state"))
     t = _require(cfg, "t", float, "target time")
-    if not math.isfinite(S0):
-        raise ValueError(f"config.S0 must be finite, got {S0!r}")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"config.t must be finite and positive, got {t!r}")
     methods = cfg.get("method", "analytic")
@@ -359,7 +354,6 @@ def cmd_density(args) -> int:
     n_nodes = density_mod._grid_nodes(_count(res, "n_nodes", 5, 801, "config.resolution"),
                                       half_width)
     n_steps = _count(res, "n_steps", 1, 256, "config.resolution")
-    fmt = _resolve_format(args, cfg, "csv")
 
     s = _comparison_grid(model, S0, t, cfg, n_nodes, half_width)
     tables = {m: _density_by_method(m, model, S0, t, s, n_steps, n_nodes,
@@ -380,7 +374,6 @@ def cmd_density(args) -> int:
         body = _json_body({"t": t, "model_hash": mhash, "s": s,
                            "densities": tables, "l1": l1})
     _write_output(args.out, {"command": "density"}, body)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +428,18 @@ def _price_one(method: str, model, curve: DiscountCurve,
     raise ValueError(f"price method must be 'all' or one of {_PRICE_METHODS}")
 
 
-def cmd_price(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_price(args, cfg: dict, fmt: str) -> None:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     curve = _curve_from_config(cfg)
     payoff = pricing_mod.payoff_from_config(
         _require(cfg, "payoff", dict, "payoff config"))
-    S0 = _require(cfg, "S0", float, "spot")
-    T = _require(cfg, "T", float, "horizon")
-    seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
-    fmt = _resolve_format(args, cfg, "json")
+    S0 = _require_finite("config.S0", _require(cfg, "S0", float, "spot"))
+    T = _require_finite("config.T", _require(cfg, "T", float, "horizon"))
     method = cfg.get("method", "analytic")
     methods = list(_PRICE_METHODS) if method == "all" else [method]
 
-    results = {m: _price_one(m, model, curve, payoff, S0, T, cfg, seed,
-                             threads) for m in methods}
+    results = {m: _price_one(m, model, curve, payoff, S0, T, cfg, args.seed,
+                             args.threads) for m in methods}
     agreement = {}
     for a, b in itertools.combinations(methods, 2):
         va, vb = results[a]["value"], results[b]["value"]
@@ -458,7 +447,7 @@ def cmd_price(args) -> int:
         agreement[f"{a}|{b}"] = {"abs": gap,
                                  "rel": gap / max(abs(va), abs(vb), 1e-300)}
 
-    doc = {"S0": S0, "T": T, "seed": seed, "model_hash": model_hash(model),
+    doc = {"S0": S0, "T": T, "seed": args.seed, "model_hash": model_hash(model),
            "results": results}
     if len(methods) > 1:
         doc["agreement"] = agreement
@@ -470,16 +459,14 @@ def cmd_price(args) -> int:
           for m, r in results.items()),
         *(f"# gap({key}) = {fmt17(agreement[key]['abs'])}\n"
           for key in sorted(agreement))]
-    _write_output(args.out, {"command": "price", "seed": seed}, body)
-    return 0
+    _write_output(args.out, {"command": "price", "seed": args.seed}, body)
 
 
 # ---------------------------------------------------------------------------
 # greeks / hedge / index
 
 
-def cmd_greeks(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_greeks(args, cfg: dict, fmt: str) -> None:
     p = pricing_mod.BSParams(S=_require(cfg, "S", float, "spot"),
                              K=_require(cfg, "K", float, "strike"),
                              r=_require(cfg, "r", float, "flat rate"),
@@ -491,18 +478,15 @@ def cmd_greeks(args) -> int:
            "put": pricing_mod.bs_price(p, "put"),
            "delta": g.delta, "kappa": g.kappa, "gamma": g.gamma,
            "degenerate": g.degenerate}
-    fmt = _resolve_format(args, cfg, "json")
     body = _json_body(doc) if fmt == "json" else [
         "quantity,value\n",
         *(f"{key},{fmt17(doc[key])}\n"
           for key in ("call", "put", "delta", "kappa", "gamma")),
         f"degenerate,{str(doc['degenerate']).lower()}\n"]
     _write_output(args.out, {"command": "greeks"}, body)
-    return 0
 
 
-def cmd_hedge(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_hedge(args, cfg: dict, fmt: str) -> None:
     rows = _require(cfg, "instruments", list, "instrument list")
     instruments = []
     for i, row in enumerate(rows):
@@ -517,11 +501,10 @@ def cmd_hedge(args) -> int:
     report = risk_mod.neutralize(
         instruments, targets,
         normalization=cfg.get("normalization", "first"),
-        values=None if cfg.get("values") is None else _require(cfg, "values", _reals))
+        values=None if cfg.get("values") is None else _reals(cfg, "values"))
     doc = risk_mod.hedge_report_doc(report)
     doc["names"] = [inst.name for inst in instruments]
     doc["targets"] = list(targets)
-    fmt = _resolve_format(args, cfg, "json")
     body = _json_body(doc) if fmt == "json" else [
         f"# delta = {fmt17(report.delta)}\n",
         f"# condition_number = {fmt17(report.condition_number)}\n",
@@ -531,26 +514,22 @@ def cmd_hedge(args) -> int:
         *(f"{inst.name},{fmt17(alpha)}\n"
           for inst, alpha in zip(instruments, report.alphas))]
     _write_output(args.out, {"command": "hedge"}, body)
-    return 0
 
 
-def cmd_index(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_index(args, cfg: dict, fmt: str) -> None:
     inputs = risk_mod.IndexInputs(
-        prices=_require(cfg, "prices", _reals, "asset prices"),
-        sigmas=_require(cfg, "sigmas", _reals, "asset volatilities"))
+        prices=_reals(cfg, "prices", "asset prices"),
+        sigmas=_reals(cfg, "sigmas", "asset volatilities"))
     result = risk_mod.index_weights(inputs)
     doc = {"weights": list(result.weights),
            "index_variance": result.index_variance,
            "degenerate": result.degenerate}
-    fmt = _resolve_format(args, cfg, "json")
     body = _json_body(doc) if fmt == "json" else [
         f"# index_variance = {fmt17(result.index_variance)}\n",
         f"# degenerate = {str(result.degenerate).lower()}\n",
         "asset,weight\n",
         *(f"{i},{fmt17(wv)}\n" for i, wv in enumerate(result.weights))]
     _write_output(args.out, {"command": "index"}, body)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +570,11 @@ def _check_density(kind: str, method: str) -> dict:
             "measure": l1, "limit": 5e-3, "passed": l1 < 5e-3}
 
 
-def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    threads = _resolve_threads(args, cfg)
-    fmt = _resolve_format(args, cfg, "json")
-
+def cmd_check(args, cfg: dict, fmt: str) -> None:
     checks = []
     for K, sigma, T in ((80.0, 0.4, 2.0), (100.0, 0.2, 1.0),
                         (120.0, 0.1, 0.25)):
-        checks.extend(_check_price_cell(K, sigma, T, seed, threads))
+        checks.extend(_check_price_cell(K, sigma, T, args.seed, args.threads))
     checks += [_check_density(kind, method) for kind in ("bm", "gbm", "vasicek")
                for method in ("fokker-planck", "path-integral")]
 
@@ -610,26 +584,27 @@ def cmd_check(args) -> int:
         "name,measure,limit,passed\n",
         *(f"{json.dumps(c['name'])},{fmt17(c['measure'])},"
           f"{fmt17(c['limit'])},{str(c['passed']).lower()}\n" for c in checks)]
-    _write_output(args.out, {"command": "check", "seed": seed}, body)
+    _write_output(args.out, {"command": "check", "seed": args.seed}, body)
     if not ok:
         raise NumericalError(
             "cross-method agreement suite failed; see the report for the "
             "failing checks")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
 
+# name: (handler, default format, whether it samples noise and so takes
+# --seed and --threads, help text)
 _COMMANDS = {
-    "simulate": (cmd_simulate, "sample Euler paths and summary statistics"),
-    "density": (cmd_density, "tabulate a terminal density by one or more methods"),
-    "price": (cmd_price, "value a payoff by analytic, pde, green or mc routes"),
-    "greeks": (cmd_greeks, "closed-form call sensitivities"),
-    "hedge": (cmd_hedge, "solve for sensitivity-neutral position sizes"),
-    "index": (cmd_index, "variance-minimizing index weights"),
-    "check": (cmd_check, "run the cross-method agreement suite"),
+    "simulate": (cmd_simulate, "csv", True, "sample Euler paths and summary statistics"),
+    "density": (cmd_density, "csv", False, "tabulate a terminal density by one or more methods"),
+    "price": (cmd_price, "json", True, "value a payoff by analytic, pde, green or mc routes"),
+    "greeks": (cmd_greeks, "json", False, "closed-form call sensitivities"),
+    "hedge": (cmd_hedge, "json", False, "solve for sensitivity-neutral position sizes"),
+    "index": (cmd_index, "json", False, "variance-minimizing index weights"),
+    "check": (cmd_check, "json", True, "run the cross-method agreement suite"),
 }
 
 
@@ -638,31 +613,44 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochastica",
         description="Simulate diffusions, evolve densities, price and hedge.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in _COMMANDS.items():
+    for name, (_, default_format, samples, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int, help="overrides config.seed")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=_FORMATS,
-                        help="output format (default depends on command)")
-        sp.add_argument("--threads", type=int,
-                        help="worker threads (default: config.threads, else "
-                             "the CPUs this process may use); results do not "
-                             "depend on it")
-        sp.set_defaults(handler=fn)
+                        help="output format (default: config.format, else "
+                             f"{default_format})")
+        if samples:
+            sp.add_argument("--seed", type=int, help="overrides config.seed")
+            sp.add_argument("--threads", type=int,
+                            help="worker threads (default: config.threads, "
+                                 "else the CPUs this process may use); "
+                                 "results do not depend on it")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, default_format, samples, _ = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        cfg = _load_config(args.config)
+        fmt = _resolve_format(args, cfg, default_format)
+        if samples:
+            args.seed = _resolve_seed(args, cfg)
+            args.threads = _resolve_threads(args, cfg)
+        handler(args, cfg, fmt)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early; its final flush at exit would
+        # raise again, so what is left of it goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -86,6 +86,7 @@ class DensityGrid:
     model_hash: str = ""
 
     def __post_init__(self):
+        _require_finite("t", self.t)
         s = np.asarray(self.s_values, dtype=float)
         p = np.array(self.p_values, dtype=float)
         if s.ndim != 1 or s.size < 3 or p.shape != s.shape:
@@ -136,6 +137,10 @@ class PointMass:
 
     center: float
     t: float = 0.0
+
+    def __post_init__(self):
+        _require_finite("center", self.center)
+        _require_finite("t", self.t)
 
     @property
     def mean(self) -> float:
@@ -675,8 +680,6 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
     _require_finite("t1", t1)
-    if isinstance(initial, PointMass):
-        _require_finite("center", initial.center)
     t0 = float(initial.t)
     if not t1 > t0:
         raise ValueError("t1 must exceed the initial density's time")

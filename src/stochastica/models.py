@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import DiscountCurve, _no_bools
+from .portfolio import DiscountCurve, _json_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +451,12 @@ def load_model_config(doc: dict) -> ModelSpec:
     if not isinstance(type_name, str) or type_name not in _BUILDERS:
         raise ValueError(f"unknown model type {type_name!r}")
     one_asset, correlated, keys = _BUILDERS[type_name]
-    missing = [k for k in keys if params.get(k) is None or isinstance(params[k], bool)]
+    missing = [k for k in keys if params.get(k) is None]
     if missing:
         raise ValueError(f"params.{missing[0]} (numeric) required for type {type_name!r}")
-    args = [_no_bools(f"params.{k}", params[k]) for k in keys]
+    args = [_json_numbers(f"params.{k}", params[k]) for k in keys]
     if doc.get("correlation") is None:
         return one_asset(*args)
     if correlated is None:
         raise ValueError(f"correlated {type_name} models are not supported")
-    return correlated(*args, _no_bools("correlation", doc["correlation"]))
+    return correlated(*args, _json_numbers("correlation", doc["correlation"]))

@@ -16,13 +16,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 
-def _no_bools(key: str, value):
-    """value as given; a bool in it or its nested lists would read as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{key} must be numeric, not {str(value).lower()}")
+def _json_numbers(key: str, value):
+    """value as given if it is a JSON number or an array of them, nested or
+    not; float() and numpy would read a string such as "1" as a number, and
+    true or false as 1 or 0, so anything else is refused by key."""
     if isinstance(value, list):
         for v in value:
-            _no_bools(key, v)
+            _json_numbers(key, v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
     return value
 
 
@@ -205,6 +207,6 @@ def load_curve(doc) -> DiscountCurve:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "t" not in entry or "r" not in entry:
             raise ValueError(f"curve[{i}] must be an object with keys 't' and 'r'")
-        times.append(_no_bools(f"curve[{i}].t", entry["t"]))
-        rates.append(_no_bools(f"curve[{i}].r", entry["r"]))
+        times.append(_json_numbers(f"curve[{i}].t", entry["t"]))
+        rates.append(_json_numbers(f"curve[{i}].r", entry["r"]))
     return DiscountCurve(times=tuple(times), rates=tuple(rates))

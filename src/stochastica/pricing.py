@@ -37,7 +37,7 @@ from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_lea
                  _mean_and_se, _resolve_threads, _run_chunks, _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import DiscountCurve, _no_bools, _require_finite
+from .portfolio import DiscountCurve, _json_numbers, _require_finite
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -104,13 +104,13 @@ def payoff_from_config(doc: dict) -> PayoffSpec:
             raise ValueError(f"payoff.strike (a number) required for kind {kind!r}")
         maker = {"call": call_payoff, "put": put_payoff,
                  "digital": digital_payoff}[kind]
-        return maker(_no_bools("payoff.strike", doc["strike"]))
+        return maker(_json_numbers("payoff.strike", doc["strike"]))
     if kind == "custom":
         table = doc.get("table")
         if not isinstance(table, dict) or "s" not in table or "values" not in table:
             raise ValueError("custom payoff needs table: {s: [...], values: [...]}")
-        return table_payoff(_no_bools("payoff.table.s", table["s"]),
-                            _no_bools("payoff.table.values", table["values"]))
+        return table_payoff(_json_numbers("payoff.table.s", table["s"]),
+                            _json_numbers("payoff.table.values", table["values"]))
     raise ValueError(f"unknown payoff kind {kind!r}")
 
 

@@ -623,6 +623,22 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
                             "correlation": [[1, 0], [0, True]]}}, "correlation"),
     ("simulate", {"model": {"type": "custom-grid", "params": {
         "s": [50, 100, 150], "drift": [0, 0, 0], "vol": [1, True, 1]}}}, "params.vol"),
+    # dict() and list() read these as other JSON types and exited 0
+    ("hedge", {"targets": {"kappa": 1}}, "config.targets must be an array"),
+    ("price", {"model": [["type", "gbm"], ["params", {"mu": 0.05, "sigma": 0.2}]]},
+     "config.model must be an object"),
+    ("price", {"payoff": [["kind", "call"], ["strike", 100]]},
+     "config.payoff must be an object"),
+    # list() split a string into characters
+    ("hedge", {"instruments": "ab"}, "config.instruments must be an array"),
+    # float() read numbers written as JSON strings as numbers and exited 0
+    ("price", {"S0": "100"}, "config.S0 must be a number"),
+    ("price", {"T": "1"}, "config.T must be a number"),
+    ("price", {"model": {"type": "gbm", "params": {"mu": "0.05", "sigma": 0.2}}},
+     "params.mu must be a number"),
+    ("price", {"payoff": {"kind": "call", "strike": "100"}}, "payoff.strike must be a number"),
+    ("price", {"curve": [{"t": 0, "r": "0.05"}]}, "curve[0].r must be a number"),
+    ("density", {"grid": {"lo": "-1", "hi": 2.0}}, "config.grid.lo must be a number"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):
@@ -631,6 +647,50 @@ def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
     cfg = write_config(tmp_path, "settings.json", dict(base, **extra))
     assert main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+
+
+# a config each command runs quickly on
+FORMAT_DOCS = {"simulate": SIM_DOC, "density": dict(DENSITY_DOC, method="analytic"),
+               "price": dict(GBM_PRICE_DOC, method="analytic"), "greeks": GREEKS_DOC,
+               "hedge": HEDGE_DOC, "index": INDEX_DOC, "check": {}}
+
+
+@pytest.mark.parametrize("command, default", [
+    ("simulate", "csv"), ("density", "csv"), ("price", "json"), ("greeks", "json"),
+    ("hedge", "json"), ("index", "json"), ("check", "json")])
+def test_format_is_the_flag_then_config_format_then_the_command_default(
+        tmp_path, capsys, monkeypatch, command, default):
+    # the suite's checks are not under test here, only the format of its report
+    monkeypatch.setattr(cli, "_check_price_cell", lambda *args: [])
+    monkeypatch.setattr(cli, "_check_density", lambda kind, method: {
+        "name": method, "measure": 0.0, "limit": 1.0, "passed": True})
+    other = {"csv": "json", "json": "csv"}[default]
+
+    def written(doc, *flags):
+        cfg = write_config(tmp_path, "fmt.json", doc)
+        assert main([command, "--config", cfg, *flags]) == 0
+        return "json" if capsys.readouterr().out.startswith("{") else "csv"
+
+    doc = FORMAT_DOCS[command]
+    assert written(doc) == default
+    assert written(dict(doc, format=other)) == other
+    assert written(dict(doc, format=other), "--format", default) == default
+    cfg = write_config(tmp_path, "xml.json", dict(doc, format="xml"))
+    assert main([command, "--config", cfg]) == 2
+    assert "config.format must be one of ('csv', 'json'), not 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+@pytest.mark.parametrize("command", sorted(FORMAT_DOCS))
+def test_only_the_commands_that_sample_take_seed_and_threads(command, flag):
+    argv = [command, flag, "1"]
+    if command in ("simulate", "price", "check"):
+        assert getattr(_build_parser().parse_args(argv), flag[2:]) == 1
+    else:
+        # density, greeks, hedge and index never read them
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_readme_command_line_examples_load():
@@ -649,6 +709,15 @@ def test_readme_command_line_examples_load():
     load_model_config(doc["model"])
     _curve_from_config(doc)
     payoff_from_config(doc["payoff"])
+    # every example parses, and its --out file is named for the format it gets
+    (commands,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    for line in commands.splitlines():
+        program, *argv = line.split()
+        args = _build_parser().parse_args(argv)
+        assert program == "stochastica"
+        if args.out is not None:
+            fmt = args.format or cli._COMMANDS[args.command][1]
+            assert args.out.endswith("." + fmt), line
 
 
 def test_missing_simulate_counts_are_named(tmp_path, capsys):
@@ -674,12 +743,17 @@ def test_density_half_width_must_be_finite_and_positive(tmp_path, capsys,
      "t must be finite"),
     ("greeks", {"S": 100.0, "K": 100.0, "r": 0.05, "sigma": math.inf, "t": 1.0},
      "sigma must be finite"),
-    ("price", dict(GBM_PRICE_DOC, method="analytic", T=math.inf), "t must be finite"),
+    ("price", dict(GBM_PRICE_DOC, method="analytic", T=math.inf), "config.T must be finite"),
     # the default dt is T / n_steps, so T must be named before dt
-    ("price", dict(GBM_PRICE_DOC, T=math.inf, mc={"n_paths": 2000}), "T must be finite"),
+    ("price", dict(GBM_PRICE_DOC, T=math.inf, mc={"n_paths": 2000}),
+     "config.T must be finite"),
+    # the routes name their own arguments (t, S); the config keys come first
+    ("price", dict(GBM_PRICE_DOC, method="green", T=math.inf), "config.T must be finite"),
+    ("price", dict(GBM_PRICE_DOC, method="all", S0=math.inf), "config.S0 must be finite"),
     ("density", dict(DENSITY_DOC, t=math.inf), "config.t must be finite and positive"),
     ("density", dict(DENSITY_DOC, S0=math.inf), "config.S0 must be finite"),
-], ids=["greeks t", "greeks sigma", "price analytic T", "price mc T", "density t", "density S0"])
+], ids=["greeks t", "greeks sigma", "price analytic T", "price mc T", "price green T",
+        "price all S0", "density t", "density S0"])
 def test_non_finite_inputs_exit_2_naming_them(tmp_path, capsys, command, doc, message):
     # these used to write nan values, or fail on another name, and exit 0 or 1
     cfg = write_config(tmp_path, "inf.json", doc)
@@ -774,6 +848,19 @@ def test_missing_command_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(tmp_path):
+    # a body of about 4 MB, far more than a pipe holds
+    cfg = write_config(tmp_path, "sim.json", dict(SIM_DOC, n_paths=2000, n_steps=64))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stochastica.cli", "simulate", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_the_package())
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert err == ""
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -762,6 +762,16 @@ _RN_GBM = risk_neutralize(make_gbm(0.05, 0.2), _FLAT)
                  id="one_step_kernel dt"),
     pytest.param("S0", lambda: pv_pde(call_payoff(100.0), _FLAT, 0.2, math.inf, 1.0),
                  id="pv_pde S0"),
+    # a start at t = nan was refused as not before t1, or marched to t = nan
+    pytest.param("t", lambda: evolve_density(make_bm(0.0, 1.0),
+                                             PointMass(center=0.0, t=math.nan), 1.0),
+                 id="evolve_density nan start time"),
+    pytest.param("t", lambda: fokker_planck_forward(
+        make_bm(0.0, 1.0), point_mass_on_grid(_S, 0.0, t=math.nan), TimeGrid(0.0, 0.01, 10)),
+                 id="fokker_planck_forward nan start time"),
+    pytest.param("t", lambda: propagate(one_step_kernel(make_bm(0.0, 1.0), 0.0, 0.01),
+                                        point_mass_on_grid(_S, 0.0, t=math.nan), 10),
+                 id="propagate nan start time"),
 ])
 def test_non_finite_horizons_spots_and_centres_are_named(name, call):
     # refused by name before any array is built, so numpy never warns
