@@ -35,8 +35,8 @@ from . import pathintegral as pi_mod
 from . import pricing as pricing_mod
 from . import risk as risk_mod
 from .errors import NumericalError
-from .mc import (_CHUNK, TimeGrid, _mean_and_se, export_paths_csv, fmt17, simulate_paths,
-                 _resolve_threads as _resolve_mc_threads)
+from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, export_paths_csv, fmt17,
+                 simulate_paths, _resolve_threads as _resolve_mc_threads)
 from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
                      model_hash)
 from .noise import validate_seed
@@ -46,7 +46,8 @@ _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
 _PRICE_METHODS = ("analytic", "pde", "green", "mc")
 _NONFINITE = re.compile(r"-?inf|nan")
-_JSON_TYPES = {float: "a number", list: "an array", dict: "an object"}
+_JSON_TYPES = {float: "a number", bool: "true or false", str: "a string",
+               list: "an array", dict: "an object"}
 
 
 # ---------------------------------------------------------------------------
@@ -164,51 +165,46 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _require(cfg: dict, key: str, kind: type, what: str = "", default=None,
+def _require(cfg: dict, key: str, kind, what: str = "", default=...,
              where: str = "config"):
-    """cfg[key], else default, of JSON type kind: float takes a number and
-    gives it as a float, list and dict take an array and an object as they
-    are; an error names the key as where.key. With no default the key is
-    required."""
+    """cfg[key], else default, of JSON kind; an error names the key as
+    where.key, and with no default the key is required. float takes a
+    number and gives it as a float, an int kind an integer >= that int, and
+    list[float] an array of numbers; bool, str, list and dict take true or
+    false, a string, an array and an object as they are, and a null object
+    reads as absent."""
     name = f"{where}.{key}"
-    if default is None and key not in cfg:
-        raise ValueError(f"{name} is required ({what})")
-    value = cfg.get(key, default)
+    value = cfg.get(key)
+    if key not in cfg or (kind is dict and value is None):
+        if default is ...:
+            raise ValueError(f"{name} is required" + (f" ({what})" if what else ""))
+        return default
+    if isinstance(kind, int):
+        return _int_at_least(name, value, kind)
     if kind is float and not isinstance(value, list):
         return float(_json_numbers(name, value))
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, not {value!r}")
-    return value
+    shape = list if kind == list[float] else kind
+    if not isinstance(value, shape):
+        raise ValueError(f"{name} must be {_JSON_TYPES[shape]}, not {value!r}")
+    return _json_numbers(name, value) if kind == list[float] else value
 
 
-def _reals(cfg: dict, key: str, what: str = "") -> list:
-    """config.key, a JSON array of numbers."""
-    return _json_numbers(f"config.{key}", _require(cfg, key, list, what))
-
-
-def _section(cfg: dict, key: str) -> dict | None:
-    """config.key, an object of settings, or None when absent or null."""
-    sub = cfg.get(key)
-    if sub is not None and not isinstance(sub, dict):
-        raise ValueError(f"config.{key} must be an object")
-    return sub
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    return validate_seed(cfg.get("seed", 0) if args.seed is None else args.seed)
+def _flag_or_config(args, cfg: dict, key: str, check, default=None):
+    """check(--key, else config.key, else default); an error names the
+    source of the value it refuses."""
+    source, value = f"--{key}", getattr(args, key)
+    if value is None:
+        source, value = f"config.{key}", cfg.get(key, default)
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _resolve_threads(args, cfg: dict) -> int:
     """--threads, else config.threads, else the library default (the CPUs
     this process may use)."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        source, value = "config.threads", cfg.get("threads")
-    try:
-        return _resolve_mc_threads(value)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    return _flag_or_config(args, cfg, "threads", _resolve_mc_threads)
 
 
 def _resolve_format(args, cfg: dict, default: str) -> str:
@@ -218,28 +214,10 @@ def _resolve_format(args, cfg: dict, default: str) -> str:
     return fmt
 
 
-def _count(cfg: dict, key: str, low: int, default=None,
-           where: str = "config") -> int:
-    """cfg[key], else default, as an integer >= low; an error names the key
-    as where.key. With no default the key is required."""
-    if default is None and key not in cfg:
-        raise ValueError(f"{where}.{key} is required")
-    return density_mod._int_at_least(f"{where}.{key}", cfg.get(key, default),
-                                     low)
-
-
-def _flag(cfg: dict, key: str, default, where: str = "config"):
-    """cfg[key], JSON true or false, else default when the key is absent;
-    an error names the key as where.key."""
-    if key in cfg and not isinstance(cfg[key], bool):
-        raise ValueError(f"{where}.{key} must be true or false, not {cfg[key]!r}")
-    return cfg.get(key, default)
-
-
 def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
     """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
     n_steps) must be a positive integer either way."""
-    n = _count(sub, "n_steps", 1, n_steps, f"config.{where}")
+    n = _require(sub, "n_steps", 1, default=n_steps, where=f"config.{where}")
     return _require(sub, "dt", float, default=T / n, where=f"config.{where}")
 
 
@@ -261,9 +239,9 @@ def cmd_simulate(args, cfg: dict, fmt: str) -> None:
     S0 = _require(cfg, "S0", float, "initial state")
     grid = TimeGrid(t0=_require(cfg, "t0", float, default=0.0),
                     dt=_require(cfg, "dt", float, "step size"),
-                    n_steps=_count(cfg, "n_steps", 1))
-    n_paths = _count(cfg, "n_paths", 1)
-    include_paths = _flag(cfg, "include_paths", False)
+                    n_steps=_require(cfg, "n_steps", 1))
+    n_paths = _require(cfg, "n_paths", 1)
+    include_paths = _require(cfg, "include_paths", bool, default=False)
 
     batch = simulate_paths(model, S0, grid, n_paths, args.seed, threads=args.threads)
     terminal = [_mean_and_se(batch.paths[:, -1, a]) for a in range(batch.dim)]
@@ -299,11 +277,11 @@ def cmd_simulate(args, cfg: dict, fmt: str) -> None:
 
 def _comparison_grid(model, S0: float, t: float, cfg: dict,
                      n_nodes: int, half_width: float) -> np.ndarray:
-    explicit = _section(cfg, "grid")
+    explicit = _require(cfg, "grid", dict, default=None)
     if explicit is not None:
         lo = _require(explicit, "lo", float, "grid start", where="config.grid")
         hi = _require(explicit, "hi", float, "grid end", where="config.grid")
-        n = _count(explicit, "n", 3, n_nodes, "config.grid")
+        n = _require(explicit, "n", 3, default=n_nodes, where="config.grid")
         if not hi > lo:
             raise ValueError("config.grid needs lo < hi")
         return np.linspace(lo, hi, n)
@@ -348,12 +326,12 @@ def cmd_density(args, cfg: dict, fmt: str) -> None:
             or any(m not in _DENSITY_METHODS for m in methods):
         raise ValueError("config.method must be a method or a non-empty list "
                          f"of methods from {_DENSITY_METHODS}")
-    res = _section(cfg, "resolution") or {}
+    res = _require(cfg, "resolution", dict, default={})
     half_width = _require(res, "half_width", float, default=8.0,
                           where="config.resolution")
-    n_nodes = density_mod._grid_nodes(_count(res, "n_nodes", 5, 801, "config.resolution"),
-                                      half_width)
-    n_steps = _count(res, "n_steps", 1, 256, "config.resolution")
+    n_nodes = density_mod._grid_nodes(
+        _require(res, "n_nodes", 5, default=801, where="config.resolution"), half_width)
+    n_steps = _require(res, "n_steps", 1, default=256, where="config.resolution")
 
     s = _comparison_grid(model, S0, t, cfg, n_nodes, half_width)
     tables = {m: _density_by_method(m, model, S0, t, s, n_steps, n_nodes,
@@ -394,34 +372,35 @@ def _price_one(method: str, model, curve: DiscountCurve,
                                  sigma=model.family.sigma, t=T)
         return {"value": pricing_mod.bs_price(p, payoff.kind)}
     if method == "pde":
-        sub = _section(cfg, "pde") or {}
+        sub = _require(cfg, "pde", dict, default={})
         fn = pricing_mod.pv_pde(payoff, curve, model.family.sigma, S0, T,
-                                n_nodes=_count(sub, "n_nodes", 5, 4097,
-                                               "config.pde"),
-                                n_steps=_count(sub, "n_steps", 1, 512,
-                                               "config.pde"),
+                                n_nodes=_require(sub, "n_nodes", 5, default=4097,
+                                                 where="config.pde"),
+                                n_steps=_require(sub, "n_steps", 1, default=512,
+                                                 where="config.pde"),
                                 half_width=_require(sub, "half_width", float,
                                                     default=8.0, where="config.pde"))
         return {"value": float(fn(S0))}
     if method == "green":
-        sub = _section(cfg, "green") or {}
+        sub = _require(cfg, "green", dict, default={})
         dt = _dt_from(sub, T, 256, "green")
         green = pi_mod.greens_function(
             pricing_mod.risk_neutralize(model, curve), curve, 0.0, S0, T, dt,
-            n_nodes=_count(sub, "n_nodes", 5, 801, "config.green"),
+            n_nodes=_require(sub, "n_nodes", 5, default=801, where="config.green"),
             half_width=_require(sub, "half_width", float, default=8.0,
                                 where="config.green"))
         return {"value": pricing_mod.pv_green(green, payoff),
                 "mass": green.total_mass()}
     if method == "mc":
-        sub = _section(cfg, "mc") or {}
+        sub = _require(cfg, "mc", dict, default={})
         dt = _dt_from(sub, T, 64, "mc")
         est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt,
-                                _count(sub, "n_paths", 1, 100000, "config.mc"),
+                                _require(sub, "n_paths", 1, default=100000,
+                                         where="config.mc"),
                                 seed,
                                 threads=threads,
-                                exact_terminal=_flag(sub, "exact_terminal", None,
-                                                     "config.mc"))
+                                exact_terminal=_require(sub, "exact_terminal", bool,
+                                                        default=None, where="config.mc"))
         return {"value": est.mean, "std_error": est.std_error,
                 "n_paths": est.n_paths,
                 "sampler": est.metadata.get("sampler", "")}
@@ -495,13 +474,13 @@ def cmd_hedge(args, cfg: dict, fmt: str) -> None:
             raise ValueError(f"{where} must be an object")
         delta, kappa, gamma = (_require(row, greek, float, "a sensitivity", where=where)
                                for greek in ("delta", "kappa", "gamma"))
-        instruments.append(risk_mod.Instrument(delta, kappa, gamma,
-                                               name=str(row.get("name", i))))
+        instruments.append(risk_mod.Instrument(
+            delta, kappa, gamma, name=_require(row, "name", str, default=str(i), where=where)))
     targets = _require(cfg, "targets", list, default=["kappa"])
     report = risk_mod.neutralize(
         instruments, targets,
         normalization=cfg.get("normalization", "first"),
-        values=None if cfg.get("values") is None else _reals(cfg, "values"))
+        values=None if cfg.get("values") is None else _require(cfg, "values", list[float]))
     doc = risk_mod.hedge_report_doc(report)
     doc["names"] = [inst.name for inst in instruments]
     doc["targets"] = list(targets)
@@ -518,8 +497,8 @@ def cmd_hedge(args, cfg: dict, fmt: str) -> None:
 
 def cmd_index(args, cfg: dict, fmt: str) -> None:
     inputs = risk_mod.IndexInputs(
-        prices=_reals(cfg, "prices", "asset prices"),
-        sigmas=_reals(cfg, "sigmas", "asset volatilities"))
+        prices=_require(cfg, "prices", list[float], "asset prices"),
+        sigmas=_require(cfg, "sigmas", list[float], "asset volatilities"))
     result = risk_mod.index_weights(inputs)
     doc = {"weights": list(result.weights),
            "index_variance": result.index_variance,
@@ -636,7 +615,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         fmt = _resolve_format(args, cfg, default_format)
         if samples:
-            args.seed = _resolve_seed(args, cfg)
+            args.seed = _flag_or_config(args, cfg, "seed", validate_seed, 0)
             args.threads = _resolve_threads(args, cfg)
         handler(args, cfg, fmt)
     except ValueError as exc:

@@ -17,9 +17,10 @@ Reductions materialize one value per path and sum once with numpy's
 pairwise summation; partial sums are never accumulated across spans,
 which is what keeps results byte-stable under --threads.
 
-A batch is cut into near-equal path spans that run on `threads` threads,
-the calling thread included; threads=None (the default) means the CPUs
-this process may use. Model drift/vol maps and payoff callables therefore
+A batch is cut into near-equal path spans that run on a pool of up to
+`threads` worker threads, or on the calling thread alone when there is
+one thread or one span; threads=None (the default) means the CPUs this
+process may use. Model drift/vol maps and payoff callables therefore
 run on worker threads and must be pure functions of their arguments.
 """
 
@@ -205,34 +206,28 @@ def _spans(n_paths: int, threads: int) -> list[tuple[int, int]]:
 def _run_chunks(n_paths: int, threads: int, work) -> None:
     """Apply work(lo, hi) over the path spans, on up to `threads` threads.
 
-    The spans are cut into one contiguous group per thread; the calling
-    thread runs the first group while pool workers run the rest. Draws are
-    positional, so neither the spans nor the thread count change a value.
-    A NumericalError does not stop the other spans: once all have run, the
-    earliest failure by (step, path) is raised, so the error, too, is the
-    same for every split.
+    With two threads or more and two spans or more, the spans are mapped
+    over one pool of up to `threads` workers; otherwise the calling thread
+    runs them in order. Draws are positional, so neither the spans nor the
+    thread count change a value. A NumericalError does not stop the other
+    spans: once all have run, the earliest failure by (step, path) is
+    raised, so the error, too, is the same for every split.
     """
     spans = _spans(n_paths, threads)
-    n_groups = min(threads, len(spans))
-    groups = [spans[g * len(spans) // n_groups:(g + 1) * len(spans) // n_groups]
-              for g in range(n_groups)]
     failures = []
 
-    def run(group) -> None:
-        for lo, hi in group:
-            try:
-                work(lo, hi)
-            except NumericalError as err:
-                failures.append((getattr(err, "where", (np.inf, lo)), err))
+    def run(span) -> None:
+        try:
+            work(*span)
+        except NumericalError as err:
+            failures.append((getattr(err, "where", (np.inf, span[0])), err))
 
-    if n_groups == 1:
-        run(spans)
+    if threads < 2 or len(spans) < 2:
+        for span in spans:
+            run(span)
     else:
-        with ThreadPoolExecutor(max_workers=n_groups - 1) as pool:
-            futures = [pool.submit(run, group) for group in groups[1:]]
-            run(groups[0])
-            for future in futures:
-                future.result()
+        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
+            list(pool.map(run, spans))
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 

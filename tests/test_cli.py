@@ -200,6 +200,17 @@ def test_seed_flag_overrides_config_seed(tmp_path, capsys):
     assert flagged != capsys.readouterr().out
 
 
+@pytest.mark.parametrize("where, source", [("flag", "--seed"), ("config", "config.seed")])
+def test_a_bad_seed_exits_2_naming_its_source(tmp_path, capsys, where, source):
+    # the error used to say only "seed must satisfy 0 <= seed < 2**64"
+    doc = dict(SIM_DOC, seed=-1) if where == "config" else SIM_DOC
+    argv = ["simulate", "--config", write_config(tmp_path, "sim.json", doc)]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    assert f"error: {source}: seed must satisfy" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where,value,source", [
     ("config", 2.7, "config.threads"),
     ("config", True, "config.threads"),
@@ -465,6 +476,22 @@ def test_hedge_command(tmp_path, capsys):
     assert float(rows["b"]) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", [{"a": 1}, 7, None, ["a"]])
+def test_hedge_instrument_names_must_be_strings(tmp_path, capsys, name):
+    # str() used to write {"a": 1} into the CSV as {'a': 1} and exit 0
+    rows = [dict(HEDGE_DOC["instruments"][0], name=name), HEDGE_DOC["instruments"][1]]
+    cfg = write_config(tmp_path, "hedge.json", {"instruments": rows})
+    assert main(["hedge", "--config", cfg, "--format", "csv"]) == 2
+    assert "config.instruments[0].name must be a string" in capsys.readouterr().err
+
+
+def test_an_unnamed_hedge_instrument_is_named_by_its_row(tmp_path, capsys):
+    rows = [{k: v for k, v in row.items() if k != "name"} for row in HEDGE_DOC["instruments"]]
+    cfg = write_config(tmp_path, "hedge.json", {"instruments": rows})
+    assert main(["hedge", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["names"] == ["0", "1"]
+
+
 def test_index_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "index.json",
                        {"prices": [1.0, 1.0], "sigmas": [0.1, 0.2]})
@@ -647,6 +674,19 @@ def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
     cfg = write_config(tmp_path, "settings.json", dict(base, **extra))
     assert main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, method, key", [
+    ("density", "analytic", "grid"), ("density", "analytic", "resolution"),
+    ("price", "pde", "pde"), ("price", "green", "green"), ("price", "mc", "mc")])
+def test_a_null_section_reads_as_absent(tmp_path, capsys, command, method, key):
+    base = {"price": GBM_PRICE_DOC, "density": DENSITY_DOC}[command]
+    absent = {k: v for k, v in base.items() if k != key}
+    bodies = []
+    for doc in (dict(absent, method=method), dict(absent, method=method, **{key: None})):
+        assert main([command, "--config", write_config(tmp_path, "null.json", doc)]) == 0
+        bodies.append(capsys.readouterr().out)
+    assert bodies[0] == bodies[1]
 
 
 # a config each command runs quickly on

@@ -338,6 +338,16 @@ def test_forward_solver_asks_for_wider_grid():
         fokker_planck_forward(model, initial, TimeGrid(0.0, 0.005, 200))
 
 
+def test_forward_solver_names_the_edge_before_the_mass_it_costs():
+    # one step carries the point mass into the right edge, whose half
+    # trapezoid weight drops the mass to 0.994: this used to be reported
+    # as "mass drifted"
+    s = np.linspace(-1.0, 1.0, 501)
+    with pytest.raises(NumericalError, match="density reached the domain edge at step 1"):
+        fokker_planck_forward(make_bm(4.0, 0.2), point_mass_on_grid(s, 0.0),
+                              TimeGrid(0.0, 0.0625, 16))
+
+
 def test_forward_solver_requires_vanishing_edges():
     model = make_bm(0.0, 1.0)
     s = np.linspace(-1.0, 1.0, 101)

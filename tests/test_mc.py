@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,18 @@ def test_mgf_two_time_covariance():
     assert abs(est.mean - expect) < 3 * est.std_error
 
 
+def test_mgf_dense_coefficients_agree_with_the_same_mapping():
+    # the einsum and the term-by-term sum round differently, so the two
+    # agree to rounding, not bit for bit
+    m = make_correlated_gbm([0.05, 0.02], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]])
+    batch = simulate_paths(m, [1.0, 0.5], TimeGrid(0.0, 0.25, 4), 4000, seed=17)
+    J = np.linspace(-0.3, 0.6, 10).reshape(5, 2)
+    dense = mgf(J, batch)
+    terms = mgf({(s, a): J[s, a] for s in range(5) for a in range(2)}, batch)
+    assert dense.mean == pytest.approx(terms.mean, rel=1e-12)
+    assert dense.std_error == pytest.approx(terms.std_error, rel=1e-12)
+
+
 def test_mgf_overflow_reports_exponent():
     batch = _small_batch()
     with pytest.raises(NumericalError, match="exponent"):
@@ -373,6 +386,24 @@ def test_ito_square_map_under_bm():
     assert rep.predicted_drift == pytest.approx(sigma ** 2, rel=1e-12)
     assert rep.predicted_vol == pytest.approx(2 * sigma * S0, rel=1e-12)
     assert abs(rep.z_drift) < 4 and abs(rep.z_vol) < 4
+
+
+def test_ito_product_map_under_correlated_gbm():
+    # f = S0 S1 has a mixed partial of 1 and none on the diagonal
+    mus, sigmas, rho, S0 = (0.05, 0.02), (0.2, 0.3), 0.5, (100.0, 50.0)
+    m = make_correlated_gbm(mus, sigmas, [[1.0, rho], [rho, 1.0]])
+
+    def check(mixed):
+        return ito_check(m, lambda t, s: s[:, 0] * s[:, 1], 0.0, [S0[1], S0[0]],
+                         [[0.0, mixed], [mixed, 0.0]], S0=S0, dt=1e-3,
+                         n_paths=200000, seed=18)
+
+    rep = check(1.0)
+    assert rep.predicted_drift == pytest.approx(
+        (mus[0] + mus[1] + rho * sigmas[0] * sigmas[1]) * S0[0] * S0[1], rel=1e-12)
+    assert abs(rep.z_drift) < 4 and abs(rep.z_vol) < 4
+    with pytest.raises(ValueError, match=re.escape("d2f/dS[0]dS[1]")):
+        check(2.0)
 
 
 def test_ito_rejects_wrong_derivative():

@@ -5,6 +5,7 @@ as explicit lognormal integrals and evaluated with adaptive quadrature,
 independent of every closed form in the package.
 """
 
+import json
 import math
 import sys
 
@@ -38,6 +39,7 @@ from stochastica import (
     table_payoff,
 )
 from stochastica import mc, noise, pathintegral, pricing
+from stochastica.cli import main
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 from stochastica.models import GBM
 
@@ -178,6 +180,25 @@ def test_greeks_match_finite_differences():
     assert not g.degenerate
 
 
+def delta_expanded(p):
+    """Spot sensitivity written out term by term before simplification;
+    the trailing bracket cancels because S N(d+) = K e^{-rt} N(d-)."""
+    z = p.sigma * math.sqrt(p.t)
+    return (norm_cdf(p.d_plus)
+            + (norm_pdf(p.d_plus)
+               - p.K * math.exp(-p.r * p.t) / p.S * norm_pdf(p.d_minus)) / z)
+
+
+def kappa_expanded(p):
+    """Volatility sensitivity via the explicit d+- derivatives,
+    d(d+-)/dsigma = -(ln(S/K) + rt)/(sigma^2 sqrt(t)) +- sqrt(t)/2."""
+    core = -(math.log(p.S / p.K) + p.r * p.t) / (p.sigma ** 2 * math.sqrt(p.t))
+    dd_plus = core + 0.5 * math.sqrt(p.t)
+    dd_minus = core - 0.5 * math.sqrt(p.t)
+    return (p.S * norm_pdf(p.d_plus) * dd_plus
+            - p.K * math.exp(-p.r * p.t) * norm_pdf(p.d_minus) * dd_minus)
+
+
 def test_collapsing_identity_holds():
     # S N(d+) = K e^{-rt} N(d-) is what makes the short greek forms valid
     for K, sigma, T in _GRID:
@@ -185,7 +206,33 @@ def test_collapsing_identity_holds():
         lhs = p.S * norm_pdf(p.d_plus)
         rhs = p.K * math.exp(-p.r * p.t) * norm_pdf(p.d_minus)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-        bs_greeks(p)  # the internal cross-check must not trip
+        g = bs_greeks(p)
+        assert abs(delta_expanded(p) - g.delta) <= 1e-9 * max(1.0, abs(g.delta))
+        assert abs(kappa_expanded(p) - g.kappa) <= 1e-9 * max(1.0, abs(g.kappa))
+
+
+@pytest.mark.parametrize("sigma, delta_tol", [
+    (1e-8, 1e-8),
+    # rounding K = 100 e^0.05 to a double alone puts d+ at -1.13e-6 here (by
+    # exact arithmetic on the doubles), so delta itself is 0.5 - 4.5e-7
+    (1e-10, 5e-7)])
+def test_greeks_near_the_forward_with_a_tiny_volatility(tmp_path, sigma, delta_tol):
+    # the long-hand bracket cancels to rounding here and is divided by
+    # sigma sqrt(t); comparing with it rejected these correct answers
+    doc = {"S": 100.0, "K": 100.0 * math.exp(0.05), "r": 0.05, "sigma": sigma,
+           "t": 1.0}
+    cfg = tmp_path / "greeks.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "greeks_out.json"
+    assert main(["greeks", "--config", str(cfg), "--out", str(out)]) == 0
+    shown = json.loads(out.read_text())
+    g = bs_greeks(BSParams(**doc))
+    for delta, kappa, gamma in ((g.delta, g.kappa, g.gamma),
+                                (shown["delta"], shown["kappa"], shown["gamma"])):
+        assert abs(delta - 0.5) <= delta_tol
+        assert kappa == pytest.approx(100.0 / math.sqrt(2 * math.pi), rel=1e-6)
+        assert gamma == pytest.approx(
+            1.0 / (100.0 * sigma * math.sqrt(2 * math.pi)), rel=1e-6)
 
 
 def test_degenerate_greeks():
