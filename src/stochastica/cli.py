@@ -4,13 +4,15 @@ Subcommands: simulate | density | price | greeks | hedge | index | check,
 one row each of the command table _COMMANDS. main loads the config and
 resolves the format, and the seed and thread count of the three commands
 that sample noise (only they take --seed and --threads), for the handler.
+Each handler computes its JSON document and its CSV body; main writes the
+body the format picks and the sidecar, then fails a check suite that failed.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
 significant digits so outputs round-trip exactly. Bodies are streamed:
-float arrays (JSON) and path tables (CSV) are rendered a row at a time
-by one %-template per row and written as they are rendered, so memory
-does not grow with the output, and the bytes match a value-by-value
+float arrays (JSON) and path and density tables (CSV) are rendered a row
+at a time by one %-template per row and written as they are rendered, so
+memory does not grow with the output, and the bytes match a value-by-value
 rendering. --out is moved into place only once its body is complete.
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output was
@@ -112,12 +114,6 @@ def emit_json(obj, indent: int = 0) -> str:
     return "".join(_json_pieces(obj, indent))
 
 
-def _json_body(doc):
-    """The pieces of a JSON output body: doc, then a newline."""
-    yield from _json_pieces(doc)
-    yield "\n"
-
-
 def _write_output(out: str | None, meta: dict, body) -> None:
     """Write body, text pieces or a function that writes to the open file,
     to stdout or to out as it is rendered. The file is written under a
@@ -207,13 +203,6 @@ def _resolve_threads(args, cfg: dict) -> int:
     return _flag_or_config(args, cfg, "threads", _resolve_mc_threads)
 
 
-def _resolve_format(args, cfg: dict, default: str) -> str:
-    fmt = args.format or cfg.get("format") or default
-    if fmt not in _FORMATS:
-        raise ValueError(f"config.format must be one of {_FORMATS}, not {fmt!r}")
-    return fmt
-
-
 def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
     """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
     n_steps) must be a positive integer either way."""
@@ -234,7 +223,7 @@ def _curve_from_config(cfg: dict) -> DiscountCurve:
 # simulate
 
 
-def cmd_simulate(args, cfg: dict, fmt: str) -> None:
+def cmd_simulate(args, cfg: dict) -> tuple:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require(cfg, "S0", float, "initial state")
     grid = TimeGrid(t0=_require(cfg, "t0", float, default=0.0),
@@ -246,29 +235,27 @@ def cmd_simulate(args, cfg: dict, fmt: str) -> None:
     batch = simulate_paths(model, S0, grid, n_paths, args.seed, threads=args.threads)
     terminal = [_mean_and_se(batch.paths[:, -1, a]) for a in range(batch.dim)]
 
-    if fmt == "csv":
-        def body(fh):
-            fh.write(f"# seed = {args.seed}\n"
-                     f"# model_hash = {batch.model_hash}\n"
-                     f"# t0 = {fmt17(grid.t0)}\n"
-                     f"# dt = {fmt17(grid.dt)}\n"
-                     f"# n_steps = {grid.n_steps}\n")
-            for a, (mean, se) in enumerate(terminal):
-                fh.write(f"# terminal_mean_{a} = {fmt17(mean)}\n"
-                         f"# terminal_se_{a} = {fmt17(se)}\n")
-            export_paths_csv(batch, fh)
-    else:
-        doc = {
-            "seed": args.seed, "model_hash": batch.model_hash,
-            "grid": {"t0": grid.t0, "dt": grid.dt, "n_steps": grid.n_steps},
-            "n_paths": n_paths,
-            "terminal": {"mean": [m for m, _ in terminal],
-                         "std_error": [s for _, s in terminal]},
-        }
-        if include_paths:
-            doc["paths"] = batch.paths
-        body = _json_body(doc)
-    _write_output(args.out, {"command": "simulate", "seed": args.seed}, body)
+    doc = {
+        "seed": args.seed, "model_hash": batch.model_hash,
+        "grid": {"t0": grid.t0, "dt": grid.dt, "n_steps": grid.n_steps},
+        "n_paths": n_paths,
+        "terminal": {"mean": [m for m, _ in terminal],
+                     "std_error": [s for _, s in terminal]},
+    }
+    if include_paths:
+        doc["paths"] = batch.paths
+
+    def csv(fh):
+        fh.write(f"# seed = {args.seed}\n"
+                 f"# model_hash = {batch.model_hash}\n"
+                 f"# t0 = {fmt17(grid.t0)}\n"
+                 f"# dt = {fmt17(grid.dt)}\n"
+                 f"# n_steps = {grid.n_steps}\n")
+        for a, (mean, se) in enumerate(terminal):
+            fh.write(f"# terminal_mean_{a} = {fmt17(mean)}\n"
+                     f"# terminal_se_{a} = {fmt17(se)}\n")
+        export_paths_csv(batch, fh)
+    return doc, csv
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def _density_by_method(method: str, model, S0: float, t: float,
     return pi_mod.propagate(kernel, start, n_steps).p_values
 
 
-def cmd_density(args, cfg: dict, fmt: str) -> None:
+def cmd_density(args, cfg: dict) -> tuple:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "initial state"))
     t = _require(cfg, "t", float, "target time")
@@ -341,17 +328,15 @@ def cmd_density(args, cfg: dict, fmt: str) -> None:
           for a, b in itertools.combinations(methods, 2)}
 
     mhash = model_hash(model)
-    if fmt == "csv":
-        body = [f"# t = {fmt17(t)}\n", f"# model_hash = {mhash}\n"]
-        body += [f"# L1({key}) = {fmt17(l1[key])}\n" for key in sorted(l1)]
-        body.append("S," + ",".join(m.replace("-", "_") for m in methods) + "\n")
+
+    def csv():
+        yield from (f"# t = {fmt17(t)}\n", f"# model_hash = {mhash}\n")
+        yield from (f"# L1({key}) = {fmt17(l1[key])}\n" for key in sorted(l1))
+        yield "S," + ",".join(m.replace("-", "_") for m in methods) + "\n"
         template = ",".join(["%.17g"] * (len(methods) + 1)) + "\n"
         columns = np.column_stack([s] + [tables[m] for m in methods])
-        body += [template % tuple(row) for row in columns.tolist()]
-    else:
-        body = _json_body({"t": t, "model_hash": mhash, "s": s,
-                           "densities": tables, "l1": l1})
-    _write_output(args.out, {"command": "density"}, body)
+        yield from (template % tuple(row) for row in columns.tolist())
+    return {"t": t, "model_hash": mhash, "s": s, "densities": tables, "l1": l1}, csv()
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
     raise ValueError(f"price method must be 'all' or one of {_PRICE_METHODS}")
 
 
-def cmd_price(args, cfg: dict, fmt: str) -> None:
+def cmd_price(args, cfg: dict) -> tuple:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     curve = _curve_from_config(cfg)
     payoff = pricing_mod.payoff_from_config(
@@ -430,7 +415,7 @@ def cmd_price(args, cfg: dict, fmt: str) -> None:
            "results": results}
     if len(methods) > 1:
         doc["agreement"] = agreement
-    body = _json_body(doc) if fmt == "json" else [
+    return doc, [
         f"# model_hash = {doc['model_hash']}\n",
         "method,value,std_error\n",
         *(f"{m},{fmt17(r['value'])},"
@@ -438,14 +423,13 @@ def cmd_price(args, cfg: dict, fmt: str) -> None:
           for m, r in results.items()),
         *(f"# gap({key}) = {fmt17(agreement[key]['abs'])}\n"
           for key in sorted(agreement))]
-    _write_output(args.out, {"command": "price", "seed": args.seed}, body)
 
 
 # ---------------------------------------------------------------------------
 # greeks / hedge / index
 
 
-def cmd_greeks(args, cfg: dict, fmt: str) -> None:
+def cmd_greeks(args, cfg: dict) -> tuple:
     p = pricing_mod.BSParams(S=_require(cfg, "S", float, "spot"),
                              K=_require(cfg, "K", float, "strike"),
                              r=_require(cfg, "r", float, "flat rate"),
@@ -457,15 +441,14 @@ def cmd_greeks(args, cfg: dict, fmt: str) -> None:
            "put": pricing_mod.bs_price(p, "put"),
            "delta": g.delta, "kappa": g.kappa, "gamma": g.gamma,
            "degenerate": g.degenerate}
-    body = _json_body(doc) if fmt == "json" else [
+    return doc, [
         "quantity,value\n",
         *(f"{key},{fmt17(doc[key])}\n"
           for key in ("call", "put", "delta", "kappa", "gamma")),
         f"degenerate,{str(doc['degenerate']).lower()}\n"]
-    _write_output(args.out, {"command": "greeks"}, body)
 
 
-def cmd_hedge(args, cfg: dict, fmt: str) -> None:
+def cmd_hedge(args, cfg: dict) -> tuple:
     rows = _require(cfg, "instruments", list, "instrument list")
     instruments = []
     for i, row in enumerate(rows):
@@ -484,7 +467,7 @@ def cmd_hedge(args, cfg: dict, fmt: str) -> None:
     doc = risk_mod.hedge_report_doc(report)
     doc["names"] = [inst.name for inst in instruments]
     doc["targets"] = list(targets)
-    body = _json_body(doc) if fmt == "json" else [
+    return doc, [
         f"# delta = {fmt17(report.delta)}\n",
         f"# condition_number = {fmt17(report.condition_number)}\n",
         *(f"# residual_{t} = {fmt17(report.residual_greeks[t])}\n"
@@ -492,10 +475,9 @@ def cmd_hedge(args, cfg: dict, fmt: str) -> None:
         "name,alpha\n",
         *(f"{inst.name},{fmt17(alpha)}\n"
           for inst, alpha in zip(instruments, report.alphas))]
-    _write_output(args.out, {"command": "hedge"}, body)
 
 
-def cmd_index(args, cfg: dict, fmt: str) -> None:
+def cmd_index(args, cfg: dict) -> tuple:
     inputs = risk_mod.IndexInputs(
         prices=_require(cfg, "prices", list[float], "asset prices"),
         sigmas=_require(cfg, "sigmas", list[float], "asset volatilities"))
@@ -503,12 +485,11 @@ def cmd_index(args, cfg: dict, fmt: str) -> None:
     doc = {"weights": list(result.weights),
            "index_variance": result.index_variance,
            "degenerate": result.degenerate}
-    body = _json_body(doc) if fmt == "json" else [
+    return doc, [
         f"# index_variance = {fmt17(result.index_variance)}\n",
         f"# degenerate = {str(result.degenerate).lower()}\n",
         "asset,weight\n",
         *(f"{i},{fmt17(wv)}\n" for i, wv in enumerate(result.weights))]
-    _write_output(args.out, {"command": "index"}, body)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +530,7 @@ def _check_density(kind: str, method: str) -> dict:
             "measure": l1, "limit": 5e-3, "passed": l1 < 5e-3}
 
 
-def cmd_check(args, cfg: dict, fmt: str) -> None:
+def cmd_check(args, cfg: dict) -> tuple:
     checks = []
     for K, sigma, T in ((80.0, 0.4, 2.0), (100.0, 0.2, 1.0),
                         (120.0, 0.1, 0.25)):
@@ -557,17 +538,12 @@ def cmd_check(args, cfg: dict, fmt: str) -> None:
     checks += [_check_density(kind, method) for kind in ("bm", "gbm", "vasicek")
                for method in ("fokker-planck", "path-integral")]
 
-    ok = all(c["passed"] for c in checks)
-    doc = {"passed": ok, "n_checks": len(checks), "checks": checks}
-    body = _json_body(doc) if fmt == "json" else [
+    doc = {"passed": all(c["passed"] for c in checks), "n_checks": len(checks),
+           "checks": checks}
+    return doc, [
         "name,measure,limit,passed\n",
         *(f"{json.dumps(c['name'])},{fmt17(c['measure'])},"
           f"{fmt17(c['limit'])},{str(c['passed']).lower()}\n" for c in checks)]
-    _write_output(args.out, {"command": "check", "seed": args.seed}, body)
-    if not ok:
-        raise NumericalError(
-            "cross-method agreement suite failed; see the report for the "
-            "failing checks")
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +551,7 @@ def cmd_check(args, cfg: dict, fmt: str) -> None:
 
 
 # name: (handler, default format, whether it samples noise and so takes
-# --seed and --threads, help text)
+# --seed and --threads and records the seed in the sidecar, help text)
 _COMMANDS = {
     "simulate": (cmd_simulate, "csv", True, "sample Euler paths and summary statistics"),
     "density": (cmd_density, "csv", False, "tabulate a terminal density by one or more methods"),
@@ -613,11 +589,20 @@ def main(argv=None) -> int:
     handler, default_format, samples, _ = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
-        fmt = _resolve_format(args, cfg, default_format)
+        fmt = args.format or cfg.get("format") or default_format
+        if fmt not in _FORMATS:
+            raise ValueError(f"config.format must be one of {_FORMATS}, not {fmt!r}")
+        meta = {"command": args.command}
         if samples:
-            args.seed = _flag_or_config(args, cfg, "seed", validate_seed, 0)
+            args.seed = meta["seed"] = _flag_or_config(args, cfg, "seed", validate_seed, 0)
             args.threads = _resolve_threads(args, cfg)
-        handler(args, cfg, fmt)
+        doc, csv = handler(args, cfg)
+        _write_output(args.out, meta,
+                      csv if fmt == "csv" else itertools.chain(_json_pieces(doc), ["\n"]))
+        if doc.get("passed") is False:
+            raise NumericalError(
+                "cross-method agreement suite failed; see the report for the "
+                "failing checks")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -543,12 +543,12 @@ class _ThetaSystem:
         return x
 
 
-def _require_vanishing_edges(p: np.ndarray) -> None:
+def _require_vanishing_edges(p: np.ndarray, remedy: str = "widen the grid") -> None:
     """An initial density must vanish (<= 1e-8 of its peak) at both edges."""
     if max(p[0], p[-1]) > 1e-8 * float(p.max()):
         raise ValueError(
             "initial density does not vanish at the domain edges "
-            "(boundary > 1e-8 of peak); widen the grid")
+            f"(boundary > 1e-8 of peak); {remedy}")
 
 
 def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
@@ -645,7 +645,10 @@ def _start_on_domain(model: ModelSpec, initial, horizon: float, n_nodes: int,
     """Put the initial condition on a uniform grid sized for the evolution."""
     if isinstance(initial, PointMass):
         grid = default_domain(model, initial.center, horizon, n_nodes, half_width)
-        return point_mass_on_grid(grid, initial.center, initial.t, model_hash=mhash)
+        start = point_mass_on_grid(grid, initial.center, initial.t, model_hash=mhash)
+        _require_vanishing_edges(start.p_values, "a point-mass start is one cell wide "
+                                 f"whatever the domain: raise n_nodes (now {n_nodes})")
+        return start
     if isinstance(initial, AnalyticDensity1D):
         grid = default_domain(model, initial.mean, horizon, n_nodes,
                               half_width, spread0=initial.std)
@@ -704,7 +707,11 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
         pass
     final = DensityGrid(s_values=start.s_values, p_values=last, t=tg.time(n_steps),
                         model_hash=start.model_hash or model_hash(model))
-    return final if log_model is None else change_of_variable(final, np.exp, np.exp)
+    try:
+        return final if log_model is None else change_of_variable(final, np.exp, np.exp)
+    except ValueError as exc:
+        raise ValueError(f"the {n_nodes}-node price grid cannot hold the density that "
+                         f"the log-space march evolved ({exc}); raise n_nodes") from None
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,13 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
 _CELL_POINTS = 16
 
 
+def _finite_payoff(part: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{part} payoff must be finite on the grid")
+    return values
+
+
 def _resolve_sigma(sigma) -> Callable[[float, np.ndarray], np.ndarray]:
     if callable(sigma):
         return lambda t, s: np.asarray(sigma(t, s), dtype=float)
@@ -419,9 +426,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
 
     u = (np.arange(_CELL_POINTS) + 0.5) / _CELL_POINTS - 0.5
     cell = np.exp(x[:, None] + h * u).ravel()
-    f = np.asarray(payoff.terminal(cell), dtype=float).reshape(n, _CELL_POINTS).mean(axis=1)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("terminal payoff must be finite on the grid")
+    f = _finite_payoff("terminal", payoff.terminal(cell)).reshape(n, _CELL_POINTS).mean(axis=1)
 
     dt = T / n_steps
     # ghost-node elimination coefficients for zero price-curvature edges
@@ -447,7 +452,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     for m in range(n_steps):
         tau = T - (m + 0.5) * dt
         source = None if payoff.stream is None \
-            else dt * np.asarray(payoff.stream(tau, s), dtype=float)
+            else dt * _finite_payoff("stream", payoff.stream(tau, s))
         f = operator(tau).step(f, m, source)
         if not np.isfinite(f).all():
             raise NumericalError(
@@ -463,18 +468,19 @@ def pv_green(green: GreensFunction, payoff: PayoffSpec) -> float:
     """Integrate the payoff against the discounted transition lattice.
 
     Terminal payoffs use the final time slice; stream payoffs add a
-    trapezoid time integral over the lattice times. Warns when the payoff
-    weight near the lattice edges exceeds 1e-4 of the total.
+    trapezoid time integral over the lattice times. A payoff that is not
+    finite on the lattice is refused. Warns when the payoff weight near the
+    lattice edges exceeds 1e-4 of the total.
     """
     w = trapezoid_weights(green.native_values)
-    weighted = w * green.transition[-1] * np.asarray(
-        payoff.terminal(green.price_values), dtype=float)
+    weighted = w * green.transition[-1] * _finite_payoff(
+        "terminal", payoff.terminal(green.price_values))
     value = float(green.discounts[-1] * np.sum(weighted))
     if payoff.stream is not None:
         # GreensFunction.integrate per slice, with w built once, not per slice
         tw = trapezoid_weights(green.times)
         for idx, t_m in enumerate(green.times):
-            rate = np.asarray(payoff.stream(t_m, green.price_values), dtype=float)
+            rate = _finite_payoff("stream", payoff.stream(t_m, green.price_values))
             value += tw[idx] * float(green.discounts[idx]
                                      * np.sum(w * green.transition[idx] * rate))
     # the weights and the transition are >= 0, so this is the weight of |payoff|

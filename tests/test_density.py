@@ -357,6 +357,42 @@ def test_forward_solver_requires_vanishing_edges():
         fokker_planck_forward(model, broad, TimeGrid(0.0, 0.01, 10))
 
 
+@pytest.mark.parametrize("n_nodes, half_width", [
+    (5, 8.0), (9, 8.0), (11, 8.0), (11, 4.0), (11, 16.0)])
+def test_point_mass_start_on_too_few_nodes_asks_for_more_nodes(n_nodes, half_width):
+    # the regularised start is one cell wide, so widening the domain widens
+    # it too; this used to say "widen the grid"
+    with pytest.raises(ValueError, match=rf"one cell wide .*raise n_nodes \(now {n_nodes}\)"):
+        evolve_density(make_bm(0.0, 1.0), PointMass(center=0.0), 1.0,
+                       n_nodes=n_nodes, half_width=half_width)
+
+
+def test_point_mass_start_on_enough_nodes_evolves():
+    final = evolve_density(make_bm(0.0, 1.0), PointMass(center=0.0), 1.0, n_nodes=15)
+    assert abs(final.mass - 1.0) < 1e-3
+
+
+def test_own_grid_start_that_does_not_vanish_still_asks_to_widen_the_grid():
+    # no family spread rule: evolve_density marches the caller's grid as given
+    rn = risk_neutralize(make_bm(0.0, 1.0), DiscountCurve.flat(0.0),
+                         override_drift=lambda t, S: np.zeros_like(S))
+    s = np.linspace(-1.0, 1.0, 101)
+    broad = DensityGrid(s_values=s, p_values=np.full_like(s, 0.5), t=0.0)
+    with pytest.raises(ValueError, match="; widen the grid$"):
+        evolve_density(rn, broad, 1.0)
+
+
+@pytest.mark.parametrize("n_nodes", [21, 31, 41])
+def test_log_space_density_too_coarse_for_its_price_grid_asks_for_more_nodes(n_nodes):
+    # the march in ln S kept its mass, but the trapezoid mass on the mapped
+    # price grid is off (1.0044 at 21 nodes); this used to name only the mass
+    with pytest.raises(ValueError, match=f"the {n_nodes}-node price grid cannot hold "
+                       r"the density .*\(density mass .*\); raise n_nodes"):
+        evolve_density(make_gbm(0.05, 0.2), PointMass(center=100.0), 1.0, n_nodes=n_nodes)
+    final = evolve_density(make_gbm(0.05, 0.2), PointMass(center=100.0), 1.0, n_nodes=61)
+    assert abs(final.mass - 1.0) < 1e-3
+
+
 def _banded(lower, diag, upper, dt, theta):
     """I - theta*dt*L in scipy.linalg.solve_banded's (1, 1) layout."""
     ab = np.zeros((3, diag.size))

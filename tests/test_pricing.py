@@ -582,6 +582,15 @@ def test_pv_mc_rejects_a_bad_spot_on_both_routes(S0, message, exact):
               S0, 1.0, 0.25, 1000, 1, exact_terminal=exact)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_pv_mc_refuses_a_payoff_that_is_not_finite_on_its_paths(exact):
+    # no test reached this guard; the paths cross S = 120, so both samplers trip it
+    payoff = PayoffSpec(terminal=lambda s: np.where(s > 120.0, np.inf, 0.0))
+    with pytest.raises(NumericalError, match="payoff produced non-finite values"):
+        pv_mc(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05), payoff, 100.0, 1.0,
+              1.0 / 64, 4096, 1, exact_terminal=exact)
+
+
 # ---------------------------------------------------------------------------
 # pv_mc's memo of its latest simulation
 
@@ -800,6 +809,14 @@ def test_pv_pde_refuses_a_sigma_that_is_nan_at_the_spot():
         pv_pde(call_payoff(100.0), flat, lambda t, s: np.full_like(s, np.nan), 100.0, 1.0)
 
 
+def test_pv_pde_names_a_non_finite_stream_payoff():
+    # this failed inside the theta step with "array must not contain infs or NaNs"
+    payoff = PayoffSpec(terminal=np.zeros_like,
+                        stream=lambda t, s: np.where(s > 300.0, np.inf, 0.0))
+    with pytest.raises(ValueError, match="stream payoff must be finite on the grid"):
+        pv_pde(payoff, DiscountCurve.flat(0.05), 0.2, 100.0, 1.0)
+
+
 def test_pv_pde_prices_a_strike_next_to_the_spot():
     # the snapped grid could not place a node on a strike within half a
     # cell of the spot and refused it
@@ -943,6 +960,20 @@ def test_pv_green_stream_equals_the_per_slice_integrate_sum(monkeypatch):
     assert pv_green(g, payoff) == want
     # one set of weights for the nodes and one for the times, not one per slice
     assert sorted(builds) == [g.times.size, g.native_values.size]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pv_green_refuses_a_payoff_that_is_not_finite_on_the_lattice(bad):
+    # a terminal payoff of nan (inf) above S = 150 used to price as nan (inf)
+    # with no warning, where pv_pde and pv_mc refuse it
+    curve = DiscountCurve.flat(0.05)
+    g = greens_function(risk_neutralize(make_gbm(0.05, 0.2), curve), curve, 0.0,
+                        100.0, 1.0, 1.0 / 64)
+    with pytest.raises(ValueError, match="terminal payoff must be finite on the grid"):
+        pv_green(g, PayoffSpec(terminal=lambda s: np.where(s > 150.0, bad, 0.0)))
+    with pytest.raises(ValueError, match="stream payoff must be finite on the grid"):
+        pv_green(g, PayoffSpec(terminal=np.zeros_like,
+                               stream=lambda t, s: np.where(s > 150.0, bad, 0.0)))
 
 
 def test_pv_green_warns_when_payoff_leaks():
