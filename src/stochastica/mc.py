@@ -17,11 +17,11 @@ Reductions materialize one value per path and sum once with numpy's
 pairwise summation; partial sums are never accumulated across spans,
 which is what keeps results byte-stable under --threads.
 
-A batch is cut into near-equal path spans that run on a pool of up to
-`threads` worker threads, or on the calling thread alone when there is
-one thread or one span; threads=None (the default) means the CPUs this
-process may use. Model drift/vol maps and payoff callables therefore
-run on worker threads and must be pure functions of their arguments.
+A batch is cut into near-equal path spans, dealt into one share per thread:
+the calling thread works the first and up to `threads` - 1 pool workers the
+rest, each holding one span's arrays at a time; threads=None (the default)
+means the CPUs this process may use. Model drift/vol maps and payoff callables
+thus run on the calling and worker threads and must be pure functions.
 """
 
 from __future__ import annotations
@@ -131,12 +131,17 @@ def _check_finite_step(S: np.ndarray, step: int, lo: int) -> None:
 
 def _euler_inplace(model: ModelSpec, t: float, S: np.ndarray, xi: np.ndarray,
                    dt: float, sqdt: float) -> np.ndarray:
-    """Hot-loop Euler update without per-call validation (S is (batch, dim))."""
-    mu = model.drift(t, S)
-    sig = model.vol(t, S)
+    """Hot-loop Euler update without per-call validation (S is (batch, dim)):
+    (S + mu dt) + (sqrt(dt) vol) xi, in that order, in arrays of its own."""
+    step = np.multiply(model.drift(t, S), dt, out=np.empty_like(S))
+    step += S
+    sig, term = model.vol(t, S), np.empty_like(S)
     if model.noise_dim == 1:
-        return S + mu * dt + sqdt * sig[..., 0] * xi
-    return S + mu * dt + sqdt * np.einsum("pnk,pk->pn", sig, xi)
+        np.multiply(np.multiply(sig[..., 0], sqdt, out=term), xi, out=term)
+    else:
+        np.multiply(np.einsum("pnk,pk->pn", sig, xi, out=term), sqdt, out=term)
+    step += term
+    return step
 
 
 def _initial_state(model: ModelSpec, S0) -> np.ndarray:
@@ -206,28 +211,28 @@ def _spans(n_paths: int, threads: int) -> list[tuple[int, int]]:
 def _run_chunks(n_paths: int, threads: int, work) -> None:
     """Apply work(lo, hi) over the path spans, on up to `threads` threads.
 
-    With two threads or more and two spans or more, the spans are mapped
-    over one pool of up to `threads` workers; otherwise the calling thread
-    runs them in order. Draws are positional, so neither the spans nor the
-    thread count change a value. A NumericalError does not stop the other
-    spans: once all have run, the earliest failure by (step, path) is
-    raised, so the error, too, is the same for every split.
+    The spans are dealt round-robin into one share per thread, at most one
+    per span: the calling thread works the first share and pool workers the
+    rest, so one thread or one span starts no worker. Draws are positional,
+    so neither the spans nor the thread count change a value. A NumericalError
+    does not stop the other spans: once all have run, the earliest failure by
+    (step, path) is raised, so the error, too, is the same for every split.
     """
     spans = _spans(n_paths, threads)
+    shares = min(threads, len(spans))
     failures = []
 
-    def run(span) -> None:
-        try:
-            work(*span)
-        except NumericalError as err:
-            failures.append((getattr(err, "where", (np.inf, span[0])), err))
+    def run(share) -> None:
+        for span in share:
+            try:
+                work(*span)
+            except NumericalError as err:
+                failures.append((getattr(err, "where", (np.inf, span[0])), err))
 
-    if threads < 2 or len(spans) < 2:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-            list(pool.map(run, spans))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        helped = pool.map(run, [spans[k::shares] for k in range(1, shares)])
+        run(spans[::shares])
+        list(helped)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 

@@ -68,9 +68,10 @@ def uniform_block(seed: int, substream: int, context: int, step: int,
     block = a // 4
     gen = _keyed_generator(seed, substream, context, step, block)
     raw = gen.random_raw(b - 4 * block)[a - 4 * block:]
-    # ((raw >> 11) + 0.5) * 2**-53, computed in place in one float buffer
+    # ((raw >> 11) + 0.5) * 2**-53 in raw's own buffer (a 1-D copyto casts in place)
     np.right_shift(raw, _SHIFT, out=raw)
-    u = raw.astype(np.float64)
+    u = raw.view(np.float64)
+    np.copyto(u, raw, casting="unsafe")
     u += 0.5
     u *= _U53
     return u.reshape(hi - lo, width)

@@ -268,6 +268,10 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     mhash = model_hash(model)
     start = point_mass_on_grid(grid, x0, t0, model_hash=mhash)
     kernel = one_step_kernel(work_model, t0, dt)
+    cell, std = grid[1] - grid[0], float(kernel.std(t0, x0))
+    if cell > std:  # a coarser lattice smears the kernel into a wrong law
+        raise ValueError(f"grid cell {cell:.4g} is wider than the one-step kernel's std "
+                         f"{std:.4g}: raise n_nodes (now {n_nodes}) or lengthen dt (now {dt!r})")
     # slice 0 stores the regularized source; the first transition is taken
     # as the exact normalized kernel row so the source width never smears
     # the later slices

@@ -357,6 +357,24 @@ def test_forward_solver_requires_vanishing_edges():
         fokker_planck_forward(model, broad, TimeGrid(0.0, 0.01, 10))
 
 
+@pytest.mark.parametrize("half_width", [8.0, 40.0])
+def test_forward_solver_names_the_cells_a_point_mass_start_lacks(half_width):
+    # a one-cell-wide start widens with the grid: this used to say "widen
+    # the grid" for +-8 and +-40 alike; a start two cells from the edge
+    # is told two
+    for center, k in ((0.0, 5), (-0.6 * half_width, 2)):
+        start = point_mass_on_grid(np.linspace(-half_width, half_width, 11), center)
+        with pytest.raises(ValueError, match=f"about one cell wide and lies {k} cells from "
+                           "the nearer edge, which needs about seven: add nodes or move "
+                           "that edge away"):
+            fokker_planck_forward(make_bm(0.0, 1.0), start, TimeGrid(0.0, 1.0 / 16, 16))
+
+
+def test_forward_solver_start_seven_cells_from_each_edge_vanishes():
+    start = point_mass_on_grid(np.linspace(-7.0, 7.0, 15), 0.0)
+    fokker_planck_forward(make_bm(0.0, 1.0), start, TimeGrid(0.0, 1.0 / 16, 1))
+
+
 @pytest.mark.parametrize("n_nodes, half_width", [
     (5, 8.0), (9, 8.0), (11, 8.0), (11, 4.0), (11, 16.0)])
 def test_point_mass_start_on_too_few_nodes_asks_for_more_nodes(n_nodes, half_width):

@@ -3,6 +3,10 @@
 import io
 import math
 import re
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from stochastica import (
     ito_check,
     make_bm,
     make_correlated_gbm,
+    make_custom_grid,
     make_gbm,
     make_vasicek,
     mgf,
@@ -89,6 +94,67 @@ def test_euler_step_reports_bad_model():
     s = _euler_step(bad, 1.25, [2.0], [0.1], 0.1)
     with pytest.raises(NumericalError, match="drift"):
         mc._check_finite_step(s, 1, 0)
+
+
+def _plain_euler_step(model, t, S, xi, dt, sqdt):
+    # the one-line step _euler_inplace replaced, kept as its bit reference
+    mu = model.drift(t, S)
+    sig = model.vol(t, S)
+    if model.noise_dim == 1:
+        return S + mu * dt + sqdt * sig[..., 0] * xi
+    return S + mu * dt + sqdt * np.einsum("pnk,pk->pn", sig, xi)
+
+
+_STEP_MODELS = {
+    "bm": (make_bm(0.3, 1.2), [0.5]),
+    "gbm": (make_gbm(0.05, 0.2), [100.0]),
+    "vasicek": (make_vasicek(1.5, 0.04, 0.02), [0.03]),
+    "custom_grid": (make_custom_grid([50.0, 100.0, 150.0], [0.0, 5.0, 3.0],
+                                     [10.0, 20.0, 35.0]), [100.0]),
+    "correlated_gbm": (make_correlated_gbm([0.05, 0.02], [0.2, 0.3],
+                                           [[1.0, 0.5], [0.5, 1.0]]), [100.0, 50.0]),
+    "dim2_noise1": (ModelSpec(
+        dim=2, noise_dim=1, drift=lambda t, s: 0.1 * s - t,
+        vol=lambda t, s: np.stack([0.2 * s[..., 0], 0.3 + 0.0 * s[..., 1]], -1)[..., None]),
+        [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STEP_MODELS))
+def test_euler_step_matches_the_plain_expression_bit_for_bit(kind):
+    model, S0 = _STEP_MODELS[kind]
+    rng = np.random.default_rng(4)
+    S = np.asarray(S0) * np.exp(0.1 * rng.standard_normal((4097, model.dim)))
+    xi = rng.standard_normal((4097, model.noise_dim))
+    dt = 1.0 / 64
+    want = _plain_euler_step(model, 0.25, S, xi, dt, np.sqrt(dt))
+    got = mc._euler_inplace(model, 0.25, S.copy(), xi.copy(), dt, np.sqrt(dt))
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_euler_march_writes_no_array_the_maps_return():
+    # drift hands back the state itself and vol one cached array; a step
+    # built in either would change them and the paths
+    n, grid = 1000, TimeGrid(0.0, 0.125, 8)
+    cached = np.full((n, 1, 1), 0.3)
+    states = []
+
+    def drift(t, s):
+        states.append((s, s.copy()))
+        return s
+
+    model = ModelSpec(dim=1, noise_dim=1, drift=drift, vol=lambda t, s: cached)
+    batch = simulate_paths(model, 1.0, grid, n, seed=4, threads=1)
+    np.testing.assert_array_equal(cached, 0.3)
+    assert len(states) == 8
+    for s, at_return in states:
+        np.testing.assert_array_equal(s, at_return)
+    S = np.ones((n, 1))
+    for m in range(8):
+        xi = noise.normal_block(4, noise.EULER, 8, m, 0, n, 1)
+        S = _plain_euler_step(model, grid.time(m), S, xi, grid.dt, np.sqrt(grid.dt))
+        np.testing.assert_array_equal(batch.paths[:, m + 1], S)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +235,66 @@ def test_spans_are_balanced_over_the_threads():
     assert len(mc._spans(10**6, 3)) == 18
     assert mc._spans(1000, 4) == [(0, 1000)]
     assert mc._spans(2 * mc._MIN_SPAN - 1, 2) == [(0, 2 * mc._MIN_SPAN - 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_calling_thread_works_its_share_of_the_spans(threads):
+    # one thread means no helpers, not a different code path
+    n = 10**6
+    spans = mc._spans(n, threads)
+    assert len(spans) >= 2
+    ran = []
+    mc._run_chunks(n, threads, lambda lo, hi: ran.append((threading.get_ident(), lo, hi)))
+    assert sorted((lo, hi) for _, lo, hi in ran) == spans
+    workers = {ident for ident, _, _ in ran}
+    assert threading.get_ident() in workers
+    assert len(workers) <= threads
+
+
+def test_fast_thread_switching_runs_each_span_once_and_raises_the_earliest_failure():
+    # spans from the tenth on fail at step 1, earlier ones later; the
+    # earliest failure is then the lowest path of the tenth span
+    n, threads = 10**6, 5
+    spans = mc._spans(n, threads)
+    assert len(spans) >= 12
+
+    def work(lo, hi):
+        ran.append((lo, hi))
+        index = spans.index((lo, hi))
+        for _ in range(200):    # room for the interpreter to switch threads
+            pass
+        if index >= 3:
+            err = NumericalError(f"span {index}")
+            err.where = (max(1, 10 - index), lo)
+            raise err
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(20):
+            ran = []
+            with pytest.raises(NumericalError, match="^span 9$"):
+                mc._run_chunks(n, threads, work)
+            assert sorted(ran) == spans
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_two_thread_terminal_march_traces_at_most_six_and_a_half_mib():
+    # each of the two threads holds one 65,536-path span's state, draws and
+    # step arrays; the terminal array is 1 MiB of it
+    m, grid = make_gbm(0.05, 0.2), TimeGrid(0.0, 1.0 / 64, 64)
+    simulate_terminal(m, 100.0, grid, 64, seed=1, threads=2)   # loads ndtri first
+    tracemalloc.start()
+    try:
+        simulate_terminal(m, 100.0, grid, 131072, seed=1, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_worker_span_error_reaches_the_caller():

@@ -1,5 +1,6 @@
 """Short-time kernels, lattice propagation, Green's functions."""
 
+import dataclasses
 import math
 import re
 
@@ -295,6 +296,16 @@ def test_propagate_aborts_when_grid_too_narrow():
         propagate(k, initial, 32)
 
 
+@pytest.mark.parametrize("half_width", [8.0, 40.0])
+def test_propagate_names_the_cells_a_point_mass_start_lacks(half_width):
+    # a one-cell-wide start widens with the grid: this used to say "widen
+    # the grid" for +-8 and +-40 alike
+    start = point_mass_on_grid(np.linspace(-half_width, half_width, 11), 0.0)
+    with pytest.raises(ValueError, match="about one cell wide and lies 5 cells from the "
+                       "nearer edge, which needs about seven: add nodes or move that edge away"):
+        propagate(one_step_kernel(make_bm(0.0, 1.0), 0.0, 1.0 / 16), start, 16)
+
+
 def test_leak_abort_reports_an_earlier_bad_slice_of_its_window(monkeypatch):
     # the grid is too narrow: the leak aborts the march late, and a slice
     # that fails the density checks before the abort is the error reported,
@@ -463,6 +474,36 @@ def test_greens_names_the_missing_domain_rule_for_an_override():
         greens_function(model, curve, 0.0, 1.0, 1.0, 1.0 / 64)
     assert "drift overridden" in str(err.value)
     assert "DensityGrid" not in str(err.value)
+
+
+@pytest.mark.parametrize("n_nodes, dt", [(41, 1e-3), (401, 1e-3), (101, 1.0 / 64),
+                                         (129, 1.0 / 64)])
+def test_greens_refuses_a_cell_wider_than_the_one_step_std(n_nodes, dt):
+    # the lattice used to return a silently wrong law: pv_green was 86% low
+    # at 41 nodes, 0.88% at 321 and 2.1e-4 at 401 (dt 1e-3)
+    model, curve = _rn_gbm(0.05, 0.2)
+    std = 0.2 * math.sqrt(dt)
+    with pytest.raises(ValueError, match=rf"grid cell \S+ is wider than the one-step "
+                       rf"kernel's std {std:.4g}: raise n_nodes \(now {n_nodes}\) "
+                       r"or lengthen dt \(now "):
+        greens_function(model, curve, 0.0, 100.0, 1.0, dt, n_nodes=n_nodes)
+
+
+def test_greens_on_the_narrowest_accepted_cell_prices_to_bs():
+    # 131 nodes put the cell just under the one-step std at dt 1/64
+    model, curve = _rn_gbm(0.05, 0.2)
+    g = greens_function(model, curve, 0.0, 100.0, 1.0, 1.0 / 64, n_nodes=131)
+    assert g.native_values[1] - g.native_values[0] <= 0.2 * math.sqrt(1.0 / 64)
+    bs = 10.450583572185565   # Black-Scholes ATM call, S0 = K = 100, r 0.05, sigma 0.2
+    assert g.integrate(lambda s: np.maximum(s - 100.0, 0.0)) == pytest.approx(bs, rel=1e-3)
+
+
+def test_greens_refuses_a_first_step_that_leaves_the_grid():
+    # an Euler step of a * dt = 100 throws the kernel's center to -99, far
+    # beyond a grid sized by the exact law, which stays near b = 0
+    model = dataclasses.replace(make_vasicek(100.0, 0.0, 1.0), risk_neutral=True)
+    with pytest.raises(NumericalError, match="does not cover the one-step transition"):
+        greens_function(model, DiscountCurve.flat(0.05), 0.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
