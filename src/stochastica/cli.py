@@ -6,6 +6,8 @@ resolves the format, and the seed and thread count of the three commands
 that sample noise (only they take --seed and --threads), for the handler.
 Each handler computes its JSON document and its CSV body; main writes the
 body the format picks and the sidecar, then fails a check suite that failed.
+_section reads a settings object (pde, green, mc, resolution, grid), refuses
+keys it does not declare and leaves entries not given to the route's defaults.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
@@ -203,11 +205,23 @@ def _resolve_threads(args, cfg: dict) -> int:
     return _flag_or_config(args, cfg, "threads", _resolve_mc_threads)
 
 
-def _dt_from(sub: dict, T: float, n_steps: int, where: str) -> float:
-    """sub["dt"] if given, else T / sub["n_steps"]; the step count (default
-    n_steps) must be a positive integer either way."""
-    n = _require(sub, "n_steps", 1, default=n_steps, where=f"config.{where}")
-    return _require(sub, "dt", float, default=T / n, where=f"config.{where}")
+def _section(cfg: dict, name: str, **kinds) -> dict:
+    """The entries that config.<name> gives, each checked by _require as its kind in
+    kinds; an absent or null object gives none, and a key not in kinds is refused."""
+    where, sub = f"config.{name}", _require(cfg, name, dict, default={})
+    for key in (key for key in sub if key not in kinds):
+        import difflib  # only a refused key needs it
+        near = "".join(f"; did you mean {where}.{k}?"
+                       for k in difflib.get_close_matches(key, kinds, 1))
+        raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
+                         f"{', '.join(kinds)}{near}")
+    return {key: _require(sub, key, kinds[key], where=where) for key in sub}
+
+
+def _dt_from(sub: dict, T: float, n_steps: int) -> float:
+    """Pop sub's checked dt and n_steps: dt, else T / n_steps (default n_steps)."""
+    n = sub.pop("n_steps", n_steps)
+    return sub.pop("dt", T / n)
 
 
 def _curve_from_config(cfg: dict) -> DiscountCurve:
@@ -264,15 +278,14 @@ def cmd_simulate(args, cfg: dict) -> tuple:
 
 def _comparison_grid(model, S0: float, t: float, cfg: dict,
                      n_nodes: int, half_width: float) -> np.ndarray:
-    explicit = _require(cfg, "grid", dict, default=None)
-    if explicit is not None:
-        lo = _require(explicit, "lo", float, "grid start", where="config.grid")
-        hi = _require(explicit, "hi", float, "grid end", where="config.grid")
-        n = _require(explicit, "n", 3, default=n_nodes, where="config.grid")
-        if not hi > lo:
-            raise ValueError("config.grid needs lo < hi")
-        return np.linspace(lo, hi, n)
-    return _analytic_density(model, S0, t).default_grid(n_nodes, half_width)
+    explicit = _section(cfg, "grid", lo=float, hi=float, n=3)
+    if cfg.get("grid") is None:
+        return _analytic_density(model, S0, t).default_grid(n_nodes, half_width)
+    lo = _require(explicit, "lo", float, "grid start", where="config.grid")
+    hi = _require(explicit, "hi", float, "grid end", where="config.grid")
+    if not hi > lo:
+        raise ValueError("config.grid needs lo < hi")
+    return np.linspace(lo, hi, explicit.get("n", n_nodes))
 
 
 def _analytic_density(model, S0: float, t: float):
@@ -313,12 +326,10 @@ def cmd_density(args, cfg: dict) -> tuple:
             or any(m not in _DENSITY_METHODS for m in methods):
         raise ValueError("config.method must be a method or a non-empty list "
                          f"of methods from {_DENSITY_METHODS}")
-    res = _require(cfg, "resolution", dict, default={})
-    half_width = _require(res, "half_width", float, default=8.0,
-                          where="config.resolution")
-    n_nodes = density_mod._grid_nodes(
-        _require(res, "n_nodes", 5, default=801, where="config.resolution"), half_width)
-    n_steps = _require(res, "n_steps", 1, default=256, where="config.resolution")
+    res = _section(cfg, "resolution", n_nodes=5, half_width=float, n_steps=1)
+    half_width = res.get("half_width", 8.0)
+    n_nodes = density_mod._grid_nodes(res.get("n_nodes", 801), half_width)
+    n_steps = res.get("n_steps", 256)
 
     s = _comparison_grid(model, S0, t, cfg, n_nodes, half_width)
     tables = {m: _density_by_method(m, model, S0, t, s, n_steps, n_nodes,
@@ -344,8 +355,9 @@ def cmd_density(args, cfg: dict) -> tuple:
 
 
 def _price_one(method: str, model, curve: DiscountCurve,
-               payoff, S0: float, T: float, cfg: dict, seed: int,
+               payoff, S0: float, T: float, settings: dict, seed: int,
                threads: int) -> dict:
+    sub = dict(settings.get(method, {}))
     if method in ("analytic", "pde") and not isinstance(model.family, GBM):
         raise ValueError(f"the {method} route prices models of family GBM only")
     if method == "analytic":
@@ -357,35 +369,18 @@ def _price_one(method: str, model, curve: DiscountCurve,
                                  sigma=model.family.sigma, t=T)
         return {"value": pricing_mod.bs_price(p, payoff.kind)}
     if method == "pde":
-        sub = _require(cfg, "pde", dict, default={})
-        fn = pricing_mod.pv_pde(payoff, curve, model.family.sigma, S0, T,
-                                n_nodes=_require(sub, "n_nodes", 5, default=4097,
-                                                 where="config.pde"),
-                                n_steps=_require(sub, "n_steps", 1, default=512,
-                                                 where="config.pde"),
-                                half_width=_require(sub, "half_width", float,
-                                                    default=8.0, where="config.pde"))
+        fn = pricing_mod.pv_pde(payoff, curve, model.family.sigma, S0, T, **sub)
         return {"value": float(fn(S0))}
     if method == "green":
-        sub = _require(cfg, "green", dict, default={})
-        dt = _dt_from(sub, T, 256, "green")
-        green = pi_mod.greens_function(
-            pricing_mod.risk_neutralize(model, curve), curve, 0.0, S0, T, dt,
-            n_nodes=_require(sub, "n_nodes", 5, default=801, where="config.green"),
-            half_width=_require(sub, "half_width", float, default=8.0,
-                                where="config.green"))
+        dt = _dt_from(sub, T, 256)
+        green = pi_mod.greens_function(pricing_mod.risk_neutralize(model, curve), curve,
+                                       0.0, S0, T, dt, **sub)
         return {"value": pricing_mod.pv_green(green, payoff),
                 "mass": green.total_mass()}
     if method == "mc":
-        sub = _require(cfg, "mc", dict, default={})
-        dt = _dt_from(sub, T, 64, "mc")
-        est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt,
-                                _require(sub, "n_paths", 1, default=100000,
-                                         where="config.mc"),
-                                seed,
-                                threads=threads,
-                                exact_terminal=_require(sub, "exact_terminal", bool,
-                                                        default=None, where="config.mc"))
+        dt, n_paths = _dt_from(sub, T, 64), sub.pop("n_paths", 100000)
+        est = pricing_mod.pv_mc(model, curve, payoff, S0, T, dt, n_paths, seed,
+                                threads=threads, **sub)
         return {"value": est.mean, "std_error": est.std_error,
                 "n_paths": est.n_paths,
                 "sampler": est.metadata.get("sampler", "")}
@@ -401,8 +396,12 @@ def cmd_price(args, cfg: dict) -> tuple:
     T = _require_finite("config.T", _require(cfg, "T", float, "horizon"))
     method = cfg.get("method", "analytic")
     methods = list(_PRICE_METHODS) if method == "all" else [method]
+    # each route's checked settings: all three are checked before any route runs
+    settings = {"pde": _section(cfg, "pde", n_nodes=5, n_steps=1, half_width=float),
+                "green": _section(cfg, "green", n_nodes=5, n_steps=1, dt=float, half_width=float),
+                "mc": _section(cfg, "mc", n_paths=1, n_steps=1, dt=float, exact_terminal=bool)}
 
-    results = {m: _price_one(m, model, curve, payoff, S0, T, cfg, args.seed,
+    results = {m: _price_one(m, model, curve, payoff, S0, T, settings, args.seed,
                              args.threads) for m in methods}
     agreement = {}
     for a, b in itertools.combinations(methods, 2):

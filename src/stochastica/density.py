@@ -786,7 +786,11 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
         tv = float(np.abs(np.diff(u)).sum())
         scale = float(np.abs(u).max())
         if tv > 10.0 * tv0 and tv > 1e-9 * max(1.0, scale):
+            # central differences keep an M-matrix only while |mu| h / sigma^2 <= 1
+            tau = t1 - (m + 0.5) * dt
+            peclet = float(np.max(np.abs(model.mu1(tau, s)) * h / model.sigma1(tau, s) ** 2))
             raise NumericalError(
-                f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step "
-                f"{m + 1}: unstable resolution; retry with dt <= {dt / 4:.6g}")
+                f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step {m + 1}: " + (
+                    f"the cell Peclet number |mu| h / sigma^2 is {peclet:.4g}, over 1; add grid "
+                    f"nodes (now {s.size})" if peclet > 1 else f"retry with dt <= {dt / 4:.6g}"))
     return GridFunction(s_values=s, values=u, t=t0)

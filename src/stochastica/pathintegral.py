@@ -149,7 +149,8 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
                         p: np.ndarray, n_steps: int):
     """Yield the n_steps lattice steps from p, the density on grid s at time
     t0, each slice density-checked as it is made; aborts when the cumulative
-    mass truncated at the grid edges exceeds 1%."""
+    mass truncated at the grid edges exceeds 1%, and refuses a cell wider than
+    the kernel: the density-weighted raw row mass then exceeds 1 by over 1e-3."""
     _require_vanishing_edges(p)
     w = trapezoid_weights(s)
     mass0 = float(np.sum(w * p))
@@ -157,12 +158,16 @@ def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,
 
     def build(t_m, *maps):  # kernel_matrix evaluates the maps itself
         tm = kernel_matrix(kernel, t_m, s)
-        return tm.matrix, w * (1.0 - tm.raw_row_mass)
+        return tm.matrix, w * (1.0 - tm.raw_row_mass), w * np.maximum(tm.raw_row_mass - 1, 0)
 
     operator = _Reused(build, lambda t: (kernel.model.mu1(t, s), kernel.model.sigma1(t, s)),
                        _fixed_maps(kernel.model))
     for m in range(n_steps):
-        matrix, leak_weights = operator(t0 + m * kernel.dt)
+        matrix, leak_weights, excess_weights = operator(t0 + m * kernel.dt)
+        excess = float(excess_weights @ p) / mass0
+        if excess > 1e-3:
+            raise ValueError(f"the grid cell is wider than the one-step kernel ({excess:.3g} "
+                             f"excess row mass at step {m + 1}): add nodes or lengthen dt")
         leak += float(leak_weights @ p) / mass0
         if leak > _LEAK_LIMIT:
             raise NumericalError(

@@ -689,6 +689,53 @@ def test_a_null_section_reads_as_absent(tmp_path, capsys, command, method, key):
     assert bodies[0] == bodies[1]
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    # this priced 100,000 paths and exited 0
+    ("price", {"mc": {"n_path": 10, "dt": 0.25}},
+     "config.mc.n_path is not a setting of config.mc, which takes n_paths, n_steps, dt, "
+     "exact_terminal; did you mean config.mc.n_paths?"),
+    # price checks all three settings objects, whatever its method
+    ("price", {"method": "analytic", "pde": {"nodes": 401}},
+     "config.pde.nodes is not a setting of config.pde, which takes n_nodes, n_steps, "
+     "half_width; did you mean config.pde.n_nodes?"),
+    ("price", {"method": "analytic", "green": {"halfwidth": 6.0}},
+     "config.green.halfwidth is not a setting of config.green, which takes n_nodes, "
+     "n_steps, dt, half_width; did you mean config.green.half_width?"),
+    ("density", {"resolution": {"n_step": 64}},
+     "config.resolution.n_step is not a setting of config.resolution, which takes "
+     "n_nodes, half_width, n_steps; did you mean config.resolution.n_steps?"),
+    ("density", {"grid": {"lo": -2.0, "high": 2.0}},
+     "config.grid.high is not a setting of config.grid, which takes lo, hi, n; did you "
+     "mean config.grid.hi?"),
+    ("density", {"grid": {"lo": -2.0, "hi": 2.0, "points": 5}},
+     "config.grid.points is not a setting of config.grid, which takes lo, hi, n"),
+])
+def test_a_key_a_settings_object_does_not_declare_exits_2_naming_it(tmp_path, capsys,
+                                                                     command, extra,
+                                                                     message):
+    # these keys were ignored, so the setting took its default
+    base = {"price": GBM_PRICE_DOC, "density": DENSITY_DOC}[command]
+    assert main([command, "--config", write_config(tmp_path, "key.json",
+                                                   dict(base, **extra))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_price_without_settings_objects_takes_each_routes_own_defaults(tmp_path):
+    doc = {k: v for k, v in GBM_PRICE_DOC.items() if k != "mc"}
+    out = tmp_path / "price.json"
+    assert main(["price", "--config", write_config(tmp_path, "bare.json",
+                                                   dict(doc, method="all")),
+                 "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    curve, payoff = stochastica.DiscountCurve.flat(0.05), stochastica.call_payoff(100.0)
+    rn = stochastica.risk_neutralize(stochastica.make_gbm(0.05, 0.2), curve)
+    assert results["pde"]["value"] == float(
+        stochastica.pv_pde(payoff, curve, 0.2, 100.0, 1.0)(100.0))
+    assert results["green"]["value"] == stochastica.pv_green(
+        stochastica.greens_function(rn, curve, 0.0, 100.0, 1.0, 1.0 / 256), payoff)
+    assert (results["mc"]["n_paths"], results["mc"]["sampler"]) == (100000, "exact-terminal")
+
+
 # a config each command runs quickly on
 FORMAT_DOCS = {"simulate": SIM_DOC, "density": dict(DENSITY_DOC, method="analytic"),
                "price": dict(GBM_PRICE_DOC, method="analytic"), "greeks": GREEKS_DOC,
@@ -733,7 +780,7 @@ def test_only_the_commands_that_sample_take_seed_and_threads(command, flag):
         assert err.value.code == 2
 
 
-def test_readme_command_line_examples_load():
+def test_readme_command_line_examples_load(tmp_path):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
               encoding="utf-8") as fh:
         readme = fh.read()
@@ -749,6 +796,9 @@ def test_readme_command_line_examples_load():
     load_model_config(doc["model"])
     _curve_from_config(doc)
     payoff_from_config(doc["payoff"])
+    # and runs as it stands, so the docs keep to the keys the reader declares
+    assert main(["price", "--config", write_config(tmp_path, "price.json", doc),
+                 "--out", str(tmp_path / "price.out.json")]) == 0
     # every example parses, and its --out file is named for the format it gets
     (commands,) = re.findall(r"```sh\n(.*?)```", section, re.S)
     for line in commands.splitlines():

@@ -922,7 +922,9 @@ def test_single_slice_routes_hold_memory_bounded_by_the_grid():
     # propagate and evolve_density return one slice: ten times the steps
     # must not cost ten times the memory
     model = make_bm(0.0, 1.0)
-    s = np.linspace(-12.0, 12.0, 401)
+    # cells of 0.02, under the one-step std at dt 1/2000 (0.022), so that
+    # propagate resolves its kernel
+    s = np.linspace(-8.0, 8.0, 801)
     routes = {
         "propagate": lambda n: propagate(one_step_kernel(model, 0.0, 1.0 / n),
                                          point_mass_on_grid(s, 0.0), n),
@@ -964,6 +966,33 @@ def test_backward_refuses_a_grid_that_is_short_or_not_increasing(s):
         kolmogorov_backward(model, lambda x: x * x, s, 0.0, 1.0)
     fn = kolmogorov_backward(model, lambda x: x * x, np.linspace(-3.0, 3.0, 601), 0.0, 1.0)
     assert float(fn(0.5)) == pytest.approx(0.34, rel=1e-9)
+
+
+# mu 50 and sigma 0.02 on 27 nodes over +-0.25: the cell Peclet number
+# |mu| h / sigma^2 is 2404, far past the M-matrix limit of 1
+PECLET_CASE = (make_bm(50.0, 0.02), np.linspace(-0.25, 0.25, 27), 2.5)
+
+
+@pytest.mark.parametrize("n_steps, step", [(23, 1), (92, 2), (5000, 93)])
+def test_backward_total_variation_guard_names_the_grid_when_the_peclet_number_passes_1(
+        n_steps, step):
+    # the guard said "retry with dt <= ...", yet every dt aborted alike;
+    # 2,701 nodes give 125.01 (exact 125)
+    model, s, t1 = PECLET_CASE
+    with pytest.raises(NumericalError, match=rf"total variation grew \S+x at step {step}: "
+                       r"the cell Peclet number \|mu\| h / sigma\^2 is 2404, over 1; add "
+                       r"grid nodes \(now 27\)"):
+        kolmogorov_backward(model, lambda x: np.maximum(x, 0.0), s, 0.0, t1, n_steps=n_steps)
+
+
+def test_backward_names_values_that_overflow():
+    # a first step that amplifies terminal values near the float limit; the
+    # next step would refuse the infinities as bad input, and a last step
+    # would return them
+    model, s, t1 = PECLET_CASE
+    with pytest.raises(NumericalError, match="non-finite values at step 1"):
+        kolmogorov_backward(model, lambda x: 1e306 * np.maximum(x, 0.0), s, 0.0, t1,
+                            n_steps=23)
 
 
 def test_backward_constant_terminal():

@@ -306,6 +306,25 @@ def test_propagate_names_the_cells_a_point_mass_start_lacks(half_width):
         propagate(one_step_kernel(make_bm(0.0, 1.0), 0.0, 1.0 / 16), start, 16)
 
 
+@pytest.mark.parametrize("n_nodes", [41, 101, 201])
+def test_propagate_refuses_a_cell_wider_than_the_one_step_kernel(n_nodes):
+    # these returned variance 0.160, 0.026 and 0.489 (exact 1) with no error:
+    # a kernel narrower than a cell is sampled at the nodes, not integrated
+    start = point_mass_on_grid(np.linspace(-8.0, 8.0, n_nodes), 0.0)
+    with pytest.raises(ValueError, match=r"the grid cell is wider than the one-step kernel "
+                       r"\(\S+ excess row mass at step 1\): add nodes or lengthen dt"):
+        propagate(one_step_kernel(make_bm(0.0, 1.0), 0.0, 1e-3), start, 1000)
+
+
+def test_propagate_keeps_a_cell_just_wider_than_the_kernel_std_that_it_resolves():
+    # cell 0.04 against a one-step std of 0.0316: the rows still integrate
+    s = np.linspace(-8.0, 8.0, 401)
+    out = propagate(one_step_kernel(make_bm(0.0, 1.0), 0.0, 1e-3),
+                    point_mass_on_grid(s, 0.0), 1000)
+    variance = float(np.sum(trapezoid_weights(s) * out.p_values * s * s))
+    assert variance == pytest.approx(1.0, rel=2e-3)
+
+
 def test_leak_abort_reports_an_earlier_bad_slice_of_its_window(monkeypatch):
     # the grid is too narrow: the leak aborts the march late, and a slice
     # that fails the density checks before the abort is the error reported,

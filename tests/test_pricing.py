@@ -817,6 +817,17 @@ def test_pv_pde_names_a_non_finite_stream_payoff():
         pv_pde(payoff, DiscountCurve.flat(0.05), 0.2, 100.0, 1.0)
 
 
+def test_pv_pde_names_values_that_overflow():
+    # at r = -400 and dt 1/400 the implicit diagonal 1 + dt (sigma^2 / h^2 + r)
+    # all but vanishes, so the theta system is no M-matrix and the values
+    # grow each step until they overflow; the next step would refuse the
+    # infinities as bad input
+    with pytest.raises(NumericalError, match="pricing solve produced non-finite values "
+                       "at step 150"):
+        pv_pde(call_payoff(100.0), DiscountCurve.flat(-400.0), 1e-3, 100.0, 1.0,
+               n_nodes=5, n_steps=400)
+
+
 def test_pv_pde_prices_a_strike_next_to_the_spot():
     # the snapped grid could not place a node on a strike within half a
     # cell of the spot and refused it
