@@ -12,12 +12,4 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateKernelError(NumericalError):
-    """A transition kernel collapsed to a point (zero volatility).
-
-    Carries the deterministic shift so callers can fall back to analytic
-    handling of the noise-free step.
-    """
-
-    def __init__(self, message: str, shift: float):
-        super().__init__(message)
-        self.shift = shift
+    """A transition kernel collapsed to a point (zero volatility)."""

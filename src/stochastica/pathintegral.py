@@ -73,10 +73,9 @@ class ShortTimeKernel:
         sig = self.model.sigma1(t, s_from)
         if np.any(sig == 0):
             where = np.asarray(s_from)[np.asarray(sig == 0)]
-            shift = self.model.mu1(t, np.atleast_1d(where)[0]) * self.dt
             raise DegenerateKernelError(
                 f"volatility vanishes at S={np.atleast_1d(where)[0]!r}: "
-                "transition is a deterministic shift", shift=float(shift))
+                "transition is a deterministic shift")
         var = sig ** 2 * self.dt
         mean = s_from + self.model.mu1(t, s_from) * self.dt
         return np.exp(-0.5 * (s_to - mean) ** 2 / var) / np.sqrt(2 * math.pi * var)
@@ -87,24 +86,22 @@ def one_step_kernel(model: ModelSpec, t: float, dt: float) -> ShortTimeKernel:
     return ShortTimeKernel(model=model, t=float(t), dt=float(dt))
 
 
-def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
-                  target_values=None) -> TransitionMatrix:
-    """Discretize the kernel on grids: rows windowed, then row-normalized.
+def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values) -> TransitionMatrix:
+    """Discretize the kernel from a grid onto itself: rows windowed, then row-normalized.
 
-    Each row keeps only the targets with |z| <= 8, z the distance from the
+    Each row keeps only the nodes with |z| <= 8, z the distance from the
     row's drifted center in std, and only those entries are computed and
-    stored, as a scipy.sparse CSR array. A row's candidates are the targets
+    stored, as a scipy.sparse CSR array. A row's candidates are the nodes
     between center -+ 8 std, found by binary search and widened by one node
     per side, so the |z| test alone decides the window. The trapezoid mass
     of each row before normalization is recorded in raw_row_mass for leak
-    accounting. The target grid must be strictly increasing.
+    accounting. The grid must be strictly increasing.
     """
     from scipy import sparse
 
     src = np.asarray(source_values, dtype=float)
-    tgt = src if target_values is None else np.asarray(target_values, dtype=float)
-    if not np.all(np.diff(tgt) > 0):
-        raise ValueError("kernel_matrix needs a strictly increasing target "
+    if not np.all(np.diff(src) > 0):
+        raise ValueError("kernel_matrix needs a strictly increasing "
                          "grid to locate the kernel windows")
     mean = kernel.mean(t, src)
     std = kernel.std(t, src)
@@ -112,17 +109,17 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
         bad = float(src[np.argwhere(std == 0)[0][0]])
         raise DegenerateKernelError(
             f"volatility vanishes at S={bad!r}: transition is a deterministic "
-            "shift", shift=float(kernel.mean(t, bad) - bad))
-    w = trapezoid_weights(tgt)
-    # candidates: the targets between mean -+ 8 std, one more node per side
+            "shift")
+    w = trapezoid_weights(src)
+    # candidates: the nodes between mean -+ 8 std, one more node per side
     reach = _WINDOW_STD * np.abs(std)
-    lo = np.maximum(np.searchsorted(tgt, mean - reach) - 1, 0)
-    hi = np.minimum(np.searchsorted(tgt, mean + reach, side="right") + 1,
-                    tgt.size)
+    lo = np.maximum(np.searchsorted(src, mean - reach) - 1, 0)
+    hi = np.minimum(np.searchsorted(src, mean + reach, side="right") + 1,
+                    src.size)
     width = hi - lo
     row = np.repeat(np.arange(src.size), width)
     col = np.arange(row.size) - np.repeat(np.cumsum(width) - width - lo, width)
-    z = (tgt[col] - mean[row]) / std[row]
+    z = (src[col] - mean[row]) / std[row]
     keep = np.abs(z) <= _WINDOW_STD
     row, col, z = row[keep], col[keep], z[keep]
     data = np.exp(-0.5 * z * z) / (np.sqrt(2 * math.pi) * std[row])
@@ -135,14 +132,14 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values,
     if np.any(raw <= 0):
         bad = float(src[np.argwhere(raw <= 0)[0][0]])
         raise NumericalError(
-            f"kernel row at S={bad!r} has no mass on the target grid; "
+            f"kernel row at S={bad!r} has no mass on the grid; "
             "the grid does not cover the one-step transition")
     data /= raw[row]
-    index = np.int32 if max(data.size, tgt.size) < 2 ** 31 else np.int64
+    index = np.int32 if max(data.size, src.size) < 2 ** 31 else np.int64
     matrix = sparse.csr_array((data, col.astype(index), indptr.astype(index)),
-                              shape=(src.size, tgt.size))
+                              shape=(src.size, src.size))
     return TransitionMatrix(t_from=t, t_to=t + kernel.dt, source_values=src,
-                            target_values=tgt, matrix=matrix, raw_row_mass=raw)
+                            target_values=src, matrix=matrix, raw_row_mass=raw)
 
 
 def _propagate_sequence(kernel: ShortTimeKernel, s: np.ndarray, t0: float,

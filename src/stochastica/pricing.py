@@ -8,13 +8,12 @@ discounted expectations.
 
 The Monte Carlo route steps with mc's Euler core (_euler_march) and keeps
 its latest simulation's terminal states: consecutive pv_mc calls on one
-path set, like the payoffs of a strip, priced in order, simulate once,
-stream payoffs excepted. The PDE route solves on one grid per spot,
-whatever the strike, starting from the payoff averaged over each log cell,
-and steps with density's factored theta system (_ThetaSystem), rebuilt
-only when sigma's values change, by the one reuse rule of the grid
-marches, density._Reused. The routes share these numerical primitives but
-never call each other.
+path set, one per payoff, simulate once, stream payoffs excepted.
+The PDE route solves on one grid per spot, whatever the strike, starting
+from the payoff averaged over each log cell, and steps with density's
+factored theta system (_ThetaSystem), rebuilt only when sigma's values
+change, by the one reuse rule of the grid marches, density._Reused. The
+routes share these numerical primitives but never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
 norm_cdf), so importing this module loads no scipy.
@@ -270,13 +269,11 @@ def _terminal_states(model, key: tuple, simulate, reuse: bool) -> np.ndarray:
 
 def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
           dt: float, n_paths: int, seed, *, threads=None,
-          exact_terminal: bool | None = None):
-    """Discounted Monte Carlo value of a payoff, or of a payoff strip, at T.
+          exact_terminal: bool | None = None) -> MCEstimate:
+    """Discounted Monte Carlo value of one payoff (a PayoffSpec) at T.
 
-    payoff is one PayoffSpec, which returns one MCEstimate, or a sequence
-    of them (a strip), which returns a tuple of what a call with each
-    payoff alone returns: the strip is priced payoff by payoff, in order,
-    so payoffs on one sampler share one simulation through the memo below.
+    To price several payoffs, call pv_mc once per payoff: consecutive calls
+    on one path set simulate once, through the memo below.
 
     The model must have dim 1: a payoff reads one asset's state. It is
     risk-neutralized internally (recorded in metadata).
@@ -295,12 +292,7 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     terminal array.
     """
     if not isinstance(payoff, PayoffSpec):
-        strip = tuple(payoff)
-        if not strip or not all(isinstance(p, PayoffSpec) for p in strip):
-            raise ValueError("payoff must be a PayoffSpec or a non-empty "
-                             "sequence of them")
-        return tuple(pv_mc(model, curve, p, S0, T, dt, n_paths, seed, threads=threads,
-                           exact_terminal=exact_terminal) for p in strip)
+        raise ValueError(f"payoff must be a PayoffSpec, got {type(payoff).__name__}")
     if model.dim != 1:
         raise ValueError(f"pv_mc prices one asset; the model has dim {model.dim}")
     seed = noise.validate_seed(seed)
@@ -398,8 +390,8 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     weighted by where it falls (Pooley, Vetzal and Forsyth 2003). Two fully
     implicit startup steps damp what is left of it before trapezoidal time
     stepping takes over; edge rows impose zero curvature in price. A strike
-    outside the grid is refused. n_steps must be a positive integer,
-    n_nodes an integer >= 5 and half_width finite and positive.
+    outside the grid is refused. n_steps must be a positive integer (with
+    1 + r*dt > 0), n_nodes an integer >= 5 and half_width finite and positive.
     """
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
@@ -409,6 +401,10 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     if not (S0 > 0 and T > 0):
         raise ValueError("S0 and T must be positive")
     n_steps = _int_at_least("n_steps", n_steps, 1)
+    dt = T / n_steps
+    if not 1 + r * dt > 0:  # the implicit steps then lose diagonal dominance
+        raise ValueError(f"r*dt = {r * dt:.6g} leaves 1 + r*dt <= 0, so the implicit system is "
+                         f"no M-matrix: use n_steps > -r*T = {-r * T:.6g} (now {n_steps})")
     n_nodes = _grid_nodes(n_nodes, half_width)
     sig_fn = _resolve_sigma(sigma)
     sig0 = float(np.max(sig_fn(0.0, np.asarray([S0]))))
@@ -428,7 +424,6 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     cell = np.exp(x[:, None] + h * u).ravel()
     f = _finite_payoff("terminal", payoff.terminal(cell)).reshape(n, _CELL_POINTS).mean(axis=1)
 
-    dt = T / n_steps
     # ghost-node elimination coefficients for zero price-curvature edges
     alpha = 2.0 / (1.0 + 0.5 * h)
     beta = -(1.0 - 0.5 * h) / (1.0 + 0.5 * h)

@@ -72,8 +72,8 @@ def test_criterion_01_four_pricing_routes_agree_on_the_call_grid():
     # pde and green must land within 1e-3 relative of the closed form;
     # the Euler Monte Carlo route (1e6 paths, dt = T/256) within 3 SE.
     # The three strikes of one (sigma, T) share the seed and the grid, so
-    # one strip call prices them from a single simulation, bit for bit as
-    # three separate calls would.
+    # their consecutive calls price them from a single simulation, bit for
+    # bit as three cold calls would.
     S0, r, seed = 100.0, 0.05, 424242
     strikes = (80.0, 100.0, 120.0)
     curve = DiscountCurve.flat(r)
@@ -84,8 +84,8 @@ def test_criterion_01_four_pricing_routes_agree_on_the_call_grid():
         for T in (0.25, 1.0, 2.0):
             green = greens_function(rn, curve, 0.0, S0, T, T / 256)
             payoffs = [call_payoff(K) for K in strikes]
-            estimates = pv_mc(model, curve, payoffs, S0, T, T / 256, 10**6,
-                              seed, exact_terminal=False)
+            estimates = [pv_mc(model, curve, payoff, S0, T, T / 256, 10**6,
+                               seed, exact_terminal=False) for payoff in payoffs]
             for K, payoff, est in zip(strikes, payoffs, estimates):
                 label = f"K={K:g} sigma={sigma:g} T={T:g}"
                 ref = bs_price(BSParams(S=S0, K=K, r=r, sigma=sigma, t=T))

@@ -918,6 +918,14 @@ def test_pde_strike_next_to_the_spot_is_priced(tmp_path):
     assert got == pytest.approx(want, rel=1e-3)
 
 
+def test_pde_price_at_a_rate_step_without_an_m_matrix_exits_2(tmp_path, capsys):
+    # r dt = -1 priced the call at -9.43e34 and exited 0
+    cfg = write_config(tmp_path, "pde.json", dict(
+        GBM_PRICE_DOC, curve=-4, method="pde", pde={"n_nodes": 5, "n_steps": 4}))
+    assert main(["price", "--config", cfg]) == 2
+    assert "1 + r*dt <= 0" in capsys.readouterr().err
+
+
 def test_fractional_config_seed_is_rejected(tmp_path, capsys):
     # 7.9 must not silently become seed 7
     cfg = write_config(tmp_path, "seed.json", dict(SIM_DOC, seed=7.9))

@@ -356,7 +356,7 @@ def test_risk_neutralize_correlated_gbm_without_a_family():
 def test_pv_mc_refuses_a_multi_asset_model(S0):
     # asset 0 alone used to be priced, silently, at its Black-Scholes value
     model = make_correlated_gbm([0.05, 0.05], [0.2, 0.4], [[1.0, 0.5], [0.5, 1.0]])
-    for payoff in (call_payoff(100.0), [call_payoff(100.0), put_payoff(100.0)]):
+    for payoff in (call_payoff(100.0), put_payoff(100.0)):
         with pytest.raises(ValueError, match="dim 2"):
             pv_mc(model, DiscountCurve.flat(0.05), payoff, S0, 1.0, 0.25, 1000, seed=1)
 
@@ -436,12 +436,13 @@ _STREAM = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
     ("default", (call_payoff(100.0), _STREAM)),
 ], ids=["euler", "euler-stream", "exact", "mixed"])
 def test_pv_mc_strip_equals_one_call_per_payoff(route, strip, curve, threads):
-    # 32,768 paths make two spans on two threads
+    # a strip priced by consecutive calls on one path set, memo hits
+    # included, equals cold calls; 32,768 paths make two spans on two threads
     exact = {"euler": False, "exact": True, "default": None}[route]
     args = (make_gbm(0.1, 0.2), curve)
     rest = (100.0, 1.0, 1.0 / 8, 32_768, 21)
-    got = pv_mc(*args, strip, *rest, threads=threads, exact_terminal=exact)
-    assert isinstance(got, tuple) and len(got) == len(strip)
+    got = [pv_mc(*args, payoff, *rest, threads=threads, exact_terminal=exact)
+           for payoff in strip]
     for est, payoff in zip(got, strip):
         pricing._clear_path_memo()
         one = pv_mc(*args, payoff, *rest, threads=threads, exact_terminal=exact)
@@ -455,31 +456,45 @@ def test_pv_mc_strip_under_thread_switch_stress():
     curve = DiscountCurve.flat(0.05)
     strip = (call_payoff(100.0), _STREAM)
     n = 5 * mc._MIN_SPAN + 3
-    args = (make_gbm(0.1, 0.2), curve, strip, 100.0, 1.0, 1.0 / 4, n, 9)
-    want = pv_mc(*args, threads=1, exact_terminal=False)
+    args = (make_gbm(0.1, 0.2), curve)
+    rest = (100.0, 1.0, 1.0 / 4, n, 9)
+
+    def run(threads):
+        pricing._clear_path_memo()    # the first payoff simulates too
+        return [(e.mean, e.std_error) for e in (
+            pv_mc(*args, payoff, *rest, threads=threads, exact_terminal=False)
+            for payoff in strip)]
+
+    want = run(1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            got = pv_mc(*args, threads=5, exact_terminal=False)
-            assert [(e.mean, e.std_error) for e in got] == \
-                [(e.mean, e.std_error) for e in want]
+            assert run(5) == want
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_pv_mc_strip_validation():
+    # each payoff of a strip is checked by its own call
     curve = DiscountCurve.flat(0.05)
     args = (make_gbm(0.1, 0.2), curve)
     rest = (100.0, 1.0, 0.25, 100, 0)
-    one = pv_mc(*args, [call_payoff(100.0)], *rest)
-    assert isinstance(one, tuple) and len(one) == 1
-    with pytest.raises(ValueError, match="payoff"):
-        pv_mc(*args, [], *rest)
-    with pytest.raises(ValueError, match="payoff"):
-        pv_mc(*args, [call_payoff(100.0), 3.0], *rest)
+    one = pv_mc(*args, call_payoff(100.0), *rest, exact_terminal=True)
+    assert one.metadata["sampler"] == "exact-terminal"
     with pytest.raises(ValueError, match="exact terminal"):
-        pv_mc(*args, [call_payoff(100.0), _STREAM], *rest, exact_terminal=True)
+        pv_mc(*args, _STREAM, *rest, exact_terminal=True)
+
+
+@pytest.mark.parametrize("payoff", [
+    (call_payoff(90.0), put_payoff(110.0)), [call_payoff(100.0)], (), 3.0],
+    ids=["tuple", "list", "empty", "float"])
+def test_pv_mc_refuses_anything_but_one_payoff(payoff):
+    # a sequence used to be priced as a strip and return a tuple
+    with pytest.raises(ValueError, match="payoff must be a PayoffSpec, got "
+                       + type(payoff).__name__):
+        pv_mc(make_gbm(0.1, 0.2), DiscountCurve.flat(0.05), payoff, 100.0, 1.0,
+              0.25, 100, 0)
 
 
 def test_pv_mc_stream_is_left_riemann_sum():
@@ -674,13 +689,14 @@ def test_pv_mc_memo_misses_after_the_model_config_changes(draws):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_pv_mc_strip_simulates_once_per_sampler(draws, exact):
-    # a strip is priced payoff by payoff; the memo serves all but the first
+    # a strip is priced by one call per payoff; the memo serves all but the first
     strip = (call_payoff(90.0), put_payoff(110.0), digital_payoff(100.0))
     _memo_call(payoff=strip[0], exact=exact)
     lone = list(draws)
     pricing._clear_path_memo()
     draws.clear()
-    _memo_call(payoff=strip, exact=exact)
+    for payoff in strip:
+        _memo_call(payoff=payoff, exact=exact)
     assert lone and draws == lone
 
 
@@ -818,14 +834,26 @@ def test_pv_pde_names_a_non_finite_stream_payoff():
 
 
 def test_pv_pde_names_values_that_overflow():
-    # at r = -400 and dt 1/400 the implicit diagonal 1 + dt (sigma^2 / h^2 + r)
-    # all but vanishes, so the theta system is no M-matrix and the values
-    # grow each step until they overflow; the next step would refuse the
-    # infinities as bad input
+    # at r = -400 and dt 1/800 (r dt = -0.5, which the M-matrix refusal lets
+    # through) the values grow each step until they overflow; the next step
+    # would refuse the infinities as bad input
     with pytest.raises(NumericalError, match="pricing solve produced non-finite values "
-                       "at step 150"):
+                       "at step 418"):
         pv_pde(call_payoff(100.0), DiscountCurve.flat(-400.0), 1e-3, 100.0, 1.0,
-               n_nodes=5, n_steps=400)
+               n_nodes=5, n_steps=800)
+
+
+@pytest.mark.parametrize("r, sigma, n_steps", [
+    (-100.0, 0.2, 100),   # priced the call at -1.15e132
+    (-1.0, 1e-8, 1),      # raised a bare LinAlgError: singular matrix
+    (-4.0, 1e-3, 4),      # priced the call at -1.08e30
+], ids=["huge", "singular", "r-4"])
+def test_pv_pde_refuses_a_rate_step_without_an_m_matrix(r, sigma, n_steps):
+    # 1 + r dt <= 0 leaves the implicit system without diagonal dominance
+    with pytest.raises(ValueError, match=rf"r\*dt = -1 leaves 1 \+ r\*dt <= 0.*"
+                       rf"n_steps > -r\*T = {-r:g} \(now {n_steps}\)"):
+        pv_pde(call_payoff(100.0), DiscountCurve.flat(r), sigma, 100.0, 1.0,
+               n_nodes=5, n_steps=n_steps)
 
 
 def test_pv_pde_prices_a_strike_next_to_the_spot():
