@@ -281,8 +281,9 @@ def _comparison_grid(model, S0: float, t: float, cfg: dict,
     explicit = _section(cfg, "grid", lo=float, hi=float, n=3)
     if cfg.get("grid") is None:
         return _analytic_density(model, S0, t).default_grid(n_nodes, half_width)
-    lo = _require(explicit, "lo", float, "grid start", where="config.grid")
-    hi = _require(explicit, "hi", float, "grid end", where="config.grid")
+    lo, hi = (_require_finite(f"config.grid.{key}",
+                              _require(explicit, key, float, what, where="config.grid"))
+              for key, what in (("lo", "grid start"), ("hi", "grid end")))
     if not hi > lo:
         raise ValueError("config.grid needs lo < hi")
     return np.linspace(lo, hi, explicit.get("n", n_nodes))
@@ -454,8 +455,10 @@ def cmd_hedge(args, cfg: dict) -> tuple:
         where = f"config.instruments[{i}]"
         if not isinstance(row, dict):
             raise ValueError(f"{where} must be an object")
-        delta, kappa, gamma = (_require(row, greek, float, "a sensitivity", where=where)
-                               for greek in ("delta", "kappa", "gamma"))
+        delta, kappa, gamma = (
+            _require_finite(f"{where}.{greek}",
+                            _require(row, greek, float, "a sensitivity", where=where))
+            for greek in ("delta", "kappa", "gamma"))
         instruments.append(risk_mod.Instrument(
             delta, kappa, gamma, name=_require(row, "name", str, default=str(i), where=where)))
     targets = _require(cfg, "targets", list, default=["kappa"])

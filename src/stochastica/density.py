@@ -629,9 +629,8 @@ def _grid_nodes(n_nodes, half_width) -> int:
 
 
 def default_domain(model: ModelSpec, S0: float, horizon: float,
-                   n_nodes: int = 801, half_width: float = 8.0,
-                   spread0: float = 0.0) -> np.ndarray:
-    """Uniform grid covering start and end spreads within +-half_width std;
+                   n_nodes: int = 801, half_width: float = 8.0) -> np.ndarray:
+    """Uniform grid covering S0 and the end spread within +-half_width std;
     the end spread is the closed-form one of the model's family."""
     spread = None if model.family is None else model.family.spread(S0, horizon)
     if spread is None:
@@ -641,54 +640,29 @@ def default_domain(model: ModelSpec, S0: float, horizon: float,
     mean, std = spread
     if std <= 0:
         raise ValueError("model has zero terminal spread; no grid to build")
-    pad = half_width * (std + spread0)
+    pad = half_width * std
     lo = min(S0, mean) - pad
     hi = max(S0, mean) + pad
     return np.linspace(lo, hi, n_nodes)
 
 
-def _start_on_domain(model: ModelSpec, initial, horizon: float, n_nodes: int,
-                     half_width: float, mhash: str) -> DensityGrid:
-    """Put the initial condition on a uniform grid sized for the evolution."""
-    if isinstance(initial, PointMass):
-        grid = default_domain(model, initial.center, horizon, n_nodes, half_width)
-        start = point_mass_on_grid(grid, initial.center, initial.t, model_hash=mhash)
-        _require_vanishing_edges(start.p_values, "a point-mass start is one cell wide "
-                                 f"whatever the domain: raise n_nodes (now {n_nodes})")
-        return start
-    if isinstance(initial, AnalyticDensity1D):
-        grid = default_domain(model, initial.mean, horizon, n_nodes,
-                              half_width, spread0=initial.std)
-        return initial.on_grid(grid, model_hash=mhash)
-    if isinstance(initial, DensityGrid):
-        try:
-            grid = default_domain(model, initial.mean, horizon, n_nodes,
-                                  half_width, spread0=math.sqrt(initial.variance))
-        except ValueError:
-            # no closed-form spread rule: trust the caller's grid as-is
-            return initial
-        p = np.interp(grid, initial.s_values, initial.p_values,
-                      left=0.0, right=0.0)
-        p *= initial.mass / np.sum(trapezoid_weights(grid) * p)
-        return DensityGrid(s_values=grid, p_values=p, t=initial.t,
-                           model_hash=mhash)
-    raise TypeError("initial must be a PointMass, AnalyticDensity1D or DensityGrid")
-
-
-def evolve_density(model: ModelSpec, initial, t1: float, *,
+def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
                    n_steps: int = 200, n_nodes: int = 801,
                    half_width: float = 8.0) -> DensityGrid:
-    """Forward-evolve a density to time t1 at default resolutions.
+    """Forward-evolve a point mass to time t1 at default resolutions.
 
-    initial may be a PointMass, an AnalyticDensity1D or a DensityGrid. A
-    model whose family has a log-space form (GBM) runs on a log-price grid
-    and the result is mapped back, so the returned grid is log-uniform in
-    that case; an analytic start is first sampled with on_grid(n=n_nodes,
-    half_width=half_width), and a start that reaches S <= 0 is refused.
+    The start is regularised (point_mass_on_grid) on default_domain's grid,
+    so the model needs a family; a density on its own grid evolves with
+    fokker_planck_forward. A model whose family has a log-space form (GBM)
+    runs on a log-price grid and the result is mapped back, so the returned
+    grid is log-uniform in that case, and a start at S <= 0 is refused.
     n_nodes must be an integer >= 5, half_width finite and > 0. Only the
     latest slice is kept, so memory is O(n_nodes) whatever n_steps is; each
     slice is checked as the march makes it.
     """
+    if not isinstance(initial, PointMass):
+        raise TypeError(f"initial must be a PointMass, got {type(initial).__name__}; "
+                        "evolve a density on its own grid with fokker_planck_forward")
     n_steps = _int_at_least("n_steps", n_steps, 1)
     n_nodes = _grid_nodes(n_nodes, half_width)
     _require_finite("t1", t1)
@@ -702,18 +676,17 @@ def evolve_density(model: ModelSpec, initial, t1: float, *,
     log_model = None if model.family is None else model.family.log_space()
     if log_model is not None:
         model = log_model
-        if isinstance(initial, AnalyticDensity1D):
-            initial = initial.on_grid(n=n_nodes, half_width=half_width)
-        low = initial.center if isinstance(initial, PointMass) else initial.s_values[0]
-        if not low > 0:
+        if not initial.center > 0:
             raise ValueError("this model needs S > 0; the start reaches "
-                             f"S = {float(low)!r}")
+                             f"S = {float(initial.center)!r}")
         initial = change_of_variable(initial, np.log, lambda s: 1.0 / s)
-    start = _start_on_domain(model, initial, horizon, n_nodes, half_width, mhash)
+    grid = default_domain(model, initial.center, horizon, n_nodes, half_width)
+    start = point_mass_on_grid(grid, initial.center, initial.t, model_hash=mhash)
+    _require_vanishing_edges(start.p_values, "a point-mass start is one cell wide "
+                             f"whatever the domain: raise n_nodes (now {n_nodes})")
     for last in _forward_march(model, start, tg):
         pass
-    final = DensityGrid(s_values=start.s_values, p_values=last, t=tg.time(n_steps),
-                        model_hash=start.model_hash or model_hash(model))
+    final = DensityGrid(s_values=grid, p_values=last, t=tg.time(n_steps), model_hash=mhash)
     try:
         return final if log_model is None else change_of_variable(final, np.exp, np.exp)
     except ValueError as exc:

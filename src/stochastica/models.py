@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import DiscountCurve, _json_numbers
+from .portfolio import DiscountCurve, _json_numbers, _require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def _require_sigma(sigma: float) -> float:
 
 def make_bm(mu: float, sigma: float) -> ModelSpec:
     """Arithmetic Brownian motion: constant drift and volatility."""
-    mu = float(mu)
+    mu = _require_finite("mu", mu)
     sigma = _require_sigma(sigma)
 
     def drift(t, S):
@@ -209,7 +209,7 @@ def make_bm(mu: float, sigma: float) -> ModelSpec:
 
 def make_gbm(mu: float, sigma: float) -> ModelSpec:
     """Geometric Brownian motion: drift mu*S, volatility sigma*S."""
-    mu = float(mu)
+    mu = _require_finite("mu", mu)
     sigma = _require_sigma(sigma)
 
     def drift(t, S):
@@ -224,8 +224,8 @@ def make_gbm(mu: float, sigma: float) -> ModelSpec:
 
 def make_vasicek(a: float, b: float, sigma: float) -> ModelSpec:
     """Mean-reverting rate model: drift a*(b - S), constant volatility."""
-    a = float(a)
-    b = float(b)
+    a = _require_finite("a", a)
+    b = _require_finite("b", b)
     sigma = _require_sigma(sigma)
     if not a > 0:
         raise ValueError("mean-reversion speed a must be positive")
@@ -345,6 +345,9 @@ def _correlated(mus, sigmas, correlation, geometric: bool, type_name: str) -> Mo
     sig = np.asarray(sigmas, dtype=float)
     if mu.ndim != 1 or mu.shape != sig.shape:
         raise ValueError("mus and sigmas must be equal-length vectors")
+    for name, values in (("mus", mu), ("sigmas", sig)):
+        for i, v in enumerate(values):
+            _require_finite(f"{name}[{i}]", v)
     if np.any(sig < 0):
         raise ValueError("sigmas must be >= 0")
     eig = diagonalize_covariance(correlation)

@@ -54,7 +54,7 @@ class PayoffSpec:
         if self.kind not in _PAYOFF_KINDS:
             raise ValueError(f"payoff kind must be one of {_PAYOFF_KINDS}")
         if self.kind in ("call", "put", "digital"):
-            if self.strike is None or not self.strike > 0:
+            if self.strike is None or not _require_finite("strike", self.strike) > 0:
                 raise ValueError("built-in payoffs need a strike K > 0")
 
 

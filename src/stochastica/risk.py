@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .portfolio import _require_finite
+
 _TARGETS = ("kappa", "gamma")
 
 
@@ -120,6 +122,10 @@ class Instrument:
     gamma: float
     name: str = ""
 
+    def __post_init__(self):
+        for greek in ("delta", "kappa", "gamma"):
+            _require_finite(greek, getattr(self, greek))
+
 
 @dataclass(frozen=True)
 class HedgeReport:
@@ -163,6 +169,8 @@ def neutralize(instruments, targets=("kappa",), *, normalization: str = "first",
         values = np.asarray(values, dtype=float)
         if values.shape != (n,):
             raise ValueError("values must have one entry per instrument")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         norm_row = list(values)
     rows.append(norm_row)
 

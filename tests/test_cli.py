@@ -854,6 +854,48 @@ def test_non_finite_inputs_exit_2_naming_them(tmp_path, capsys, command, doc, me
     assert not out.exists()
 
 
+_VASICEK = {"type": "vasicek", "params": {"a": 1.0, "b": 0.05, "sigma": 0.02}}
+
+
+def _with_params(model, **params):
+    return dict(model, params=dict(model["params"], **params))
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("density", dict(DENSITY_DOC, model=_with_params(_VASICEK, b=math.nan), S0=0.03,
+                     method="analytic"), "b must be finite, got nan"),
+    ("density", dict(DENSITY_DOC, grid={"lo": -math.inf, "hi": 5.0, "n": 11},
+                     method="analytic"), "config.grid.lo must be finite, got -inf"),
+    ("density", dict(DENSITY_DOC, model=_with_params(DENSITY_DOC["model"], mu=math.inf),
+                     method="analytic"), "mu must be finite, got inf"),
+    ("density", dict(DENSITY_DOC, model=_with_params(_VASICEK, b=math.inf), S0=0.03,
+                     method="analytic"), "b must be finite, got inf"),
+    ("price", dict(GBM_PRICE_DOC, payoff={"kind": "put", "strike": math.inf}),
+     "strike must be finite, got inf"),
+    # the price routes replace mu by the rate, but the model is refused first
+    ("price", dict(GBM_PRICE_DOC, model=_with_params(GBM_PRICE_DOC["model"], mu=math.nan)),
+     "mu must be finite, got nan"),
+    ("hedge", {"instruments": [dict(HEDGE_DOC["instruments"][0], delta=math.nan),
+                               HEDGE_DOC["instruments"][1]]},
+     "config.instruments[0].delta must be finite, got nan"),
+    ("hedge", {"instruments": [HEDGE_DOC["instruments"][0],
+                               dict(HEDGE_DOC["instruments"][1], gamma=math.inf)]},
+     "config.instruments[1].gamma must be finite, got inf"),
+    ("hedge", dict(HEDGE_DOC, normalization="value", values=[1.0, math.inf]),
+     "values must be finite"),
+], ids=["density vasicek b nan", "density grid lo", "density bm mu inf",
+        "density vasicek b inf", "price mc put strike", "price mu nan", "hedge delta nan",
+        "hedge gamma inf", "hedge values"])
+def test_non_finite_parameters_exit_2_naming_them(tmp_path, capsys, command, doc, message):
+    # these used to write a body of nan and exit 0, exit 2 naming a degenerate
+    # support or a rank-deficient constraint, or exit 3 on a non-finite payoff
+    cfg = write_config(tmp_path, "bad.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_counts_are_accepted(tmp_path, capsys):
     cfg = write_config(tmp_path, "ok.json", dict(
         DENSITY_DOC, grid={"lo": -2.0, "hi": 2.0, "n": 3},

@@ -291,29 +291,31 @@ def test_forward_solver_matches_gbm():
     (0.1, 0.4, 20.0, 0.25, 1.0),
 ])
 def test_forward_solver_evolves_an_analytic_gbm_start(mu, sigma, S0, t0, t1):
-    # the start is sampled on a grid, mapped to log price and evolved
-    final = evolve_density(make_gbm(mu, sigma), density_gbm(t0, S0, mu, sigma), t1)
+    # the start is sampled on the terminal density's grid and evolved there,
+    # in price space, from t0
     exact = density_gbm(t1, S0, mu, sigma)
+    start = density_gbm(t0, S0, mu, sigma).on_grid(exact.default_grid())
+    final = fokker_planck_forward(make_gbm(mu, sigma), start,
+                                  TimeGrid(t0, (t1 - t0) / 200, 200))[-1]
     assert final.t == pytest.approx(t1)
     assert l1_distance(final.s_values, final.p_values,
                        exact(final.s_values)) < 5e-3
 
 
-def _normal_grid(lo, hi, n=401):
-    s = np.linspace(lo, hi, n)
-    return DensityGrid(s_values=s, p_values=np.exp(-0.5 * ((s - 1.0) / 0.2) ** 2)
-                       / (0.2 * math.sqrt(2 * math.pi)), t=0.0)
+def test_evolve_density_refuses_a_start_that_is_not_a_point():
+    s = np.linspace(-8.0, 8.0, 401)
+    for start, name in ((density_bm(0.5, 0.0, 0.0, 1.0), "AnalyticDensity1D"),
+                        (point_mass_on_grid(s, 0.0), "DensityGrid")):
+        with pytest.raises(TypeError, match=f"^initial must be a PointMass, got {name}; "
+                           "evolve a density on its own grid with fokker_planck_forward$"):
+            evolve_density(make_bm(0.0, 1.0), start, 1.0)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("start, reached", [
     (PointMass(center=0.0), 0.0),
     (PointMass(center=-1.0), -1.0),
-    (_normal_grid(0.0, 2.0), 0.0),
-    (_normal_grid(-1.0, 3.0), -1.0),
-    (density_bm(1.0, 0.5, 0.0, 1.0), -7.5),
-], ids=["point-mass-at-0", "point-mass-below-0", "grid-from-0", "grid-from-below-0",
-        "bm-density"])
+], ids=["point-mass-at-0", "point-mass-below-0"])
 def test_log_space_model_refuses_a_start_at_or_below_zero(start, reached):
     with pytest.raises(ValueError, match=re.escape(f"needs S > 0; the start "
                                                    f"reaches S = {reached!r}")):
@@ -391,13 +393,14 @@ def test_point_mass_start_on_enough_nodes_evolves():
 
 
 def test_own_grid_start_that_does_not_vanish_still_asks_to_widen_the_grid():
-    # no family spread rule: evolve_density marches the caller's grid as given
+    # no family spread rule: the forward march runs on the caller's grid as
+    # given, and a broad start is not told the point-mass remedy
     rn = risk_neutralize(make_bm(0.0, 1.0), DiscountCurve.flat(0.0),
                          override_drift=lambda t, S: np.zeros_like(S))
     s = np.linspace(-1.0, 1.0, 101)
     broad = DensityGrid(s_values=s, p_values=np.full_like(s, 0.5), t=0.0)
     with pytest.raises(ValueError, match="; widen the grid$"):
-        evolve_density(rn, broad, 1.0)
+        fokker_planck_forward(rn, broad, TimeGrid(0.0, 1.0 / 200, 200))
 
 
 @pytest.mark.parametrize("n_nodes", [21, 31, 41])
@@ -540,12 +543,8 @@ def test_solvers_reject_a_bad_step_count(n_steps):
 ])
 def test_default_domain_routes_name_a_bad_grid_argument(bad, message):
     curve = DiscountCurve.flat(0.05)
-    bm = make_bm(0.0, 1.0)
-    starts = (PointMass(center=0.0, t=0.0),
-              point_mass_on_grid(np.linspace(-8.0, 8.0, 401), 0.0))
-    for start in starts:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            evolve_density(bm, start, 1.0, **bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve_density(make_bm(0.0, 1.0), PointMass(center=0.0, t=0.0), 1.0, **bad)
     with pytest.raises(ValueError, match=re.escape(message)):
         greens_function(risk_neutralize(make_gbm(0.05, 0.2), curve), curve,
                         0.0, 100.0, 1.0, 0.25, **bad)
@@ -726,6 +725,20 @@ def test_marches_evaluate_fixed_maps_once_and_others_every_step(kind):
         assert len(set(times)) == (1 if fixed else n), name
 
 
+def _start_point_masses_at(mass, monkeypatch):
+    """Give evolve_density's regularised point start this mass, as a test's
+    own-grid start has, so that a slice can fail the density checks alone:
+    from mass 1 the drift guard trips first."""
+    real = density.point_mass_on_grid
+
+    def point_mass_on_grid(*args, **kwargs):
+        start = real(*args, **kwargs)
+        return DensityGrid(s_values=start.s_values, p_values=mass * start.p_values,
+                           t=start.t, model_hash=start.model_hash)
+
+    monkeypatch.setattr(density, "point_mass_on_grid", point_mass_on_grid)
+
+
 @pytest.mark.parametrize("fault, message", [
     ("mass", r"density mass 0\.9988"), ("nan", "density values must be finite")])
 def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypatch):
@@ -759,12 +772,14 @@ def test_forward_march_reports_the_first_failing_slice(fault, message, monkeypat
 
     monkeypatch.setattr(density, "_require_uniform", require_uniform)
     monkeypatch.setattr(_ThetaSystem, "step", step)
+    _start_point_masses_at(0.9995, monkeypatch)
     for f in (0, 69):
         n = f + 10
         with pytest.raises(ValueError, match=message):
             fokker_planck_forward(model, initial, TimeGrid(0.0, 0.01, n))
         with pytest.raises(ValueError, match=message):
-            evolve_density(model, initial, 0.01 * n, n_steps=n, n_nodes=s.size)
+            evolve_density(model, PointMass(center=0.0), 0.01 * n, n_steps=n,
+                           n_nodes=s.size)
 
 
 def test_fokker_planck_forward_checks_each_slice_once(monkeypatch):
@@ -889,11 +904,12 @@ def test_windowed_marches_check_every_slice(bad, monkeypatch):
 
     monkeypatch.setattr(_ThetaSystem, "step", step)
     monkeypatch.setattr(pathintegral, "quadrature_apply", apply)
+    _start_point_masses_at(0.9995, monkeypatch)
     marches = {  # start mass, march
         "fokker_planck_forward": (0.9995, lambda: fokker_planck_forward(
             model, initial, TimeGrid(0.0, 0.5 / n, n))),
         "evolve_density": (0.9995, lambda: evolve_density(
-            model, initial, 0.5, n_steps=n, n_nodes=s.size)),
+            model, PointMass(center=0.0), 0.5, n_steps=n, n_nodes=s.size)),
         "propagate": (0.9995, lambda: propagate(
             one_step_kernel(model, 0.0, 0.5 / n), initial, n)),
         # the lattice's slice k + 1 is step k from the unit-mass kernel row

@@ -266,6 +266,13 @@ def test_payoff_builders():
                                [0.0, 50.0])
 
 
+@pytest.mark.parametrize("make", [call_payoff, put_payoff, digital_payoff])
+def test_built_in_payoffs_refuse_an_infinite_strike(make):
+    # a put of strike inf used to fail in pv_mc as a non-finite payoff
+    with pytest.raises(ValueError, match="^strike must be finite, got inf$"):
+        make(math.inf)
+
+
 def test_payoff_validation():
     with pytest.raises(ValueError, match="kind"):
         PayoffSpec(terminal=lambda s: s, kind="barrier")

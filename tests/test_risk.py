@@ -188,6 +188,25 @@ def test_neutralize_validation():
                    values=[1.0])
 
 
+@pytest.mark.parametrize("greek", ["delta", "kappa", "gamma"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_instrument_refuses_a_non_finite_sensitivity_by_name(greek, value):
+    # an infinite kappa used to hang neutralize in LAPACK's SVD, and a nan
+    # delta was reported as the hedge's delta
+    base = dict(delta=0.5, kappa=1.0, gamma=0.01)
+    with pytest.raises(ValueError, match=rf"^{greek} must be finite, got "):
+        Instrument(**dict(base, **{greek: value}))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_neutralize_refuses_non_finite_values(value):
+    # these used to be blamed on a rank-deficient kappa constraint
+    a = Instrument(delta=0.6, kappa=1.0, gamma=0.02)
+    b = Instrument(delta=0.4, kappa=-1.0, gamma=0.01)
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        neutralize([a, b], normalization="value", values=[1.0, value])
+
+
 def test_hedge_report_doc_roundtrip():
     a = Instrument(delta=0.6, kappa=1.0, gamma=0.02)
     b = Instrument(delta=0.4, kappa=-1.0, gamma=0.01)
