@@ -23,7 +23,7 @@ from .density import (
     kolmogorov_backward,
     point_mass_on_grid,
 )
-from .errors import DegenerateKernelError, NumericalError
+from .errors import NumericalError
 from .mc import (
     MCEstimate,
     PathBatch,

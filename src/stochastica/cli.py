@@ -284,8 +284,8 @@ def _comparison_grid(model, S0: float, t: float, cfg: dict,
     lo, hi = (_require_finite(f"config.grid.{key}",
                               _require(explicit, key, float, what, where="config.grid"))
               for key, what in (("lo", "grid start"), ("hi", "grid end")))
-    if not hi > lo:
-        raise ValueError("config.grid needs lo < hi")
+    if not 0 < hi - lo < math.inf:
+        raise ValueError("config.grid needs lo < hi and a finite hi - lo")
     return np.linspace(lo, hi, explicit.get("n", n_nodes))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .mc import TimeGrid, _int_at_least
-from .models import BM, GBM, ModelSpec, Vasicek, model_hash
+from .models import BM, GBM, ModelSpec, Vasicek, model_hash  # benchmark tracer counts its calls
 from .portfolio import _require_finite
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
@@ -83,7 +83,6 @@ class DensityGrid:
     s_values: np.ndarray
     p_values: np.ndarray
     t: float
-    model_hash: str = ""
 
     def __post_init__(self):
         _require_finite("t", self.t)
@@ -103,13 +102,13 @@ class DensityGrid:
         object.__setattr__(self, "p_values", p)
 
     @classmethod
-    def _of_checked(cls, s: np.ndarray, p: np.ndarray, t: float, model_hash: str):
+    def _of_checked(cls, s: np.ndarray, p: np.ndarray, t: float):
         """The grid of values p that a march has density-checked on s, a
         DensityGrid's grid: p is made read-only in place, not copied or
         checked again."""
         p.setflags(write=False)
         grid = object.__new__(cls)
-        vars(grid).update(s_values=s, p_values=p, t=t, model_hash=model_hash)
+        vars(grid).update(s_values=s, p_values=p, t=t)
         return grid
 
     @property
@@ -151,8 +150,7 @@ class PointMass:
         return 0.0
 
 
-def point_mass_on_grid(s_values, center: float, t: float = 0.0,
-                       *, model_hash: str = "") -> DensityGrid:
+def point_mass_on_grid(s_values, center: float, t: float = 0.0) -> DensityGrid:
     """Regularize a point mass as a narrow Gaussian (one grid cell wide).
 
     The width keeps >= 99% of the mass within three cells of the center
@@ -167,7 +165,7 @@ def point_mass_on_grid(s_values, center: float, t: float = 0.0,
     h = float(np.min(np.diff(s)))
     p = np.exp(-0.5 * ((s - center) / h) ** 2)
     p /= np.sum(trapezoid_weights(s) * p)
-    return DensityGrid(s_values=s, p_values=p, t=t, model_hash=model_hash)
+    return DensityGrid(s_values=s, p_values=p, t=t)
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,7 @@ def compose_transition(first, second: TransitionMatrix):
             raise ValueError("grid mismatch: intermediate grids differ")
         p = quadrature_apply(first.weights, first.p_values, second.matrix)
         return DensityGrid(s_values=second.target_values, p_values=p,
-                           t=second.t_to, model_hash=first.model_hash)
+                           t=second.t_to)
     if isinstance(first, TransitionMatrix):
         if not np.array_equal(first.target_values, second.source_values):
             raise ValueError("grid mismatch: intermediate grids differ")
@@ -312,12 +310,10 @@ class AnalyticDensity1D:
             raise ValueError("degenerate support; cannot build a grid")
         return np.linspace(lo, hi, n)
 
-    def on_grid(self, s_values=None, *, n: int = 801, half_width: float = 8.0,
-                model_hash: str = "") -> DensityGrid:
+    def on_grid(self, s_values=None, *, n: int = 801, half_width: float = 8.0) -> DensityGrid:
         s = self.default_grid(n, half_width) if s_values is None \
             else np.asarray(s_values, dtype=float)
-        return DensityGrid(s_values=s, p_values=self(s), t=self.t,
-                           model_hash=model_hash)
+        return DensityGrid(s_values=s, p_values=self(s), t=self.t)
 
 
 def _gaussian_density(family, t: float, S0: float):
@@ -411,8 +407,7 @@ def change_of_variable(p_x, Y, dYdx):
     p = p_x.p_values / np.abs(d)
     if d[0] < 0:
         y, p = y[::-1], p[::-1]
-    return DensityGrid(s_values=y, p_values=p, t=p_x.t,
-                       model_hash=p_x.model_hash)
+    return DensityGrid(s_values=y, p_values=p, t=p_x.t)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +564,7 @@ def fokker_planck_forward(model: ModelSpec, initial: DensityGrid,
     slice, which the march has checked, so it is not checked again; all of
     them share the initial density's grid.
     """
-    mhash = initial.model_hash or model_hash(model)
-    return [DensityGrid._of_checked(initial.s_values, p, grid.time(m), mhash)
+    return [DensityGrid._of_checked(initial.s_values, p, grid.time(m))
             for m, p in enumerate(_forward_march(model, initial, grid))]
 
 
@@ -671,7 +665,6 @@ def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
         raise ValueError("t1 must exceed the initial density's time")
     horizon = t1 - t0
     tg = TimeGrid(t0=t0, dt=horizon / n_steps, n_steps=n_steps)
-    mhash = model_hash(model)
 
     log_model = None if model.family is None else model.family.log_space()
     if log_model is not None:
@@ -681,12 +674,12 @@ def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
                              f"S = {float(initial.center)!r}")
         initial = change_of_variable(initial, np.log, lambda s: 1.0 / s)
     grid = default_domain(model, initial.center, horizon, n_nodes, half_width)
-    start = point_mass_on_grid(grid, initial.center, initial.t, model_hash=mhash)
+    start = point_mass_on_grid(grid, initial.center, initial.t)
     _require_vanishing_edges(start.p_values, "a point-mass start is one cell wide "
                              f"whatever the domain: raise n_nodes (now {n_nodes})")
     for last in _forward_march(model, start, tg):
         pass
-    final = DensityGrid(s_values=grid, p_values=last, t=tg.time(n_steps), model_hash=mhash)
+    final = DensityGrid(s_values=grid, p_values=last, t=tg.time(n_steps))
     try:
         return final if log_model is None else change_of_variable(final, np.exp, np.exp)
     except ValueError as exc:
@@ -704,7 +697,6 @@ class GridFunction:
 
     s_values: np.ndarray
     values: np.ndarray
-    t: float
 
     def __call__(self, s):
         return np.interp(s, self.s_values, self.values)
@@ -766,4 +758,4 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
                 f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step {m + 1}: " + (
                     f"the cell Peclet number |mu| h / sigma^2 is {peclet:.4g}, over 1; add grid "
                     f"nodes (now {s.size})" if peclet > 1 else f"retry with dt <= {dt / 4:.6g}"))
-    return GridFunction(s_values=s, values=u, t=t0)
+    return GridFunction(s_values=s, values=u)

@@ -9,7 +9,3 @@ two apart.
 
 class NumericalError(RuntimeError):
     """A computation failed numerically (overflow, instability, mass loss)."""
-
-
-class DegenerateKernelError(NumericalError):
-    """A transition kernel collapsed to a point (zero volatility)."""

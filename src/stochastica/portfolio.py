@@ -84,14 +84,14 @@ class DiscountCurve:
         return len(set(self.rates)) == 1
 
     def rate(self, t: float) -> float:
-        """Short rate in force at time t >= 0."""
-        if t < 0:
+        """Short rate in force at a finite time t >= 0."""
+        if _require_finite("t", t) < 0:
             raise ValueError("curve is defined for t >= 0")
         return self.rates[bisect_right(self.times, t) - 1]
 
     def integral(self, t0: float, t1: float) -> float:
-        """R(t0, t1) = integral of r over [t0, t1]; exact for the step curve."""
-        if t1 < t0:
+        """R(t0, t1) = integral of r over [t0, t1], both finite; exact for the step curve."""
+        if _require_finite("t1", t1) < _require_finite("t0", t0):
             raise ValueError("need t1 >= t0")
         if t0 < 0:
             raise ValueError("curve is defined for t >= 0")

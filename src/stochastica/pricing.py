@@ -452,7 +452,7 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
         if not np.isfinite(f).all():
             raise NumericalError(
                 f"pricing solve produced non-finite values at step {m + 1}")
-    return GridFunction(s_values=s, values=f, t=0.0)
+    return GridFunction(s_values=s, values=f)
 
 
 # ---------------------------------------------------------------------------

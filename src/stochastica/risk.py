@@ -57,17 +57,19 @@ def index_weights(inputs: IndexInputs) -> IndexWeights:
     1 / sigma_bar^2 = sum_i 1 / sigma_i^2.
 
     Minimizes the variance of sum_i w_i x_i (unit total value, independent
-    proportional fluctuations). A riskless asset collapses the problem:
-    it takes all the weight and the result is flagged degenerate.
+    proportional fluctuations). An asset whose n / sigma_i^2 overflows, as
+    at sigma 0, is riskless, and riskless assets collapse the problem: they
+    share all the weight and the result is flagged degenerate.
     """
     x = inputs.prices
     s = inputs.sigmas
-    riskless = s == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / (s * s)
+        riskless = ~np.isfinite(inv * s.size)   # so the sum of inv cannot overflow
     if np.any(riskless):
         w = np.zeros_like(x)
         w[riskless] = 1.0 / (x[riskless] * np.count_nonzero(riskless))
         return IndexWeights(weights=w, index_variance=0.0, degenerate=True)
-    inv = 1.0 / (s * s)
     sigma_bar_sq = 1.0 / float(np.sum(inv))
     w = sigma_bar_sq / (x * s * s)
     return IndexWeights(weights=w, index_variance=sigma_bar_sq)

@@ -502,6 +502,15 @@ def test_index_command(tmp_path, capsys):
     assert doc["degenerate"] is False
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+def test_index_takes_an_underflowing_volatility_as_riskless(tmp_path, capsys, sigma):
+    # these used to exit 0 writing weights ["nan", 0] or [0, 0], variance 0, not degenerate
+    cfg = write_config(tmp_path, "index.json", {"prices": [1.0, 1.0], "sigmas": [sigma, 0.2]})
+    assert main(["index", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"weights": [1.0, 0.0], "index_variance": 0.0, "degenerate": True}
+
+
 def test_check_suite_passes(tmp_path):
     out = str(tmp_path / "check.csv")
     assert main(["check", "--format", "csv", "--out", out]) == 0
@@ -866,6 +875,9 @@ def _with_params(model, **params):
                      method="analytic"), "b must be finite, got nan"),
     ("density", dict(DENSITY_DOC, grid={"lo": -math.inf, "hi": 5.0, "n": 11},
                      method="analytic"), "config.grid.lo must be finite, got -inf"),
+    # finite bounds 2e308 apart used to write rows whose S is inf
+    ("density", dict(DENSITY_DOC, grid={"lo": -1e308, "hi": 1e308, "n": 11},
+                     method="analytic"), "config.grid needs lo < hi and a finite hi - lo"),
     ("density", dict(DENSITY_DOC, model=_with_params(DENSITY_DOC["model"], mu=math.inf),
                      method="analytic"), "mu must be finite, got inf"),
     ("density", dict(DENSITY_DOC, model=_with_params(_VASICEK, b=math.inf), S0=0.03,
@@ -883,7 +895,7 @@ def _with_params(model, **params):
      "config.instruments[1].gamma must be finite, got inf"),
     ("hedge", dict(HEDGE_DOC, normalization="value", values=[1.0, math.inf]),
      "values must be finite"),
-], ids=["density vasicek b nan", "density grid lo", "density bm mu inf",
+], ids=["density vasicek b nan", "density grid lo", "density grid span", "density bm mu inf",
         "density vasicek b inf", "price mc put strike", "price mu nan", "hedge delta nan",
         "hedge gamma inf", "hedge values"])
 def test_non_finite_parameters_exit_2_naming_them(tmp_path, capsys, command, doc, message):
@@ -894,6 +906,16 @@ def test_non_finite_parameters_exit_2_naming_them(tmp_path, capsys, command, doc
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_zero_volatility_on_the_lattice_exits_2(tmp_path, capsys):
+    # the lattice used to exit 3, a numerical failure, where the other methods exit 2
+    doc = dict(DENSITY_DOC, model=_with_params(DENSITY_DOC["model"], sigma=0.0),
+               grid={"lo": -2.0, "hi": 2.0, "n": 41}, method="path-integral")
+    cfg = write_config(tmp_path, "flat.json", doc)
+    assert main(["density", "--config", cfg]) == 2
+    assert "error: volatility vanishes at S=-2.0: transition is a deterministic shift" \
+        in capsys.readouterr().err
 
 
 def test_integral_counts_are_accepted(tmp_path, capsys):

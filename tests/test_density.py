@@ -734,7 +734,7 @@ def _start_point_masses_at(mass, monkeypatch):
     def point_mass_on_grid(*args, **kwargs):
         start = real(*args, **kwargs)
         return DensityGrid(s_values=start.s_values, p_values=mass * start.p_values,
-                           t=start.t, model_hash=start.model_hash)
+                           t=start.t)
 
     monkeypatch.setattr(density, "point_mass_on_grid", point_mass_on_grid)
 
@@ -802,8 +802,7 @@ def test_fokker_planck_forward_checks_each_slice_once(monkeypatch):
     for g in grids:
         assert g.s_values is start.s_values
         assert not g.p_values.flags.writeable
-        rebuilt = DensityGrid(s_values=g.s_values, p_values=g.p_values, t=g.t,
-                              model_hash=g.model_hash)
+        rebuilt = DensityGrid(s_values=g.s_values, p_values=g.p_values, t=g.t)
         assert np.array_equal(rebuilt.p_values, g.p_values)
 
 

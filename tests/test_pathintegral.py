@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from stochastica import (
     DensityGrid,
-    DegenerateKernelError,
     DiscountCurve,
     NumericalError,
     compose_transition,
@@ -80,12 +79,12 @@ def test_kernel_validation():
                                             [[1.0, 0.0], [0.0, 1.0]]), 0.0, 0.01)
 
 
-def test_degenerate_kernel_carries_shift():
+def test_zero_volatility_kernel_is_an_input_error():
     k = one_step_kernel(make_bm(0.5, 0.0), 0.0, 0.01)
-    with pytest.raises(DegenerateKernelError,
+    with pytest.raises(ValueError,
                        match="vanishes at S=.*1.0.*: transition is a deterministic shift"):
         k.weight(0.0, 1.0, np.array([1.0, 1.1]))
-    with pytest.raises(DegenerateKernelError,
+    with pytest.raises(ValueError,
                        match="vanishes at S=0.0: transition is a deterministic shift"):
         kernel_matrix(k, 0.0, np.linspace(0.0, 1.0, 5))
 
@@ -547,6 +546,13 @@ def test_pi_expectation_validation():
         pi_expectation(model, f, 0.0, 100.0, 1.0, 0.3, 100, seed=0)
     with pytest.raises(ValueError):
         pi_expectation(model, f, 0.0, 100.0, 1.0, 0.25, 0, seed=0)
+
+
+@pytest.mark.parametrize("S0", [math.inf, math.nan])
+def test_pi_expectation_refuses_a_non_finite_start_by_name(S0):
+    # it used to march the start and raise NumericalError naming dt and the maps
+    with pytest.raises(ValueError, match="S0 must be finite"):
+        pi_expectation(make_gbm(0.05, 0.2), lambda s: s, 0.0, S0, 1.0, 0.25, 100, seed=0)
 
 
 def test_pi_expectation_rejects_nonfinite_functional():

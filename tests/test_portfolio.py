@@ -196,3 +196,24 @@ def test_curve_validation():
     assert curve.integral(1.0, 1.0) == 0.0
     a = curve.integral(0.0, 1.0) + curve.integral(1.0, 2.0)
     assert a == pytest.approx(curve.integral(0.0, 2.0), rel=1e-14)
+
+
+_STEP_CURVE = DiscountCurve(times=(0.0, 1.0), rates=(0.01, 0.08))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: _STEP_CURVE.rate(math.nan), "t"),
+    (lambda: _STEP_CURVE.rate(math.inf), "t"),
+    (lambda: _STEP_CURVE.integral(0.0, math.nan), "t1"),
+    (lambda: _STEP_CURVE.integral(math.nan, 1.0), "t0"),
+    (lambda: _STEP_CURVE.discount(0.0, math.inf), "t1"),
+    (lambda: zero_coupon_price(_STEP_CURVE, 0.0, math.nan), "t1"),
+    (lambda: zero_coupon_price(_STEP_CURVE, math.nan, 1.0), "t0"),
+    (lambda: futures_value(100.0, 90.0, _STEP_CURVE, 0.0, math.nan), "t1"),
+], ids=["rate nan", "rate inf", "integral t1", "integral t0", "discount inf",
+        "zero coupon T", "zero coupon t", "futures T"])
+def test_curve_refuses_a_non_finite_time_by_name(call, name):
+    # a nan time used to read as no time: discount 1.0, futures value 10.0,
+    # and rate(nan) the last rate, 0.08
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+        call()

@@ -75,6 +75,18 @@ def test_riskless_asset_degenerates():
     assert float(np.dot(out.weights, [50.0, 100.0])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("sigmas, weights", [
+    ([1e-200, 0.2], [1.0, 0.0]), ([1e-160, 0.2], [1.0, 0.0]), ([1e-155, 0.2], [1.0, 0.0]),
+    ([1e-154, 1e-154], [0.5, 0.5])])
+def test_a_volatility_whose_inverse_square_overflows_is_riskless(sigmas, weights):
+    # these used to give weights [nan, 0] or [0, 0]: sigma^2 underflows, 1/sigma^2
+    # overflows, or the sum of two finite 1/sigma^2 does, and none was sigma == 0
+    out = index_weights(IndexInputs(prices=[1.0, 1.0], sigmas=sigmas))
+    assert out.degenerate
+    assert out.index_variance == 0.0
+    assert out.weights.tolist() == weights
+
+
 def test_index_inputs_validation():
     with pytest.raises(ValueError):
         IndexInputs(prices=[1.0, 2.0], sigmas=[0.1])
