@@ -19,7 +19,6 @@ from stochastica import (
     pv_green,
     pv_mc,
     pv_pde,
-    risk_neutralize,
 )
 
 
@@ -42,10 +41,9 @@ def main():
     start = time.monotonic()
     for sigma in args.sigmas:
         model = make_gbm(r, sigma)
-        rn = risk_neutralize(model, curve)
         for T in args.horizons:
             # one lattice per (sigma, T), shared across strikes
-            green = greens_function(rn, curve, 0.0, S0, T, T / 256)
+            green = greens_function(model, curve, 0.0, S0, T, T / 256)
             for K in args.strikes:
                 ref = bs_price(BSParams(S=S0, K=K, r=r, sigma=sigma, t=T))
                 payoff = call_payoff(K)

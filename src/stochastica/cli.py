@@ -215,11 +215,13 @@ def _section(cfg: dict, name: str, **kinds) -> dict:
                        for k in difflib.get_close_matches(key, kinds, 1))
         raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
                          f"{', '.join(kinds)}{near}")
+    if "n_steps" in sub and "dt" in sub:  # each alone sets the step; together one is lost
+        raise ValueError(f"{where}.n_steps and {where}.dt both set the step: give one")
     return {key: _require(sub, key, kinds[key], where=where) for key in sub}
 
 
 def _dt_from(sub: dict, T: float, n_steps: int) -> float:
-    """Pop sub's checked dt and n_steps: dt, else T / n_steps (default n_steps)."""
+    """Pop sub's checked dt or n_steps, never both: dt, else T / n_steps (default n_steps)."""
     n = sub.pop("n_steps", n_steps)
     return sub.pop("dt", T / n)
 
@@ -374,8 +376,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
         return {"value": float(fn(S0))}
     if method == "green":
         dt = _dt_from(sub, T, 256)
-        green = pi_mod.greens_function(pricing_mod.risk_neutralize(model, curve), curve,
-                                       0.0, S0, T, dt, **sub)
+        green = pi_mod.greens_function(model, curve, 0.0, S0, T, dt, **sub)
         return {"value": pricing_mod.pv_green(green, payoff),
                 "mass": green.total_mass()}
     if method == "mc":

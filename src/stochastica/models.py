@@ -394,20 +394,22 @@ def make_correlated_gbm(mus, sigmas, correlation) -> ModelSpec:
 
 def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
                     override_drift=None) -> ModelSpec:
-    """Replace the physical drift with r(t) * S, keeping the volatility.
+    """Replace the drift with r(t) * S on curve, keeping the volatility.
 
-    Only a gbm, one-asset or correlated, is price-homogeneous and can be
-    neutralized automatically; for anything else pass override_drift, an
-    explicit risk-neutral drift map (t, S) -> array. A one-asset gbm keeps
-    the family GBM(r, sigma) on a flat curve, GBM(None, sigma) on a
-    non-flat one; an overridden model has family None and takes no
-    shortcut. Idempotent: re-applying the same curve gives an equivalent model.
+    The one rule for the pricing drift: pv_mc and greens_function apply it on
+    their own curve. Only a gbm, one-asset or correlated, is price-homogeneous:
+    physical or neutralized on any curve, it is neutralized on this one. Else pass
+    override_drift, a risk-neutral drift map (t, S) -> array; a drift the caller set
+    (an override, a risk_neutral ModelSpec of another type) is kept. A one-asset
+    gbm has family GBM(r, sigma) on a flat curve, GBM(None, sigma) otherwise.
     """
     config = dict(model.config)
     if override_drift is not None:
         drift, family = override_drift, None
         config["drift_override"] = True
-    elif config.get("type") != "gbm" or config.get("drift_override"):
+    elif config.get("drift_override") or (model.risk_neutral and config.get("type") != "gbm"):
+        return model
+    elif config.get("type") != "gbm":
         # a correlated gbm carries no family, so its serialized type decides
         raise ValueError(
             "only a gbm with its own drift is price-homogeneous; supply "
@@ -419,6 +421,7 @@ def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
         params = dict(config.get("params", {}))
         if curve.is_flat:
             params["mu"] = curve.rates[0]
+            config.pop("curve", None)  # left by a neutralization on a non-flat curve
         else:
             params.pop("mu", None)
             config["curve"] = {"times": list(curve.times), "rates": list(curve.rates)}

@@ -33,7 +33,7 @@ from .density import (DensityGrid, TransitionMatrix, default_domain,
                       point_mass_on_grid, quadrature_apply, trapezoid_weights,
                       _check_densities, _fixed_maps, _grid_nodes,
                       _require_vanishing_edges, _Reused)
-from .models import ModelSpec, model_hash  # the benchmark tracer counts its calls
+from .models import ModelSpec, model_hash, risk_neutralize  # benchmark tracer counts model_hash
 from .portfolio import DiscountCurve, _require_finite
 
 _WINDOW_STD = 8.0   # kernel row support: +- this many std around the drifted center
@@ -241,15 +241,11 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
                     half_width: float = 8.0) -> GreensFunction:
     """Propagate a regularized point source and discount each time slice.
 
-    The model must already carry the risk-neutral drift (the caller
-    applies risk_neutralize); this function only discounts. n_nodes must
-    be an integer >= 5 and half_width finite and positive. Each slice is
-    checked as it is made and stored in transition.
+    The model is risk-neutralized on the curve it is discounted with
+    (models.risk_neutralize). n_nodes must be an integer >= 5 and half_width
+    finite and positive. Each slice is checked as it is made and stored in transition.
     """
-    if not model.risk_neutral:
-        raise ValueError(
-            "greens_function requires a risk-neutralized model; apply "
-            "risk_neutralize(model, curve) first")
+    model = risk_neutralize(model, curve)
     _require_finite("t0", t0)
     _require_finite("S0", S0)
     _require_finite("t", t)

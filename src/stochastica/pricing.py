@@ -276,7 +276,7 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     on one path set simulate once, through the memo below.
 
     The model must have dim 1: a payoff reads one asset's state. It is
-    risk-neutralized internally (recorded in metadata).
+    risk-neutralized on curve, as in greens_function (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
     left endpoints. For plain terminal payoffs under a model of family GBM
     the terminal value is drawn from its exact lognormal law instead of
@@ -302,7 +302,7 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
         raise ValueError("T must be positive")
     n_paths = _int_at_least("n_paths", n_paths, 1)
     n_steps = _step_count(T, dt)
-    rn = risk_neutralize(model, curve) if not model.risk_neutral else model
+    rn = risk_neutralize(model, curve)
     start = _initial_state(rn, S0)
     can = isinstance(rn.family, GBM) and payoff.stream is None
     if exact_terminal and not can:

@@ -59,20 +59,23 @@ def index_weights(inputs: IndexInputs) -> IndexWeights:
     Minimizes the variance of sum_i w_i x_i (unit total value, independent
     proportional fluctuations). An asset whose n / sigma_i^2 overflows, as
     at sigma 0, is riskless, and riskless assets collapse the problem: they
-    share all the weight and the result is flagged degenerate.
+    share all the weight and the result is flagged degenerate. A price so
+    small that its weight overflows is refused.
     """
     x = inputs.prices
     s = inputs.sigmas
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / (s * s)
         riskless = ~np.isfinite(inv * s.size)   # so the sum of inv cannot overflow
-    if np.any(riskless):
-        w = np.zeros_like(x)
-        w[riskless] = 1.0 / (x[riskless] * np.count_nonzero(riskless))
-        return IndexWeights(weights=w, index_variance=0.0, degenerate=True)
-    sigma_bar_sq = 1.0 / float(np.sum(inv))
-    w = sigma_bar_sq / (x * s * s)
-    return IndexWeights(weights=w, index_variance=sigma_bar_sq)
+        sigma_bar_sq = 0.0 if np.any(riskless) else 1.0 / float(np.sum(inv))
+        # an x sigma^2 below the normal range has lost bits: divide by its factors
+        w = np.where(x * s * s < np.finfo(float).tiny, sigma_bar_sq * inv / x,
+                     sigma_bar_sq / (x * s * s))
+        if np.any(riskless):
+            w = np.where(riskless, 1.0 / (x * np.count_nonzero(riskless)), 0.0)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"prices[{np.argmin(np.isfinite(w))}] is too small for a finite weight")
+    return IndexWeights(weights=w, index_variance=sigma_bar_sq, degenerate=bool(np.any(riskless)))
 
 
 def portfolio_variance(weights, prices, sigmas) -> float:

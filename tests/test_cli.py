@@ -511,6 +511,16 @@ def test_index_takes_an_underflowing_volatility_as_riskless(tmp_path, capsys, si
     assert doc == {"weights": [1.0, 0.0], "index_variance": 0.0, "degenerate": True}
 
 
+def test_index_keeps_a_weight_whose_price_times_variance_underflows(tmp_path, capsys):
+    # this exited 0 writing weights ["inf", 2.4999999999999993e-199]
+    cfg = write_config(tmp_path, "index.json", {"prices": [1e-200, 1.0],
+                                                "sigmas": [1e-100, 0.2]})
+    assert main(["index", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weights"] == [1e200, 2.4999999999999993e-199]
+    assert doc["degenerate"] is False
+
+
 def test_check_suite_passes(tmp_path):
     out = str(tmp_path / "check.csv")
     assert main(["check", "--format", "csv", "--out", out]) == 0
@@ -675,6 +685,12 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
     ("price", {"payoff": {"kind": "call", "strike": "100"}}, "payoff.strike must be a number"),
     ("price", {"curve": [{"t": 0, "r": "0.05"}]}, "curve[0].r must be a number"),
     ("density", {"grid": {"lo": "-1", "hi": 2.0}}, "config.grid.lo must be a number"),
+    # dt used to win without a word: n_steps 64 with dt 0.5 priced with 2 steps
+    *(("price", {"method": route, route: {"n_steps": 64, "dt": 0.5}},
+       f"error: config.{route}.n_steps and config.{route}.dt both set the step: give one\n")
+      for route in ("mc", "green")),
+    ("index", {"prices": [1.0, 5e-324], "sigmas": [1.0, 1.0]},
+     "error: prices[1] is too small for a finite weight\n"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):

@@ -350,6 +350,18 @@ def test_forward_solver_names_the_edge_before_the_mass_it_costs():
                               TimeGrid(0.0, 0.0625, 16))
 
 
+def test_forward_solver_refuses_total_variation_growth():
+    # a stiff pull (a dt = 0.2 a step) toward b = 0 on cells of 0.1: without
+    # this guard the march returns a density 1.52 from the exact law in L1,
+    # and no other guard fires
+    s = np.linspace(-8.0, 8.0, 161)
+    start = DensityGrid(s_values=s, p_values=np.exp(-0.5 * s * s) / math.sqrt(2 * math.pi),
+                        t=0.0)
+    with pytest.raises(NumericalError, match=r"total variation grew \S+x at step 14: "
+                       r"unstable resolution; retry with dt <= 0\.0025$"):
+        fokker_planck_forward(make_vasicek(20.0, 0.0, 0.1), start, TimeGrid(0.0, 0.01, 100))
+
+
 def test_forward_solver_requires_vanishing_edges():
     model = make_bm(0.0, 1.0)
     s = np.linspace(-1.0, 1.0, 101)

@@ -407,10 +407,16 @@ def _rn_gbm(r, sigma):
     return risk_neutralize(make_gbm(0.0, sigma), curve), curve
 
 
-def test_greens_requires_risk_neutral_model():
+def test_greens_neutralizes_the_model_on_its_curve():
     curve = DiscountCurve(times=(0.0,), rates=(0.05,))
-    with pytest.raises(ValueError, match="risk"):
-        greens_function(make_gbm(0.05, 0.2), curve, 0.0, 100.0, 1.0, 1.0 / 64)
+    physical = greens_function(make_gbm(0.12, 0.2), curve, 0.0, 100.0, 1.0, 1.0 / 64)
+    twin = greens_function(risk_neutralize(make_gbm(0.12, 0.2), curve), curve,
+                           0.0, 100.0, 1.0, 1.0 / 64)
+    for field in ("times", "native_values", "price_values", "transition", "discounts"):
+        assert np.array_equal(getattr(physical, field), getattr(twin, field)), field
+    # a bm is not price-homogeneous: its risk-neutral drift is the caller's to give
+    with pytest.raises(ValueError, match="override_drift"):
+        greens_function(make_bm(0.05, 0.2), curve, 0.0, 100.0, 1.0, 1.0 / 64)
 
 
 def test_greens_mass_equals_discount():

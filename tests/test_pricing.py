@@ -41,7 +41,7 @@ from stochastica import (
 from stochastica import mc, noise, pathintegral, pricing
 from stochastica.cli import main
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
-from stochastica.models import GBM
+from stochastica.models import GBM, model_hash
 
 
 def quad_price(payoff_fn, S, r, sigma, t, K_break=None):
@@ -338,8 +338,33 @@ def test_risk_neutralize_requires_override_for_other_kinds():
     assert rn.config["drift_override"] is True
     overridden = risk_neutralize(make_gbm(0.05, 0.2), curve,
                                  override_drift=lambda t, S: 0.30 * S)
-    with pytest.raises(ValueError, match="override"):
-        risk_neutralize(overridden, curve)
+    # a drift the caller set is used as it is, on any curve
+    assert risk_neutralize(overridden, curve) is overridden
+    assert risk_neutralize(overridden, DiscountCurve.flat(0.10)) is overridden
+
+
+def test_risk_neutralize_on_a_second_curve_forgets_the_first():
+    # the drift comes from the curve given last, and so does the hash
+    g = make_gbm(0.12, 0.2)
+    two_rate = DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06))
+    flat = DiscountCurve.flat(0.05)
+    again = risk_neutralize(risk_neutralize(g, two_rate), flat)
+    fresh = risk_neutralize(g, flat)
+    assert again.config == fresh.config
+    assert model_hash(again) == model_hash(fresh)
+    assert again.family == fresh.family == GBM(mu=0.05, sigma=0.2)
+    s = np.array([[100.0]])
+    assert np.array_equal(again.drift(1.5, s), fresh.drift(1.5, s))
+
+
+def test_risk_neutralize_moves_a_correlated_gbm_to_the_new_curve():
+    model = make_correlated_gbm([0.1, 0.2], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]])
+    on_a = risk_neutralize(model, DiscountCurve(times=(0.0, 1.0), rates=(0.02, 0.06)))
+    on_b = risk_neutralize(on_a, DiscountCurve.flat(0.10))
+    assert on_b.config == risk_neutralize(model, DiscountCurve.flat(0.10)).config
+    assert on_b.config["params"]["mu"] == 0.10
+    s = np.array([[100.0, 50.0]])
+    np.testing.assert_allclose(on_b.drift(0.0, s), 0.10 * s, rtol=1e-15)
 
 
 def test_risk_neutralize_correlated_gbm_without_a_family():
@@ -951,6 +976,25 @@ def test_pv_pde_rebuilds_every_step_for_a_time_dependent_sigma(theta_builds):
 
 # ---------------------------------------------------------------------------
 # Green's-function route
+
+
+def test_lattice_and_euler_take_the_drift_from_the_curve_they_discount_with():
+    # a model neutralized at 5% and priced on a 10% curve prices as the
+    # physical model does, bit for bit, at the 10% Black-Scholes value
+    g = make_gbm(0.05, 0.2)
+    rn_a = risk_neutralize(g, DiscountCurve.flat(0.05))
+    b = DiscountCurve.flat(0.10)
+    call = call_payoff(100.0)
+    bs = bs_price(BSParams(S=100.0, K=100.0, r=0.10, sigma=0.2, t=1.0))
+    lattice = [pv_green(greens_function(m, b, 0.0, 100.0, 1.0, 1.0 / 256), call)
+               for m in (rn_a, g)]
+    assert lattice[0] == lattice[1]
+    assert lattice[0] == pytest.approx(bs, rel=1e-3)
+    euler = [pv_mc(m, b, call, 100.0, 1.0, 1.0 / 64, 20_000, seed=1, exact_terminal=False)
+             for m in (rn_a, g)]
+    assert euler[0].mean == euler[1].mean
+    assert euler[0].metadata == euler[1].metadata
+    assert abs(euler[0].mean - bs) <= 3 * euler[0].std_error
 
 
 def test_pv_green_matches_closed_form():

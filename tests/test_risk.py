@@ -1,6 +1,7 @@
 """Minimum-variance index weights and sensitivity-neutral hedging."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ def test_a_volatility_whose_inverse_square_overflows_is_riskless(sigmas, weights
     assert out.degenerate
     assert out.index_variance == 0.0
     assert out.weights.tolist() == weights
+
+
+@pytest.mark.parametrize("prices, sigmas", [
+    ([1e-200, 1.0], [1e-100, 0.2]), ([1e-300, 1.0], [1e-10, 0.2])])
+def test_a_weight_whose_price_times_variance_underflows_stays_exact(prices, sigmas):
+    # x sigma^2 is 0 or subnormal here: these used to give weights [inf, 2.5e-199]
+    # with a divide-by-zero warning, or a budget sum_i w_i x_i of 1.0000111
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = index_weights(IndexInputs(prices=prices, sigmas=sigmas))
+    assert not out.degenerate
+    inv = 1.0 / np.asarray(sigmas) ** 2
+    np.testing.assert_allclose(out.weights * prices, inv / inv.sum(), rtol=1e-15)
+    assert float(np.dot(out.weights, prices)) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("prices, sigmas", [
+    ([1.0, 5e-324], [1.0, 1.0]), ([1.0, 1e-320], [1.0, 0.0]), ([1.0, 1e-320], [0.2, 1e5])])
+def test_a_price_with_no_finite_weight_is_refused_by_name(prices, sigmas):
+    with pytest.raises(ValueError, match=r"^prices\[1\] is too small for a finite weight$"):
+        index_weights(IndexInputs(prices=prices, sigmas=sigmas))
 
 
 def test_index_inputs_validation():
