@@ -120,7 +120,8 @@ def _write_output(out: str | None, meta: dict, body) -> None:
     """Write body, text pieces or a function that writes to the open file,
     to stdout or to out as it is rendered. The file is written under a
     temporary sibling name and moved into place only once complete, then
-    the .meta.json sidecar is written, so a failed run leaves neither."""
+    the .meta.json sidecar is written, so a failed run leaves neither. An
+    OSError other than a closed pipe's is a ValueError that names out."""
     write = body if callable(body) else (lambda fh: fh.writelines(body))
     if out is None:
         write(sys.stdout)
@@ -134,14 +135,16 @@ def _write_output(out: str | None, meta: dict, body) -> None:
             write(fh)
         if not direct:
             os.replace(part, out)
-    except BaseException:
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        meta = dict(meta, created_utc=stamp)
+        with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except BaseException as exc:
         if not direct and os.path.exists(part):
             os.remove(part)
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
         raise
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    meta = dict(meta, created_utc=stamp)
-    with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +297,9 @@ def _comparison_grid(model, S0: float, t: float, cfg: dict,
 def _analytic_density(model, S0: float, t: float):
     analytic = None if model.family is None else model.family.density(S0, t)
     if analytic is None:
-        raise ValueError("the model has no family with a closed-form density: "
-                         "supply config.grid = {lo, hi, n} and leave out "
-                         "method 'analytic'")
+        raise ValueError("the model has no family: method 'analytic' needs one for its "
+                         "closed form and 'fokker-planck' for its grid; supply config.grid "
+                         "= {lo, hi, n} and method 'path-integral', which runs on it")
     return analytic
 
 

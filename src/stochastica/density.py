@@ -388,14 +388,12 @@ def change_of_variable(p_x, Y, dYdx):
     """Density of y = Y(x) for a strictly monotone map.
 
     p_y(Y(x)) = p_x(x) / |dYdx(x)|. Works on a DensityGrid (transforms the
-    nodes) and on a PointMass (moves the center). An AnalyticDensity1D is a
-    TypeError: sample it with on_grid first. Monotonicity is checked by the
-    sign of dYdx at every node.
+    nodes); anything else, an AnalyticDensity1D included, is a TypeError:
+    sample it with on_grid first. Monotonicity is checked by the sign of dYdx
+    at every node.
     """
-    if isinstance(p_x, PointMass):
-        return PointMass(center=float(Y(p_x.center)), t=p_x.t)
     if not isinstance(p_x, DensityGrid):
-        raise TypeError("p_x must be a DensityGrid or PointMass; sample an "
+        raise TypeError("p_x must be a DensityGrid; sample an "
                         "analytic density with on_grid first")
     s = p_x.s_values
     d = np.asarray([float(dYdx(x)) for x in s])
@@ -622,11 +620,20 @@ def _grid_nodes(n_nodes, half_width) -> int:
     return n_nodes
 
 
-def default_domain(model: ModelSpec, S0: float, horizon: float,
-                   n_nodes: int = 801, half_width: float = 8.0) -> np.ndarray:
-    """Uniform grid covering S0 and the end spread within +-half_width std;
-    the end spread is the closed-form one of the model's family."""
-    spread = None if model.family is None else model.family.spread(S0, horizon)
+def _point_source(model: ModelSpec, S0: float, t0: float, horizon: float,
+                  n_nodes, half_width):
+    """(work_model, x0, start) for evolve_density and greens_function. A family
+    with a log-space form (GBM) works at x0 = ln S0 and refuses S0 <= 0. start
+    is the point regularised at t0 on n_nodes (an integer >= 5) uniform nodes
+    over x0 and the family's end spread within +-half_width (finite, > 0) std."""
+    n_nodes = _grid_nodes(n_nodes, half_width)
+    work_model, x0 = model, float(S0)
+    log_model = None if model.family is None else model.family.log_space()
+    if log_model is not None:
+        if not S0 > 0:
+            raise ValueError(f"this model needs S > 0; S0 = {float(S0)!r}")
+        work_model, x0 = log_model, math.log(S0)
+    spread = None if work_model.family is None else work_model.family.spread(x0, horizon)
     if spread is None:
         override = " (drift overridden)" if model.config.get("drift_override") else ""
         raise ValueError(f"no default domain rule for this model{override}: grids "
@@ -635,9 +642,9 @@ def default_domain(model: ModelSpec, S0: float, horizon: float,
     if std <= 0:
         raise ValueError("model has zero terminal spread; no grid to build")
     pad = half_width * std
-    lo = min(S0, mean) - pad
-    hi = max(S0, mean) + pad
-    return np.linspace(lo, hi, n_nodes)
+    lo = min(x0, mean) - pad
+    hi = max(x0, mean) + pad
+    return work_model, x0, point_mass_on_grid(np.linspace(lo, hi, n_nodes), x0, t0)
 
 
 def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
@@ -645,20 +652,17 @@ def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
                    half_width: float = 8.0) -> DensityGrid:
     """Forward-evolve a point mass to time t1 at default resolutions.
 
-    The start is regularised (point_mass_on_grid) on default_domain's grid,
-    so the model needs a family; a density on its own grid evolves with
-    fokker_planck_forward. A model whose family has a log-space form (GBM)
-    runs on a log-price grid and the result is mapped back, so the returned
-    grid is log-uniform in that case, and a start at S <= 0 is refused.
-    n_nodes must be an integer >= 5, half_width finite and > 0. Only the
-    latest slice is kept, so memory is O(n_nodes) whatever n_steps is; each
-    slice is checked as the march makes it.
+    The start and its grid are _point_source's, so the model needs a family;
+    a density on its own grid evolves with fokker_planck_forward. A model
+    whose family has a log-space form (GBM) runs on a log-price grid and the
+    result is mapped back, so the returned grid is log-uniform in that case.
+    Only the latest slice is kept, so memory is O(n_nodes) whatever n_steps
+    is; each slice is checked as the march makes it.
     """
     if not isinstance(initial, PointMass):
         raise TypeError(f"initial must be a PointMass, got {type(initial).__name__}; "
                         "evolve a density on its own grid with fokker_planck_forward")
     n_steps = _int_at_least("n_steps", n_steps, 1)
-    n_nodes = _grid_nodes(n_nodes, half_width)
     _require_finite("t1", t1)
     t0 = float(initial.t)
     if not t1 > t0:
@@ -666,22 +670,15 @@ def evolve_density(model: ModelSpec, initial: PointMass, t1: float, *,
     horizon = t1 - t0
     tg = TimeGrid(t0=t0, dt=horizon / n_steps, n_steps=n_steps)
 
-    log_model = None if model.family is None else model.family.log_space()
-    if log_model is not None:
-        model = log_model
-        if not initial.center > 0:
-            raise ValueError("this model needs S > 0; the start reaches "
-                             f"S = {float(initial.center)!r}")
-        initial = change_of_variable(initial, np.log, lambda s: 1.0 / s)
-    grid = default_domain(model, initial.center, horizon, n_nodes, half_width)
-    start = point_mass_on_grid(grid, initial.center, initial.t)
+    work_model, _, start = _point_source(model, initial.center, t0, horizon,
+                                         n_nodes, half_width)
     _require_vanishing_edges(start.p_values, "a point-mass start is one cell wide "
                              f"whatever the domain: raise n_nodes (now {n_nodes})")
-    for last in _forward_march(model, start, tg):
+    for last in _forward_march(work_model, start, tg):
         pass
-    final = DensityGrid(s_values=grid, p_values=last, t=tg.time(n_steps))
+    final = DensityGrid(s_values=start.s_values, p_values=last, t=tg.time(n_steps))
     try:
-        return final if log_model is None else change_of_variable(final, np.exp, np.exp)
+        return final if work_model is model else change_of_variable(final, np.exp, np.exp)
     except ValueError as exc:
         raise ValueError(f"the {n_nodes}-node price grid cannot hold the density that "
                          f"the log-space march evolved ({exc}); raise n_nodes") from None

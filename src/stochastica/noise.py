@@ -30,6 +30,7 @@ KERNEL = 2         # kernel-based samplers (path-integral route)
 
 _U53 = 2.0 ** -53
 _SHIFT = np.uint64(11)
+_U_MAX = np.nextafter(1.0, 0.0)  # (2**53 - 0.5) * 2**-53 rounds to 1.0, where ndtri is inf
 
 
 def validate_seed(seed) -> int:
@@ -74,6 +75,7 @@ def uniform_block(seed: int, substream: int, context: int, step: int,
     np.copyto(u, raw, casting="unsafe")
     u += 0.5
     u *= _U53
+    np.minimum(u, _U_MAX, out=u)
     return u.reshape(hi - lo, width)
 
 

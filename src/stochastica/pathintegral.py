@@ -29,9 +29,8 @@ import numpy as np
 from . import noise
 from .errors import NumericalError
 from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and_se, _step_count
-from .density import (DensityGrid, TransitionMatrix, default_domain,
-                      point_mass_on_grid, quadrature_apply, trapezoid_weights,
-                      _check_densities, _fixed_maps, _grid_nodes,
+from .density import (DensityGrid, TransitionMatrix, quadrature_apply, trapezoid_weights,
+                      _check_densities, _fixed_maps, _point_source,
                       _require_vanishing_edges, _Reused)
 from .models import ModelSpec, model_hash, risk_neutralize  # benchmark tracer counts model_hash
 from .portfolio import DiscountCurve, _require_finite
@@ -252,16 +251,10 @@ def greens_function(model: ModelSpec, curve: DiscountCurve, t0: float,
     if not t > t0:
         raise ValueError("t must exceed t0")
     n_steps = _step_count(t - t0, dt)
-    n_nodes = _grid_nodes(n_nodes, half_width)
 
-    log_model = None if model.family is None else model.family.log_space()
-    log_coords = log_model is not None
-    if log_coords and not S0 > 0:
-        raise ValueError(f"this model needs S > 0; S0 = {float(S0)!r}")
-    work_model = log_model if log_coords else model
-    x0 = math.log(S0) if log_coords else float(S0)
-    grid = default_domain(work_model, x0, t - t0, n_nodes, half_width)
-    start = point_mass_on_grid(grid, x0, t0)
+    work_model, x0, start = _point_source(model, S0, t0, t - t0, n_nodes, half_width)
+    log_coords = work_model is not model
+    grid = start.s_values
     kernel = one_step_kernel(work_model, t0, dt)
     cell, std = grid[1] - grid[0], float(kernel.std(t0, x0))
     if cell > std:  # a coarser lattice smears the kernel into a wrong law

@@ -952,7 +952,8 @@ def test_density_of_a_model_without_a_family(tmp_path, capsys):
            "resolution": {"n_steps": 32}, "format": "json"}
     cfg = write_config(tmp_path, "nofamily.json", doc)
     assert main(["density", "--config", cfg]) == 2
-    assert "config.grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config.grid" in err and "method 'path-integral'" in err
     grid = {"lo": -4.0, "hi": 4.0, "n": 161}
     cfg = write_config(tmp_path, "grid.json", dict(doc, grid=grid))
     assert main(["density", "--config", cfg]) == 0
@@ -962,6 +963,12 @@ def test_density_of_a_model_without_a_family(tmp_path, capsys):
                                                        method="analytic"))
     assert main(["density", "--config", cfg]) == 2
     assert "method 'analytic'" in capsys.readouterr().err
+    # the advice names the one method that runs on config.grid alone: the
+    # forward march still sizes its own grid from the family
+    cfg = write_config(tmp_path, "fp.json", dict(doc, grid=grid,
+                                                 method=["fokker-planck", "path-integral"]))
+    assert main(["density", "--config", cfg]) == 2
+    assert "no default domain rule for this model" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["analytic", "pde"])
@@ -1039,6 +1046,21 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(tmp_path
     err = proc.stderr.read().decode()
     assert proc.wait() == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.json", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_an_out_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, where, reason):
+    (tmp_path / "a-directory").mkdir()
+    cfg = write_config(tmp_path, "greeks.json",
+                       {"S": 100.0, "K": 100.0, "r": 0.0, "sigma": 0.2, "t": 1.0})
+    out = str(tmp_path / where)
+    assert main(["greeks", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --out {out}: {reason}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -231,10 +231,9 @@ def test_change_of_variable_asks_to_sample_an_analytic_density():
 
 
 def test_change_of_variable_point_mass():
-    pm = PointMass(center=4.0, t=0.0)
-    out = change_of_variable(pm, lambda x: np.log(x), lambda x: 1 / x)
-    assert isinstance(out, PointMass)
-    assert out.center == pytest.approx(math.log(4.0))
+    # a point moves by its map alone; only a grid density has a Jacobian to apply
+    with pytest.raises(TypeError, match="^p_x must be a DensityGrid; "):
+        change_of_variable(PointMass(center=4.0, t=0.0), np.log, lambda x: 1 / x)
 
 
 def test_change_of_variable_on_grid_density():
@@ -317,9 +316,40 @@ def test_evolve_density_refuses_a_start_that_is_not_a_point():
     (PointMass(center=-1.0), -1.0),
 ], ids=["point-mass-at-0", "point-mass-below-0"])
 def test_log_space_model_refuses_a_start_at_or_below_zero(start, reached):
-    with pytest.raises(ValueError, match=re.escape(f"needs S > 0; the start "
-                                                   f"reaches S = {reached!r}")):
+    # both point-start routes refuse it in their one setup, with one message
+    message = re.escape(f"this model needs S > 0; S0 = {reached!r}")
+    with pytest.raises(ValueError, match=message):
         evolve_density(make_gbm(0.05, 0.2), start, start.t + 1.0)
+    with pytest.raises(ValueError, match=message):
+        greens_function(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05), start.t,
+                        start.center, start.t + 1.0, 1.0 / 64)
+
+
+@pytest.mark.parametrize("model", [
+    risk_neutralize(make_gbm(0.05, 0.2), DiscountCurve.flat(0.05)),
+    dataclasses.replace(make_bm(0.05, 20.0), risk_neutral=True),
+], ids=["gbm-log-space", "bm-price-space"])
+def test_both_point_start_routes_work_on_the_one_source_grid(model, monkeypatch):
+    # the lattice's native grid is the very grid the forward march runs on
+    S0, T, n_nodes, half_width = 100.0, 0.75, 301, 7.0
+    marched = []
+    real = density._forward_march
+
+    def forward_march(work_model, initial, grid):
+        marched.append(initial.s_values)
+        return real(work_model, initial, grid)
+
+    monkeypatch.setattr(density, "_forward_march", forward_march)
+    evolve_density(model, PointMass(center=S0), T, n_steps=50, n_nodes=n_nodes,
+                   half_width=half_width)
+    g = greens_function(model, DiscountCurve.flat(0.05), 0.0, S0, T, T / 50,
+                        n_nodes=n_nodes, half_width=half_width)
+    work_model, x0, start = density._point_source(model, S0, 0.0, T, n_nodes, half_width)
+    assert (work_model is not model) == g.log_coordinates == isinstance(model.family, GBM)
+    assert x0 == (math.log(S0) if g.log_coordinates else S0)
+    assert np.array_equal(g.native_values, marched[0])
+    assert np.array_equal(g.native_values, start.s_values)
+    assert np.array_equal(g.transition[0], start.p_values)
 
 
 def test_forward_solver_rejects_boundary_pileup():
@@ -876,8 +906,8 @@ def test_windowed_marches_equal_every_slice_bit_for_bit(n_steps):
     # evolve_density keeps only the latest slice; it is the last of the
     # march that keeps every slice
     model, S0, T = make_bm(0.1, 0.3), 0.2, 0.5
-    s = density.default_domain(model, S0, T, 201)
-    start = point_mass_on_grid(s, S0)
+    _, _, start = density._point_source(model, S0, 0.0, T, 201, 8.0)
+    s = start.s_values
     final = evolve_density(model, PointMass(center=S0), T, n_steps=n_steps,
                            n_nodes=s.size)
     every = fokker_planck_forward(model, start, TimeGrid(0.0, T / n_steps, n_steps))

@@ -48,6 +48,19 @@ def test_uniforms_open_interval():
     assert abs(u.mean() - 0.5) < 4 * 0.5 / np.sqrt(u.size)
 
 
+def test_the_top_word_gives_a_uniform_below_one_and_a_finite_normal(monkeypatch):
+    # ((2**53 - 1) + 0.5) * 2**-53 rounds to 1.0, whose normal is +inf
+    class AllOnes:
+        def random_raw(self, n):
+            return np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
+
+    monkeypatch.setattr(noise, "_keyed_generator", lambda *key: AllOnes())
+    u = noise.uniform_block(3, noise.EULER, 0, 0, 1, 9, 2)
+    assert u.shape == (8, 2) and np.all(u < 1.0)
+    assert np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(noise.normal_block(3, noise.EULER, 0, 0, 1, 9, 2)))
+
+
 def test_normals_pass_ks():
     z = noise.normal_block(2024, noise.EULER, 4, 0, 0, 100000, 1)[:, 0]
     d, p = stats.kstest(z, "norm")
