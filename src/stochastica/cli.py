@@ -39,12 +39,12 @@ from . import pathintegral as pi_mod
 from . import pricing as pricing_mod
 from . import risk as risk_mod
 from .errors import NumericalError
-from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, export_paths_csv, fmt17,
-                 simulate_paths, _resolve_threads as _resolve_mc_threads)
+from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, _resolve_threads,
+                 export_paths_csv, fmt17, simulate_paths)
 from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
                      model_hash)
 from .noise import validate_seed
-from .portfolio import DiscountCurve, _json_numbers, _require_finite, load_curve
+from .portfolio import DiscountCurve, _json_numbers, _require_finite, _require_positive, load_curve
 
 _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
@@ -119,9 +119,10 @@ def emit_json(obj, indent: int = 0) -> str:
 def _write_output(out: str | None, meta: dict, body) -> None:
     """Write body, text pieces or a function that writes to the open file,
     to stdout or to out as it is rendered. The file is written under a
-    temporary sibling name and moved into place only once complete, then
-    the .meta.json sidecar is written, so a failed run leaves neither. An
-    OSError other than a closed pipe's is a ValueError that names out."""
+    temporary sibling name, then the .meta.json sidecar is written, and the
+    file is moved into place only once both are complete, so a failed run
+    leaves neither. An OSError other than a closed pipe's is a ValueError
+    that names the file it could not write."""
     write = body if callable(body) else (lambda fh: fh.writelines(body))
     if out is None:
         write(sys.stdout)
@@ -130,20 +131,25 @@ def _write_output(out: str | None, meta: dict, body) -> None:
     # over it would replace the directory entry itself.
     direct = os.path.exists(out) and not os.path.isfile(out)
     part = out if direct else f"{out}.{os.getpid()}.tmp"
+    sidecar, at_sidecar = out + ".meta.json", False
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)
-        if not direct:
-            os.replace(part, out)
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         meta = dict(meta, created_utc=stamp)
-        with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+        at_sidecar = True
+        with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        if not direct:
+            os.replace(part, out)
     except BaseException as exc:
         if not direct and os.path.exists(part):
             os.remove(part)
+        if at_sidecar and os.path.isfile(sidecar):
+            os.remove(sidecar)
         if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
-            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+            where = f"the sidecar {sidecar}" if at_sidecar else f"--out {out}"
+            raise ValueError(f"cannot write {where}: {exc.strerror or exc}") from None
         raise
 
 
@@ -200,12 +206,6 @@ def _flag_or_config(args, cfg: dict, key: str, check, default=None):
         return check(value)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-
-
-def _resolve_threads(args, cfg: dict) -> int:
-    """--threads, else config.threads, else the library default (the CPUs
-    this process may use)."""
-    return _flag_or_config(args, cfg, "threads", _resolve_mc_threads)
 
 
 def _section(cfg: dict, name: str, **kinds) -> dict:
@@ -322,9 +322,7 @@ def _density_by_method(method: str, model, S0: float, t: float,
 def cmd_density(args, cfg: dict) -> tuple:
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "initial state"))
-    t = _require(cfg, "t", float, "target time")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"config.t must be finite and positive, got {t!r}")
+    t = _require_positive("config.t", _require(cfg, "t", float, "target time"))
     methods = cfg.get("method", "analytic")
     if isinstance(methods, str):
         methods = [methods]
@@ -399,7 +397,7 @@ def cmd_price(args, cfg: dict) -> tuple:
         _require(cfg, "payoff", dict, "payoff config"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "spot"))
     T = _require_finite("config.T", _require(cfg, "T", float, "horizon"))
-    method = cfg.get("method", "analytic")
+    method = _require(cfg, "method", str, default="analytic")
     methods = list(_PRICE_METHODS) if method == "all" else [method]
     # each route's checked settings: all three are checked before any route runs
     settings = {"pde": _section(cfg, "pde", n_nodes=5, n_steps=1, half_width=float),
@@ -601,7 +599,7 @@ def main(argv=None) -> int:
         meta = {"command": args.command}
         if samples:
             args.seed = meta["seed"] = _flag_or_config(args, cfg, "seed", validate_seed, 0)
-            args.threads = _resolve_threads(args, cfg)
+            args.threads = _flag_or_config(args, cfg, "threads", _resolve_threads)
         doc, csv = handler(args, cfg)
         _write_output(args.out, meta,
                       csv if fmt == "csv" else itertools.chain(_json_pieces(doc), ["\n"]))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalError
 from .mc import TimeGrid, _int_at_least
 from .models import BM, GBM, ModelSpec, Vasicek, model_hash  # benchmark tracer counts its calls
-from .portfolio import _require_finite
+from .portfolio import _require_finite, _require_positive
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
@@ -319,6 +319,8 @@ class AnalyticDensity1D:
 def _gaussian_density(family, t: float, S0: float):
     """The Gaussian terminal density of the family's exact moments; a
     PointMass at t <= 0."""
+    _require_finite("t", t)
+    _require_finite("S0", S0)
     if t <= 0:
         return PointMass(center=float(S0), t=float(t))
     mean, var = family.moments(S0, t)
@@ -336,17 +338,17 @@ def density_bm(t: float, S0: float, mu: float, sigma: float):
     Gaussian with mean S0 + mu*t and variance sigma^2*t; at t <= 0 the
     density degenerates and an explicit PointMass marker is returned.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _require_finite("mu", mu)
+    _require_positive("sigma", sigma)
     return _gaussian_density(BM(mu, sigma), t, S0)
 
 
 def density_gbm(t: float, S0: float, mu: float, sigma: float):
     """Terminal density of proportional dynamics: lognormal, support S > 0."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if S0 <= 0:
-        raise ValueError("S0 must be positive")
+    _require_finite("t", t)
+    _require_positive("S0", S0)
+    _require_finite("mu", mu)
+    _require_positive("sigma", sigma)
     if t <= 0:
         return PointMass(center=float(S0), t=float(t))
     m = (mu - 0.5 * sigma * sigma) * t
@@ -373,10 +375,9 @@ def density_vasicek(t: float, S0: float, a: float, b: float, sigma: float):
     sigma^2/(2a). The squared deviation in the exponent is taken from the
     relaxed mean, not from S0.
     """
-    if a <= 0:
-        raise ValueError("mean-reversion speed a must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _require_positive("mean-reversion speed a", a)
+    _require_finite("b", b)
+    _require_positive("sigma", sigma)
     return _gaussian_density(Vasicek(a, b, sigma), t, S0)
 
 
@@ -615,8 +616,7 @@ def _grid_nodes(n_nodes, half_width) -> int:
     """n_nodes as an int if it is an integer >= 5 and half_width is finite
     and positive; anything else is a ValueError."""
     n_nodes = _int_at_least("n_nodes", n_nodes, 5)
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
+    _require_positive("half_width", half_width)
     return n_nodes
 
 

@@ -9,7 +9,7 @@ with no higher-order corrections. Noise is addressed positionally per
 is a pure function of (model, S0, grid, n_paths, seed): bit-identical
 across reruns, chunk sizes and thread counts.
 
-One stepping core, _euler_march, holds the time loop for simulate_paths,
+One stepping core, _euler_batch, holds the time loop for simulate_paths,
 simulate_terminal, ito_check and the Euler route of pricing.pv_mc; each
 caller sees the states through a per-step callback.
 
@@ -35,6 +35,7 @@ import numpy as np
 from . import noise
 from .errors import NumericalError
 from .models import ModelSpec, model_hash
+from .portfolio import _require_positive
 
 _DEFAULT_MEMORY_LIMIT = 4 << 30  # bytes of path storage allowed in one batch
 _CHUNK = 1 << 16                 # most paths in one span of work
@@ -66,8 +67,7 @@ class TimeGrid:
     def __post_init__(self):
         if not np.isfinite(self.t0):
             raise ValueError("t0 must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _require_positive("dt", self.dt)
         object.__setattr__(self, "n_steps", _int_at_least("n_steps", self.n_steps, 1))
 
     def time(self, m: int) -> float:
@@ -166,32 +166,10 @@ def _resolve_threads(threads) -> int:
 
 def _step_count(span: float, dt: float) -> int:
     """Number of steps of length dt in span; span/dt must be a positive integer."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    steps = span / dt
+    steps = span / _require_positive("dt", dt)
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ValueError(f"horizon/dt = {steps!r} must be a positive integer")
     return round(steps)
-
-
-def _euler_march(model: ModelSpec, S0: np.ndarray, grid: TimeGrid, seed: int,
-                 lo: int, hi: int, visit=None) -> np.ndarray:
-    """March paths lo..hi from S0 across the grid: draw, Euler update and
-    finiteness check per step. Returns the final states; visit(m, S), when
-    given, reads the (hi-lo, dim) state at every step m = 0..n_steps.
-    """
-    S = np.broadcast_to(S0, (hi - lo, model.dim)).copy()
-    sqdt = np.sqrt(grid.dt)
-    if visit is not None:
-        visit(0, S)
-    for m in range(grid.n_steps):
-        xi = noise.normal_block(seed, noise.EULER, grid.n_steps, m,
-                                lo, hi, model.noise_dim)
-        S = _euler_inplace(model, grid.time(m), S, xi, grid.dt, sqdt)
-        _check_finite_step(S, m + 1, lo)
-        if visit is not None:
-            visit(m + 1, S)
-    return S
 
 
 def _spans(n_paths: int, threads: int) -> list[tuple[int, int]]:
@@ -236,6 +214,33 @@ def _run_chunks(n_paths: int, threads: int, work) -> None:
         raise min(failures, key=lambda f: f[0])[1]
 
 
+def _euler_batch(model: ModelSpec, S0: np.ndarray, grid: TimeGrid, seed: int,
+                 n_paths: int, threads: int, visit=None) -> np.ndarray:
+    """March n_paths paths from S0 across the grid, in the spans of _run_chunks:
+    draw, Euler update and finiteness check per step. Returns the (n_paths,
+    dim) final states; visit(lo, hi, m, S), when given, reads the (hi-lo, dim)
+    state of paths lo..hi at every step m = 0..n_steps.
+    """
+    final = np.empty((n_paths, model.dim))
+    sqdt = np.sqrt(grid.dt)
+
+    def work(lo: int, hi: int) -> None:
+        S = np.broadcast_to(S0, (hi - lo, model.dim)).copy()
+        if visit is not None:
+            visit(lo, hi, 0, S)
+        for m in range(grid.n_steps):
+            xi = noise.normal_block(seed, noise.EULER, grid.n_steps, m,
+                                    lo, hi, model.noise_dim)
+            S = _euler_inplace(model, grid.time(m), S, xi, grid.dt, sqdt)
+            _check_finite_step(S, m + 1, lo)
+            if visit is not None:
+                visit(lo, hi, m + 1, S)
+        final[lo:hi] = S
+
+    _run_chunks(n_paths, threads, work)
+    return final
+
+
 def _batch_args(model: ModelSpec, S0, n_paths, seed, threads):
     """The checked (S0, n_paths, seed, threads) of a path batch."""
     seed = noise.validate_seed(seed)
@@ -259,13 +264,10 @@ def simulate_paths(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
             "reduce n_paths or use simulate_terminal for streaming statistics")
     out = np.empty((n_paths, grid.n_steps + 1, model.dim))
 
-    def work(lo: int, hi: int) -> None:
-        def visit(m: int, S: np.ndarray) -> None:
-            out[lo:hi, m, :] = S
+    def visit(lo: int, hi: int, m: int, S: np.ndarray) -> None:
+        out[lo:hi, m, :] = S
 
-        _euler_march(model, S0, grid, seed, lo, hi, visit)
-
-    _run_chunks(n_paths, threads, work)
+    _euler_batch(model, S0, grid, seed, n_paths, threads, visit)
     return PathBatch(grid=grid, paths=out, model_hash=model_hash(model))
 
 
@@ -282,18 +284,13 @@ def simulate_terminal(model: ModelSpec, S0, grid: TimeGrid, n_paths: int, seed,
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > grid.n_steps):
         raise ValueError("checkpoints must lie within 0..n_steps")
-    terminal = np.empty((n_paths, model.dim))
     saved = {c: np.empty((n_paths, model.dim)) for c in checkpoints}
 
-    def work(lo: int, hi: int) -> None:
-        def visit(m: int, S: np.ndarray) -> None:
-            if m in saved:
-                saved[m][lo:hi] = S
+    def visit(lo: int, hi: int, m: int, S: np.ndarray) -> None:
+        if m in saved:
+            saved[m][lo:hi] = S
 
-        terminal[lo:hi] = _euler_march(model, S0, grid, seed, lo, hi, visit)
-
-    _run_chunks(n_paths, threads, work)
-    return terminal, saved
+    return _euler_batch(model, S0, grid, seed, n_paths, threads, visit), saved
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +426,7 @@ def ito_check(model: ModelSpec, f, dfdt: float, dfdS, d2fdS2, S0, dt: float,
     predicted_drift = float(dfdt + mu @ grad + 0.5 * np.sum(diffusion * hess))
     predicted_vol = float(np.linalg.norm(sig.T @ grad))
 
-    S1 = _euler_march(model, S0, grid, seed, 0, n_paths)
+    S1 = _euler_batch(model, S0, grid, seed, n_paths, 1)
     dX = np.asarray(f(t0 + dt, S1), dtype=float) - float(f(t0, S0[None, :])[0])
     if dX.shape != (n_paths,):
         raise ValueError("f must return one value per path")

@@ -33,7 +33,7 @@ from .density import (DensityGrid, TransitionMatrix, quadrature_apply, trapezoid
                       _check_densities, _fixed_maps, _point_source,
                       _require_vanishing_edges, _Reused)
 from .models import ModelSpec, model_hash, risk_neutralize  # benchmark tracer counts model_hash
-from .portfolio import DiscountCurve, _require_finite
+from .portfolio import DiscountCurve, _require_finite, _require_positive
 
 _WINDOW_STD = 8.0   # kernel row support: +- this many std around the drifted center
 _LEAK_LIMIT = 0.01  # cumulative truncated mass that aborts propagation
@@ -56,8 +56,7 @@ class ShortTimeKernel:
     def __post_init__(self):
         if self.model.dim != 1:
             raise ValueError("kernels are one-dimensional")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _require_positive("dt", self.dt)
 
     def mean(self, t: float, s_from) -> np.ndarray:
         s = np.asarray(s_from, dtype=float)

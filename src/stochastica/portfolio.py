@@ -35,6 +35,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True, slots=True)
 class Cashflow:
     """A fixed amount of numeraire paid at a fixed future time (years)."""
@@ -144,10 +151,8 @@ def fixed_loan_coupon(X: float, X_r: float, r: float, dt: float, T: float) -> fl
     X = _require_finite("X", X)
     X_r = _require_finite("X_r", X_r)
     r = _require_finite("r", r)
-    dt = _require_finite("dt", dt)
+    dt = _require_positive("dt", dt)
     T = _require_finite("T", T)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if T <= dt:
         raise ValueError("need T > dt (at least one coupon before maturity)")
     ratio = T / dt

@@ -6,7 +6,7 @@ quadrature against a Green's function lattice. All routes price in the
 risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
 
-The Monte Carlo route steps with mc's Euler core (_euler_march) and keeps
+The Monte Carlo route steps with mc's Euler core (_euler_batch) and keeps
 its latest simulation's terminal states: consecutive pv_mc calls on one
 path set, one per payoff, simulate once, stream payoffs excepted.
 The PDE route solves on one grid per spot, whatever the strike, starting
@@ -32,11 +32,11 @@ from . import noise
 from .density import (GridFunction, _ThetaSystem, _grid_nodes, _Reused,
                       trapezoid_weights)
 from .errors import NumericalError
-from .mc import (MCEstimate, TimeGrid, _euler_march, _initial_state, _int_at_least,
-                 _mean_and_se, _resolve_threads, _run_chunks, _step_count)
+from .mc import (MCEstimate, TimeGrid, _batch_args, _euler_batch, _int_at_least,
+                 _mean_and_se, _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import DiscountCurve, _json_numbers, _require_finite
+from .portfolio import DiscountCurve, _json_numbers, _require_finite, _require_positive
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -295,15 +295,9 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
         raise ValueError(f"payoff must be a PayoffSpec, got {type(payoff).__name__}")
     if model.dim != 1:
         raise ValueError(f"pv_mc prices one asset; the model has dim {model.dim}")
-    seed = noise.validate_seed(seed)
-    threads = _resolve_threads(threads)
-    _require_finite("T", T)
-    if not T > 0:
-        raise ValueError("T must be positive")
-    n_paths = _int_at_least("n_paths", n_paths, 1)
-    n_steps = _step_count(T, dt)
+    n_steps = _step_count(_require_positive("T", T), dt)
     rn = risk_neutralize(model, curve)
-    start = _initial_state(rn, S0)
+    start, n_paths, seed, threads = _batch_args(rn, S0, n_paths, seed, threads)
     can = isinstance(rn.family, GBM) and payoff.stream is None
     if exact_terminal and not can:
         raise ValueError("exact terminal sampling needs a model of family GBM "
@@ -326,19 +320,14 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     def march() -> np.ndarray:
         grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
         disc_steps = [curve.discount(0.0, m * dt) * dt for m in range(n_steps)]
-        terminal = np.empty(n_paths)
 
-        def work(lo: int, hi: int) -> None:
-            def visit(m: int, s: np.ndarray) -> None:
-                if m < n_steps:
-                    acc[lo:hi] += disc_steps[m] * np.asarray(
-                        payoff.stream(m * dt, s[:, 0]), dtype=float)
+        def visit(lo: int, hi: int, m: int, s: np.ndarray) -> None:
+            if m < n_steps:
+                acc[lo:hi] += disc_steps[m] * np.asarray(
+                    payoff.stream(m * dt, s[:, 0]), dtype=float)
 
-            terminal[lo:hi] = _euler_march(rn, start, grid, seed, lo, hi,
-                                           visit if payoff.stream else None)[:, 0]
-
-        _run_chunks(n_paths, threads, work)
-        return terminal
+        return _euler_batch(rn, start, grid, seed, n_paths, threads,
+                            visit if payoff.stream else None)[:, 0]
 
     states = _terminal_states(model, key, draw if exact else march,
                               payoff.stream is None)
@@ -368,9 +357,7 @@ def _finite_payoff(part: str, values) -> np.ndarray:
 def _resolve_sigma(sigma) -> Callable[[float, np.ndarray], np.ndarray]:
     if callable(sigma):
         return lambda t, s: np.asarray(sigma(t, s), dtype=float)
-    sig = float(sigma)
-    if not (math.isfinite(sig) and sig > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    sig = _require_positive("sigma", sigma)
     return lambda t, s: np.full_like(np.asarray(s, dtype=float), sig)
 
 
@@ -396,10 +383,8 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     if not curve.is_flat:
         raise ValueError("pv_pde requires a flat discount curve")
     r = curve.rates[0]
-    _require_finite("S0", S0)
-    _require_finite("T", T)
-    if not (S0 > 0 and T > 0):
-        raise ValueError("S0 and T must be positive")
+    _require_positive("S0", S0)
+    _require_positive("T", T)
     n_steps = _int_at_least("n_steps", n_steps, 1)
     dt = T / n_steps
     if not 1 + r * dt > 0:  # the implicit steps then lose diagonal dominance

@@ -16,8 +16,7 @@ import pytest
 
 import stochastica
 from stochastica import BSParams, bs_price, cli, load_model_config, mc, payoff_from_config
-from stochastica.cli import (_build_parser, _curve_from_config, _resolve_threads,
-                             emit_json, main)
+from stochastica.cli import _build_parser, _curve_from_config, emit_json, main
 
 
 def write_config(tmp_path, name, doc):
@@ -228,17 +227,29 @@ def test_invalid_threads_exit_2_naming_their_source(tmp_path, capsys, where,
     assert f"error: {source}: threads must be" in capsys.readouterr().err
 
 
-def test_threads_resolve_flag_then_config_then_env_then_cpus(monkeypatch):
-    args = _build_parser().parse_args(["check"])
+def test_threads_resolve_flag_then_config_then_env_then_cpus(tmp_path, monkeypatch):
+    seen = []
+    real = cli.simulate_paths
+
+    def recording(*args, threads, **kwargs):
+        seen.append(threads)
+        return real(*args, threads=threads, **kwargs)
+
+    def threads_of(cfg, *flag):
+        path = write_config(tmp_path, "sim.json", dict(SIM_DOC, **cfg))
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--config", path, "--out", out, *flag]) == 0
+        return seen.pop()
+
+    monkeypatch.setattr(cli, "simulate_paths", recording)
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    assert _resolve_threads(args, {}) == 3
+    assert threads_of({}) == 3
     # the environment is not a source: config and flag alone override the CPUs
     monkeypatch.setenv("STOCHASTICA_THREADS", "2")
-    assert _resolve_threads(args, {}) == 3
-    assert _resolve_threads(args, {"threads": 4}) == 4
-    args.threads = 5
-    assert _resolve_threads(args, {"threads": "bad"}) == 5
+    assert threads_of({}) == 3
+    assert threads_of({"threads": 4}) == 4
+    assert threads_of({"threads": "bad"}, "--threads", "5") == 5
 
 
 @pytest.mark.parametrize("fmt, digest", [
@@ -691,6 +702,9 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
       for route in ("mc", "green")),
     ("index", {"prices": [1.0, 5e-324], "sigmas": [1.0, 1.0]},
      "error: prices[1] is too small for a finite weight\n"),
+    # a method that is no string failed as unhashable, with a traceback and exit 1
+    ("price", {"method": ["pde"]}, "error: config.method must be a string, not ['pde']\n"),
+    ("price", {"method": {"a": 1}}, "error: config.method must be a string, not {'a': 1}\n"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):
@@ -1060,6 +1074,20 @@ def test_an_out_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, where
     assert main(["greeks", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write --out {out}: {reason}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_sidecar_that_cannot_be_written_leaves_no_body(tmp_path, capsys):
+    # the body used to be moved into place before the sidecar was tried
+    cfg = write_config(tmp_path, "greeks.json",
+                       {"S": 100.0, "K": 100.0, "r": 0.0, "sigma": 0.2, "t": 1.0})
+    out = tmp_path / "out.json"
+    sidecar = tmp_path / "out.json.meta.json"
+    sidecar.mkdir()
+    assert main(["greeks", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write the sidecar {sidecar}: Is a directory\n"
+    assert not out.exists()
     assert not list(tmp_path.rglob("*.tmp"))
 
 

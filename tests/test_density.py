@@ -108,6 +108,36 @@ def test_vasicek_limits():
         density_vasicek(1.0, 0.05, 0.0, 0.03, 0.01)
 
 
+# every argument of each closed-form constructor, at a valid value
+_DENSITY_ARGS = {
+    density_bm: {"t": 1.0, "S0": 0.0, "mu": 0.1, "sigma": 0.2},
+    density_gbm: {"t": 1.0, "S0": 100.0, "mu": 0.05, "sigma": 0.2},
+    density_vasicek: {"t": 1.0, "S0": 0.03, "a": 1.0, "b": 0.05, "sigma": 0.02},
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build, name", [
+    (build, name) for build, args in _DENSITY_ARGS.items() for name in args])
+def test_closed_form_densities_refuse_a_non_finite_argument_by_name(build, name, value):
+    # an infinite t, S0, mu or b, and a NaN sigma, S0 or a, used to give a
+    # density with an infinite or NaN mean or variance
+    with pytest.raises(ValueError, match=rf"(^| ){name} must be finite"):
+        build(**dict(_DENSITY_ARGS[build], **{name: value}))
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan])
+@pytest.mark.parametrize("build, name, label", [
+    (density_bm, "sigma", "sigma"), (density_gbm, "sigma", "sigma"),
+    (density_gbm, "S0", "S0"), (density_vasicek, "sigma", "sigma"),
+    (density_vasicek, "a", "mean-reversion speed a")])
+def test_closed_form_densities_name_an_argument_that_is_not_positive(build, name, label,
+                                                                      value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{label} must be finite and positive, got {value!r}")):
+        build(**dict(_DENSITY_ARGS[build], **{name: value}))
+
+
 # ---------------------------------------------------------------------------
 # grids and point masses
 

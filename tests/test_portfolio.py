@@ -5,6 +5,7 @@ never touches the closed form under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ def test_coupon_validation():
         fixed_loan_coupon(100.0, 0.0, 0.05, 1.0, 1.0)
     with pytest.raises(ValueError):
         fixed_loan_coupon(100.0, 0.0, 0.05, 1.0, 4.5)
+
+
+@pytest.mark.parametrize("dt", [0, -1, math.nan])
+def test_coupon_names_a_period_that_is_not_positive(dt):
+    # it said "dt must be positive", or "dt must be finite" for NaN
+    with pytest.raises(ValueError, match=re.escape(
+            f"dt must be finite and positive, got {dt!r}")):
+        fixed_loan_coupon(100.0, 0.0, 0.05, dt, 5.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ independent of every closed form in the package.
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -303,6 +304,39 @@ def test_payoff_from_config():
 
 # ---------------------------------------------------------------------------
 # risk-neutral drift
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan])
+@pytest.mark.parametrize("route, name", [("mc", "T"), ("pde", "T"), ("pde", "S0")])
+def test_pricing_routes_name_a_spot_or_horizon_that_is_not_positive(route, name, value):
+    # pv_pde said "S0 and T must be positive" for either; pv_mc "T must be positive"
+    args = dict({"S0": 100.0, "T": 1.0}, **{name: value})
+    curve, model = DiscountCurve.flat(0.05), make_gbm(0.05, 0.2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and positive, got {value!r}")):
+        if route == "mc":
+            pv_mc(model, curve, call_payoff(100.0), args["S0"], args["T"], 0.25, 100, 1)
+        else:
+            pv_pde(call_payoff(100.0), curve, 0.2, args["S0"], args["T"])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pv_mc_euler_terminal_states_equal_simulate_terminals(threads):
+    # one march, mc._euler_batch, serves both; 40,000 paths make two spans
+    # at two threads
+    seen = []
+
+    def recording(s):
+        seen.append(np.array(s))
+        return np.zeros_like(s)
+
+    curve, model, n_paths = DiscountCurve.flat(0.05), make_gbm(0.1, 0.2), 40000
+    pv_mc(model, curve, PayoffSpec(terminal=recording), 100.0, 1.0, 0.25, n_paths,
+          seed=5, threads=threads, exact_terminal=False)
+    terminal, _ = simulate_terminal(risk_neutralize(model, curve), 100.0,
+                                    TimeGrid(0.0, 0.25, 4), n_paths, 5, threads=threads)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0].view(np.uint64), terminal[:, 0].view(np.uint64))
 
 
 def test_risk_neutralize_gbm():
