@@ -31,7 +31,6 @@ from .mc import (
     expectation,
     export_paths_csv,
     ito_check,
-    mgf,
     scaling_check,
     simulate_paths,
     simulate_terminal,
@@ -63,11 +62,8 @@ from .pathintegral import (
 from .portfolio import (
     Cashflow,
     DiscountCurve,
-    annual_to_continuous,
-    continuous_to_annual,
     fixed_loan_coupon,
     fixed_loan_schedule,
-    futures_value,
     load_curve,
     pv_deterministic,
     zero_coupon_price,
@@ -78,7 +74,6 @@ from .pricing import (
     PayoffSpec,
     bs_greeks,
     bs_price,
-    bs_price_moneyness,
     call_payoff,
     digital_payoff,
     norm_cdf,
@@ -95,7 +90,6 @@ from .risk import (
     IndexInputs,
     IndexWeights,
     Instrument,
-    delta_hedge,
     hedge_report_doc,
     index_weights,
     neutralize,

@@ -317,34 +317,6 @@ def expectation(f, batch: PathBatch) -> MCEstimate:
     return MCEstimate(mean=mean, std_error=se, n_paths=batch.n_paths)
 
 
-def mgf(J, batch: PathBatch) -> MCEstimate:
-    """Monte Carlo moment generating function E exp(sum J[m,a] * S[m,a]).
-
-    J is either a dense (n_steps+1, dim) array (or (n_steps+1,) when
-    dim == 1) or a mapping {(step, asset): coefficient}.
-    """
-    n_rows = batch.grid.n_steps + 1
-    if isinstance(J, dict):
-        exponent = np.zeros(batch.n_paths)
-        for key, u in J.items():
-            m, a = (key if isinstance(key, tuple) else (key, 0))
-            if not (0 <= m <= batch.grid.n_steps and 0 <= a < batch.dim):
-                raise ValueError(f"J index {(m, a)} outside the grid")
-            exponent += float(u) * batch.paths[:, m, a]
-    else:
-        Jarr = np.asarray(J, dtype=float)
-        if Jarr.ndim == 1 and batch.dim == 1:
-            Jarr = Jarr[:, None]
-        if Jarr.shape != (n_rows, batch.dim):
-            raise ValueError(f"J must have shape ({n_rows}, {batch.dim})")
-        exponent = np.einsum("ma,pma->p", Jarr, batch.paths)
-    peak = float(np.max(exponent, initial=0.0))
-    if peak > 700.0:
-        raise NumericalError(f"MGF exponent overflows: max exponent {peak:.6g}")
-    mean, se = _mean_and_se(np.exp(exponent))
-    return MCEstimate(mean=mean, std_error=se, n_paths=batch.n_paths)
-
-
 # ---------------------------------------------------------------------------
 # Ito and scaling diagnostics
 

@@ -2,8 +2,7 @@
 
 Everything here is risk-free arithmetic: continuously compounded
 discounting against a piecewise-constant rate curve, zero-coupon bond
-prices, the fixed-rate loan coupon, and the forward/futures value
-identity.
+prices and the fixed-rate loan coupon.
 
 All types are immutable after construction and safe to share between
 workers.
@@ -117,22 +116,6 @@ class DiscountCurve:
         return math.exp(-self.integral(t0, t1))
 
 
-def annual_to_continuous(r1: float) -> float:
-    """Convert an annually compounded simple rate to a continuous rate.
-
-    r = ln(1 + r1); inverse of continuous_to_annual.
-    """
-    r1 = _require_finite("r1", r1)
-    if r1 <= -1.0:
-        raise ValueError("annual rate must exceed -1")
-    return math.log1p(r1)
-
-
-def continuous_to_annual(r: float) -> float:
-    """Inverse of annual_to_continuous: r1 = e^r - 1."""
-    return math.expm1(_require_finite("r", r))
-
-
 def zero_coupon_price(curve: DiscountCurve, t: float, T: float) -> float:
     """Price at t of one unit of numeraire delivered at T: e^{-R(t,T)}."""
     if T < t:
@@ -176,23 +159,6 @@ def fixed_loan_schedule(X: float, X_r: float, r: float, dt: float, T: float) -> 
     flows = [Cashflow(c, n * dt) for n in range(1, N + 1)]
     flows.append(Cashflow(X_r, T))
     return flows
-
-
-def futures_value(S: float, K: float, curve: DiscountCurve, t: float, T: float,
-                  side: str = "long") -> float:
-    """Mark-to-market of a futures/forward struck at K maturing at T.
-
-    Long value is S - K * zero_coupon_price(curve, t, T); short is its
-    negative.
-    """
-    S = _require_finite("S", S)
-    K = _require_finite("K", K)
-    if S < 0:
-        raise ValueError("spot must be >= 0")
-    if side not in ("long", "short"):
-        raise ValueError("side must be 'long' or 'short'")
-    value = S - K * zero_coupon_price(curve, t, T)
-    return value if side == "long" else -value
 
 
 def pv_deterministic(cashflows, curve: DiscountCurve) -> float:

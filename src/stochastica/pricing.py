@@ -186,23 +186,6 @@ def bs_price(p: BSParams, kind: str = "call") -> float:
     return call - p.S + disc_k
 
 
-def bs_price_moneyness(p: BSParams, kind: str = "call") -> float:
-    """Equivalent dimensionless form: f = Ke^{-rt} [e^m Phi(m/z + z/2) - Phi(m/z - z/2)]
-
-    with moneyness m = ln(S / (K e^{-rt})) and z = sigma sqrt(t).
-    """
-    if _is_degenerate(p):
-        return bs_price(p, kind)
-    disc_k = p.K * math.exp(-p.r * p.t)
-    m = math.log(p.S / disc_k)
-    z = p.sigma * math.sqrt(p.t)
-    call = disc_k * (math.exp(m) * norm_cdf(m / z + 0.5 * z)
-                     - norm_cdf(m / z - 0.5 * z))
-    if kind == "call":
-        return call
-    return call - p.S + disc_k
-
-
 @dataclass(frozen=True)
 class GreeksReport:
     delta: float
@@ -275,7 +258,8 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     To price several payoffs, call pv_mc once per payoff: consecutive calls
     on one path set simulate once, through the memo below.
 
-    The model must have dim 1: a payoff reads one asset's state. It is
+    The model must have dim 1: a payoff reads one asset's state, which under
+    a model of family GBM must start above 0. It is
     risk-neutralized on curve, as in greens_function (recorded in metadata).
     Stream payoffs accumulate sum_m p(t_m, S_m) e^{-R(0,t_m)} dt over the
     left endpoints. For plain terminal payoffs under a model of family GBM
@@ -298,6 +282,10 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     n_steps = _step_count(_require_positive("T", T), dt)
     rn = risk_neutralize(model, curve)
     start, n_paths, seed, threads = _batch_args(rn, S0, n_paths, seed, threads)
+    if isinstance(rn.family, GBM) and not start[0] > 0:
+        # density._point_source's rule: a family with a log-space form (GBM) needs
+        # S > 0; asked by type, as log_space() refuses the non-flat curves priced here
+        raise ValueError(f"this model needs S > 0; S0 = {float(start[0])!r}")
     can = isinstance(rn.family, GBM) and payoff.stream is None
     if exact_terminal and not can:
         raise ValueError("exact terminal sampling needs a model of family GBM "

@@ -9,7 +9,6 @@ sensitivities across a set of instruments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,31 +90,6 @@ def portfolio_variance(weights, prices, sigmas) -> float:
 
 # ---------------------------------------------------------------------------
 # Hedging
-
-
-def delta_hedge(f, S0: float, *, rel_step: float = 1e-4) -> float:
-    """Central-difference spot sensitivity of a value function.
-
-    A relative mismatch above 1e-3 between the one-sided slopes signals a
-    kink (payoff not smoothed, barrier, digital) and triggers a warning;
-    the central estimate is still returned.
-    """
-    S0 = float(S0)
-    h = rel_step * max(1.0, abs(S0))
-    up = float(f(S0 + h))
-    down = float(f(S0 - h))
-    mid = float(f(S0))
-    fwd = (up - mid) / h
-    bwd = (mid - down) / h
-    central = (up - down) / (2 * h)
-    scale = max(abs(fwd), abs(bwd), 1e-12)
-    if abs(fwd - bwd) > 1e-3 * scale:
-        warnings.warn(
-            f"one-sided slopes differ by {abs(fwd - bwd) / scale:.3g} "
-            f"(relative) at S = {S0}; the value function may have a kink "
-            "and the central difference is unreliable there",
-            RuntimeWarning, stacklevel=2)
-    return central
 
 
 @dataclass(frozen=True)

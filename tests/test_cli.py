@@ -1007,6 +1007,14 @@ def test_green_price_of_a_log_space_family_at_a_zero_spot_exits_2_naming_s0(tmp_
     assert "needs S > 0; S0 = 0.0" in capsys.readouterr().err
 
 
+def test_mc_price_of_a_log_space_family_below_zero_exits_2_naming_s0(tmp_path, capsys):
+    # it printed the price of a put on a GBM started at -100
+    cfg = write_config(tmp_path, "mc.json", dict(
+        GBM_PRICE_DOC, S0=-100.0, payoff={"kind": "put", "strike": 100.0}))
+    assert main(["price", "--config", cfg]) == 2
+    assert "this model needs S > 0; S0 = -100.0" in capsys.readouterr().err
+
+
 def test_pde_strike_next_to_the_spot_is_priced(tmp_path):
     # the snapped grid refused a strike within half a cell of the spot
     cfg = write_config(tmp_path, "pde.json", dict(

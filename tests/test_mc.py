@@ -28,7 +28,6 @@ from stochastica import (
     make_custom_grid,
     make_gbm,
     make_vasicek,
-    mgf,
     pi_expectation,
     pv_mc,
     risk_neutralize,
@@ -426,16 +425,11 @@ def test_expectation_linearity_exact():
     assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
-def test_mgf_zero_coefficients():
-    est = mgf({}, _small_batch())
-    assert est.mean == 1.0 and est.std_error == 0.0
-
-
 def test_mgf_single_time_closed_form():
     mu, sigma, T, u = 0.1, 0.4, 1.0, 0.6
     m = make_bm(mu, sigma)
     batch = simulate_paths(m, 1.0, TimeGrid(0.0, T / 8, 8), 200000, seed=11)
-    est = mgf({(8, 0): u}, batch)
+    est = expectation(lambda p: np.exp(u * p[:, 8, 0]), batch)
     expect = math.exp(u * (1.0 + mu * T) + 0.5 * u * u * sigma * sigma * T)
     assert abs(est.mean - expect) < 3 * est.std_error
 
@@ -445,28 +439,18 @@ def test_mgf_two_time_covariance():
     u, v = 0.5, 0.3
     m = make_bm(0.0, 1.0)
     batch = simulate_paths(m, 0.0, TimeGrid(0.0, 0.25, 8), 200000, seed=12)
-    est = mgf({(2, 0): u, (8, 0): v}, batch)
+    est = expectation(lambda p: np.exp(u * p[:, 2, 0] + v * p[:, 8, 0]), batch)
     s, t = 0.5, 2.0
     expect = math.exp(0.5 * (u * u * s + v * v * t + 2 * u * v * min(s, t)))
     assert abs(est.mean - expect) < 3 * est.std_error
 
 
-def test_mgf_dense_coefficients_agree_with_the_same_mapping():
-    # the einsum and the term-by-term sum round differently, so the two
-    # agree to rounding, not bit for bit
-    m = make_correlated_gbm([0.05, 0.02], [0.2, 0.3], [[1.0, 0.5], [0.5, 1.0]])
-    batch = simulate_paths(m, [1.0, 0.5], TimeGrid(0.0, 0.25, 4), 4000, seed=17)
-    J = np.linspace(-0.3, 0.6, 10).reshape(5, 2)
-    dense = mgf(J, batch)
-    terms = mgf({(s, a): J[s, a] for s in range(5) for a in range(2)}, batch)
-    assert dense.mean == pytest.approx(terms.mean, rel=1e-12)
-    assert dense.std_error == pytest.approx(terms.std_error, rel=1e-12)
-
-
-def test_mgf_overflow_reports_exponent():
+def test_expectation_refuses_an_overflowing_generating_functional():
+    # an overflowing exponent is refused, not averaged as inf
     batch = _small_batch()
-    with pytest.raises(NumericalError, match="exponent"):
-        mgf({(4, 0): 1e6}, batch)
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="functional produced non-finite values"):
+        expectation(lambda p: np.exp(1e6 * p[:, 4, 0]), batch)
 
 
 def test_std_error_shrinks_with_n():

@@ -16,11 +16,8 @@ from scipy.optimize import brentq
 from stochastica import (
     Cashflow,
     DiscountCurve,
-    annual_to_continuous,
-    continuous_to_annual,
     fixed_loan_coupon,
     fixed_loan_schedule,
-    futures_value,
     pv_deterministic,
     zero_coupon_price,
 )
@@ -40,15 +37,6 @@ def coupon_oracle(X: float, X_r: float, r: float, dt: float, T: float) -> float:
 
 # ---------------------------------------------------------------------------
 # rates
-
-
-def test_rate_conversions():
-    assert annual_to_continuous(0.0) == 0.0
-    assert annual_to_continuous(math.e - 1) == pytest.approx(1.0, abs=1e-15)
-    assert annual_to_continuous(0.10) == pytest.approx(math.log(1.1), abs=1e-15)
-    assert continuous_to_annual(annual_to_continuous(0.07)) == pytest.approx(0.07)
-    with pytest.raises(ValueError):
-        annual_to_continuous(-1.0)
 
 
 def test_zero_coupon_price():
@@ -151,22 +139,7 @@ def test_schedule_prices_to_notional():
 
 
 # ---------------------------------------------------------------------------
-# futures and aggregation
-
-
-def test_futures_value():
-    curve = DiscountCurve.flat(0.05)
-    assert futures_value(100.0, 0.0, curve, 0.0, 1.0) == 100.0
-    assert futures_value(50.0, 50.0, DiscountCurve.flat(0.0), 0.0, 2.0) == 0.0
-    expect = 100.0 - 95.0 * math.exp(-0.05)
-    assert futures_value(100.0, 95.0, curve, 0.0, 1.0) == pytest.approx(expect)
-    long = futures_value(100.0, 95.0, curve, 0.5, 2.0, side="long")
-    short = futures_value(100.0, 95.0, curve, 0.5, 2.0, side="short")
-    assert long == -short
-    with pytest.raises(ValueError):
-        futures_value(100.0, 95.0, curve, 0.0, 1.0, side="straddle")
-    with pytest.raises(ValueError):
-        futures_value(100.0, 95.0, curve, 2.0, 1.0)
+# aggregation
 
 
 def test_pv_deterministic_linearity():
@@ -218,11 +191,10 @@ _STEP_CURVE = DiscountCurve(times=(0.0, 1.0), rates=(0.01, 0.08))
     (lambda: _STEP_CURVE.discount(0.0, math.inf), "t1"),
     (lambda: zero_coupon_price(_STEP_CURVE, 0.0, math.nan), "t1"),
     (lambda: zero_coupon_price(_STEP_CURVE, math.nan, 1.0), "t0"),
-    (lambda: futures_value(100.0, 90.0, _STEP_CURVE, 0.0, math.nan), "t1"),
 ], ids=["rate nan", "rate inf", "integral t1", "integral t0", "discount inf",
-        "zero coupon T", "zero coupon t", "futures T"])
+        "zero coupon T", "zero coupon t"])
 def test_curve_refuses_a_non_finite_time_by_name(call, name):
-    # a nan time used to read as no time: discount 1.0, futures value 10.0,
-    # and rate(nan) the last rate, 0.08
+    # a nan time used to read as no time: discount 1.0 and rate(nan) the
+    # last rate, 0.08
     with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
         call()

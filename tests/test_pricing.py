@@ -22,10 +22,10 @@ from stochastica import (
     PayoffSpec,
     bs_greeks,
     bs_price,
-    bs_price_moneyness,
     call_payoff,
     digital_payoff,
     greens_function,
+    make_bm,
     make_correlated_gbm,
     make_gbm,
     make_vasicek,
@@ -90,6 +90,23 @@ def test_call_and_put_match_oracle(K, sigma, T):
     put = quad_price(lambda s: max(K - s, 0.0), S, r, sigma, T, K_break=K)
     assert bs_price(p, "call") == pytest.approx(call, abs=1e-9)
     assert bs_price(p, "put") == pytest.approx(put, abs=1e-9)
+
+
+def bs_price_moneyness(p: BSParams, kind: str = "call") -> float:
+    """Equivalent dimensionless form: f = Ke^{-rt} [e^m Phi(m/z + z/2) - Phi(m/z - z/2)]
+
+    with moneyness m = ln(S / (K e^{-rt})) and z = sigma sqrt(t).
+    """
+    if p.sigma * math.sqrt(p.t) == 0.0:
+        return bs_price(p, kind)
+    disc_k = p.K * math.exp(-p.r * p.t)
+    m = math.log(p.S / disc_k)
+    z = p.sigma * math.sqrt(p.t)
+    call = disc_k * (math.exp(m) * norm_cdf(m / z + 0.5 * z)
+                     - norm_cdf(m / z - 0.5 * z))
+    if kind == "call":
+        return call
+    return call - p.S + disc_k
 
 
 def test_moneyness_form_agrees_everywhere():
@@ -318,6 +335,29 @@ def test_pricing_routes_name_a_spot_or_horizon_that_is_not_positive(route, name,
             pv_mc(model, curve, call_payoff(100.0), args["S0"], args["T"], 0.25, 100, 1)
         else:
             pv_pde(call_payoff(100.0), curve, 0.2, args["S0"], args["T"])
+
+
+@pytest.mark.parametrize("curve", [
+    DiscountCurve.flat(0.05), DiscountCurve(times=(0.0, 0.5), rates=(0.02, 0.06)),
+], ids=["flat", "two-rate"])
+@pytest.mark.parametrize("exact", [None, False], ids=["exact-terminal", "euler-paths"])
+@pytest.mark.parametrize("S0", [0.0, -100.0])
+def test_pv_mc_refuses_a_log_space_family_at_a_spot_at_or_below_zero(S0, exact, curve):
+    # it priced a put on a GBM started at -100 at 194.94, where pv_pde and
+    # greens_function refuse the spot
+    with pytest.raises(ValueError, match=re.escape(f"this model needs S > 0; S0 = {S0!r}")):
+        pv_mc(make_gbm(0.05, 0.2), curve, put_payoff(100.0), S0, 1.0, 0.25, 20000, 1,
+              exact_terminal=exact)
+
+
+def test_pv_mc_prices_a_bm_from_a_negative_spot():
+    # a Gaussian family has no log-space form, so any finite S0 is priced;
+    # each Euler step multiplies the mean by 1 + r dt
+    curve = DiscountCurve.flat(0.05)
+    model = risk_neutralize(make_bm(0.0, 20.0), curve, override_drift=lambda t, S: 0.05 * S)
+    est = pv_mc(model, curve, PayoffSpec(terminal=lambda s: s), -100.0, 1.0, 0.25, 20000, 1)
+    expect = -100.0 * (1.0 + 0.05 * 0.25) ** 4 * math.exp(-0.05)
+    assert abs(est.mean - expect) < 4 * est.std_error
 
 
 @pytest.mark.parametrize("threads", [1, 2])

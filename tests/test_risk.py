@@ -12,8 +12,6 @@ from stochastica import (
     IndexInputs,
     Instrument,
     bs_greeks,
-    bs_price,
-    delta_hedge,
     hedge_report_doc,
     index_weights,
     neutralize,
@@ -123,31 +121,6 @@ def test_index_inputs_validation():
     inputs = IndexInputs(prices=[1.0, 2.0], sigmas=[0.1, 0.1])
     with pytest.raises(ValueError):
         inputs.prices[0] = 5.0
-
-
-# ---------------------------------------------------------------------------
-# delta hedge by finite differences
-
-
-def test_delta_hedge_matches_closed_form():
-    p = BSParams(S=100.0, K=100.0, r=0.05, sigma=0.2, t=1.0)
-
-    def value(S):
-        return bs_price(BSParams(S=S, K=p.K, r=p.r, sigma=p.sigma, t=p.t))
-
-    got = delta_hedge(value, 100.0)
-    assert got == pytest.approx(bs_greeks(p).delta, rel=1e-6)
-
-
-def test_delta_hedge_warns_on_kink():
-    with pytest.warns(RuntimeWarning, match="kink"):
-        got = delta_hedge(lambda s: max(s - 100.0, 0.0), 100.0)
-    assert got == pytest.approx(0.5, abs=1e-9)
-
-
-def test_delta_hedge_linear_is_exact():
-    assert delta_hedge(lambda s: 3.0 * s - 7.0, 42.0) == pytest.approx(
-        3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
