@@ -17,6 +17,9 @@ at a time by one %-template per row and written as they are rendered, so
 memory does not grow with the output, and the bytes match a value-by-value
 rendering. --out is moved into place only once its body is complete.
 
+Handlers import the density, pathintegral, pricing and risk modules they
+run when they run, so hedge and index load no grid, lattice or pricing code.
+
 Exit codes: 0 success, 1 stdout closed by its reader before the output was
 written, 2 validation failure, 3 numerical failure.
 """
@@ -34,10 +37,6 @@ import sys
 
 import numpy as np
 
-from . import density as density_mod
-from . import pathintegral as pi_mod
-from . import pricing as pricing_mod
-from . import risk as risk_mod
 from .errors import NumericalError
 from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, _resolve_threads,
                  export_paths_csv, fmt17, simulate_paths)
@@ -306,6 +305,7 @@ def _analytic_density(model, S0: float, t: float):
 def _density_by_method(method: str, model, S0: float, t: float,
                        s: np.ndarray, n_steps: int, n_nodes: int,
                        half_width: float) -> np.ndarray:
+    from . import density as density_mod, pathintegral as pi_mod
     if method == "analytic":
         return np.asarray(_analytic_density(model, S0, t)(s), dtype=float)
     if method == "fokker-planck":
@@ -320,6 +320,7 @@ def _density_by_method(method: str, model, S0: float, t: float,
 
 
 def cmd_density(args, cfg: dict) -> tuple:
+    from . import density as density_mod
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "initial state"))
     t = _require_positive("config.t", _require(cfg, "t", float, "target time"))
@@ -361,6 +362,7 @@ def cmd_density(args, cfg: dict) -> tuple:
 def _price_one(method: str, model, curve: DiscountCurve,
                payoff, S0: float, T: float, settings: dict, seed: int,
                threads: int) -> dict:
+    from . import pathintegral as pi_mod, pricing as pricing_mod
     sub = dict(settings.get(method, {}))
     if method in ("analytic", "pde") and not isinstance(model.family, GBM):
         raise ValueError(f"the {method} route prices models of family GBM only")
@@ -391,6 +393,7 @@ def _price_one(method: str, model, curve: DiscountCurve,
 
 
 def cmd_price(args, cfg: dict) -> tuple:
+    from . import pricing as pricing_mod
     model = load_model_config(_require(cfg, "model", dict, "model config"))
     curve = _curve_from_config(cfg)
     payoff = pricing_mod.payoff_from_config(
@@ -432,6 +435,7 @@ def cmd_price(args, cfg: dict) -> tuple:
 
 
 def cmd_greeks(args, cfg: dict) -> tuple:
+    from . import pricing as pricing_mod
     p = pricing_mod.BSParams(S=_require(cfg, "S", float, "spot"),
                              K=_require(cfg, "K", float, "strike"),
                              r=_require(cfg, "r", float, "flat rate"),
@@ -451,6 +455,7 @@ def cmd_greeks(args, cfg: dict) -> tuple:
 
 
 def cmd_hedge(args, cfg: dict) -> tuple:
+    from . import risk as risk_mod
     rows = _require(cfg, "instruments", list, "instrument list")
     instruments = []
     for i, row in enumerate(rows):
@@ -482,6 +487,7 @@ def cmd_hedge(args, cfg: dict) -> tuple:
 
 
 def cmd_index(args, cfg: dict) -> tuple:
+    from . import risk as risk_mod
     inputs = risk_mod.IndexInputs(
         prices=_require(cfg, "prices", list[float], "asset prices"),
         sigmas=_require(cfg, "sigmas", list[float], "asset volatilities"))
@@ -502,6 +508,7 @@ def cmd_index(args, cfg: dict) -> tuple:
 
 def _check_price_cell(K: float, sigma: float, T: float, seed: int,
                       threads: int) -> list[dict]:
+    from . import pricing as pricing_mod
     S0, r = 100.0, 0.05
     args = (make_gbm(r, sigma), DiscountCurve.flat(r), pricing_mod.call_payoff(K),
             S0, T, {"mc": {"n_paths": 200000, "exact_terminal": True}}, seed,
@@ -521,6 +528,7 @@ def _check_price_cell(K: float, sigma: float, T: float, seed: int,
 
 
 def _check_density(kind: str, method: str) -> dict:
+    from . import density as density_mod
     model, S0 = {"bm": (make_bm(0.1, 0.3), 0.0),
                  "gbm": (make_gbm(0.05, 0.2), 100.0),
                  "vasicek": (make_vasicek(1.0, 0.05, 0.02), 0.03)}[kind]

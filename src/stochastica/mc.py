@@ -22,12 +22,12 @@ the calling thread works the first and up to `threads` - 1 pool workers the
 rest, each holding one span's arrays at a time; threads=None (the default)
 means the CPUs this process may use. Model drift/vol maps and payoff callables
 thus run on the calling and worker threads and must be pure functions.
+_run_chunks imports concurrent.futures on first use, not at import.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +195,7 @@ def _run_chunks(n_paths: int, threads: int, work) -> None:
     does not stop the other spans: once all have run, the earliest failure by
     (step, path) is raised, so the error, too, is the same for every split.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded on first use, not at import
     spans = _spans(n_paths, threads)
     shares = min(threads, len(spans))
     failures = []

@@ -14,11 +14,12 @@ maps follow; the routes ask it, never the config, for their shortcuts.
 Correlated multi-asset noise is handled by diagonalizing the correlation
 matrix and scaling eigenvectors into a volatility matrix Z with
 (Z Z^T)_{ab} = z_a z_b C_{ab}.
+
+model_hash imports hashlib on first use, not at import.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,6 +179,7 @@ class ModelSpec:
 
 def model_hash(model: "ModelSpec | dict") -> str:
     """SHA-256 of the canonical JSON model description."""
+    import hashlib  # loaded on first use, not at import
     config = model.config if isinstance(model, ModelSpec) else model
     if not config:
         config = {"type": "custom"}

@@ -10,8 +10,9 @@ count and chunk size.
 
 Gaussians are produced by the inverse normal CDF applied to 53-bit
 uniforms in the open interval (0, 1), so each draw depends only on its
-own address. normal_block imports scipy.special's ndtri on its first
-call, so importing this module loads no scipy.
+own address. The keyed generator imports numpy.random's Philox and
+SeedSequence, and normal_block scipy.special's ndtri, on first use, so
+importing this module loads neither numpy.random nor scipy.
 
 The ``context`` integer separates streams that must not be correlated,
 e.g. grids with different step counts in a refinement study.
@@ -20,7 +21,6 @@ e.g. grids with different step counts in a refinement study.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
 
 # Substream tags. Consumers with independent sampling duties use
 # different tags so their draws never collide.
@@ -44,7 +44,8 @@ def validate_seed(seed) -> int:
 
 
 def _keyed_generator(seed: int, substream: int, context: int, step: int,
-                     block: int) -> Philox:
+                     block: int) -> np.random.Philox:
+    from numpy.random import Philox, SeedSequence  # loaded on first use, not at import
     key = SeedSequence(entropy=seed,
                        spawn_key=(substream, context, step)).generate_state(2, dtype=np.uint64)
     # Philox counters advance one 4-draw block per increment.

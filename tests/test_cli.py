@@ -273,6 +273,8 @@ def _env_with_the_package():
 
 
 def test_hedge_and_index_load_no_scipy(tmp_path):
+    # nor the grid, lattice and pricing routes, the noise generators or the
+    # thread pool, none of which they run
     hedge = write_config(tmp_path, "hedge.json", {"instruments": [
         {"name": "a", "delta": 0.6, "kappa": 1.0, "gamma": 0.02},
         {"name": "b", "delta": 0.4, "kappa": -1.0, "gamma": 0.01}]})
@@ -281,12 +283,15 @@ def test_hedge_and_index_load_no_scipy(tmp_path):
     script = (
         "import sys\n"
         "from stochastica.cli import main\n"
-        "def scipy_loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_loaded())\n"
+        "unused = ('scipy', 'stochastica.density', 'stochastica.pathintegral',\n"
+        "          'stochastica.pricing', 'numpy.random', 'concurrent.futures')\n"
+        "def unused_loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if any(m == u or m.startswith(u + '.') for u in unused))\n"
+        "print(unused_loaded())\n"
         "assert main(['hedge', '--config', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
         "assert main(['index', '--config', sys.argv[2], '--out', sys.argv[4]]) == 0\n"
-        "print(scipy_loaded())\n")
+        "print(unused_loaded())\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, hedge, index,
          str(tmp_path / "hedge.out"), str(tmp_path / "index.out")],

@@ -931,6 +931,36 @@ def test_non_finite_horizons_spots_and_centres_are_named(name, call):
             call()
 
 
+_BM2 = make_correlated_bm([0.0, 0.0], [0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]])
+_BM = make_bm(0.0, 0.5)
+
+
+@pytest.mark.parametrize("message, call", [
+    pytest.param("forward solver handles one-dimensional models",
+                 lambda: fokker_planck_forward(_BM2, point_mass_on_grid(_S, 0.0),
+                                               TimeGrid(0.0, 0.01, 10)), id="forward two-asset"),
+    pytest.param("initial density time must equal grid.t0",
+                 lambda: fokker_planck_forward(_BM, point_mass_on_grid(_S, 0.0, t=0.5),
+                                               TimeGrid(0.0, 0.01, 10)), id="forward start time"),
+    pytest.param("backward solver handles one-dimensional models",
+                 lambda: kolmogorov_backward(_BM2, np.tanh, _S, 0.0, 1.0),
+                 id="backward two-asset"),
+    pytest.param("t1 must exceed t0", lambda: kolmogorov_backward(_BM, np.tanh, _S, 1.0, 1.0),
+                 id="backward t1 equal to t0"),
+    pytest.param("t1 must exceed t0", lambda: kolmogorov_backward(_BM, np.tanh, _S, 1.0, 0.5),
+                 id="backward t1 before t0"),
+    pytest.param("terminal values must match the grid",
+                 lambda: kolmogorov_backward(_BM, np.tanh(_S[:-1]), _S, 0.0, 1.0),
+                 id="backward terminal length"),
+    pytest.param("terminal values must be finite",
+                 lambda: kolmogorov_backward(_BM, np.where(_S > 3.0, np.nan, np.tanh(_S)), _S,
+                                             0.0, 1.0), id="backward non-finite terminal"),
+])
+def test_grid_marches_refuse_inputs_they_cannot_march(message, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 131])
 def test_windowed_marches_equal_every_slice_bit_for_bit(n_steps):
     # evolve_density keeps only the latest slice; it is the last of the
