@@ -43,7 +43,8 @@ from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, _resolve_threads
 from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
                      model_hash)
 from .noise import validate_seed
-from .portfolio import DiscountCurve, _json_numbers, _require_finite, _require_positive, load_curve
+from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite,
+                        _require_positive, load_curve)
 
 _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
@@ -210,13 +211,8 @@ def _flag_or_config(args, cfg: dict, key: str, check, default=None):
 def _section(cfg: dict, name: str, **kinds) -> dict:
     """The entries that config.<name> gives, each checked by _require as its kind in
     kinds; an absent or null object gives none, and a key not in kinds is refused."""
-    where, sub = f"config.{name}", _require(cfg, name, dict, default={})
-    for key in (key for key in sub if key not in kinds):
-        import difflib  # only a refused key needs it
-        near = "".join(f"; did you mean {where}.{k}?"
-                       for k in difflib.get_close_matches(key, kinds, 1))
-        raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
-                         f"{', '.join(kinds)}{near}")
+    where = f"config.{name}"
+    sub = _declared(where, _require(cfg, name, dict, default={}), kinds)
     if "n_steps" in sub and "dt" in sub:  # each alone sets the step; together one is lost
         raise ValueError(f"{where}.n_steps and {where}.dt both set the step: give one")
     return {key: _require(sub, key, kinds[key], where=where) for key in sub}

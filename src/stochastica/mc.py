@@ -22,6 +22,8 @@ the calling thread works the first and up to `threads` - 1 pool workers the
 rest, each holding one span's arrays at a time; threads=None (the default)
 means the CPUs this process may use. Model drift/vol maps and payoff callables
 thus run on the calling and worker threads and must be pure functions.
+Spans hold at most _CHUNK = 32,768 paths, so that each Euler array is 256 KB;
+the spans of a step share its noise key, which noise derives once.
 _run_chunks imports concurrent.futures on first use, not at import.
 """
 
@@ -38,7 +40,7 @@ from .models import ModelSpec, model_hash
 from .portfolio import _require_positive
 
 _DEFAULT_MEMORY_LIMIT = 4 << 30  # bytes of path storage allowed in one batch
-_CHUNK = 1 << 16                 # most paths in one span of work
+_CHUNK = 1 << 15                 # most paths in one span of work
 # Fewest paths worth a span of their own: on smaller spans a second thread
 # loses more to interpreter-lock hand-offs per step than it gains.
 _MIN_SPAN = 1 << 14

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import DiscountCurve, _json_numbers, _require_finite
+from .portfolio import DiscountCurve, _declared, _json_numbers, _require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +452,7 @@ def load_model_config(doc: dict) -> ModelSpec:
     """Build a ModelSpec from {"type": ..., "params": {...}, "correlation": ...}."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("model config must be an object with a 'type' key")
+    _declared("model", doc, ("type", "params", "correlation"))
     type_name = doc["type"]
     params = doc.get("params", {})
     if not isinstance(params, dict):
@@ -459,6 +460,7 @@ def load_model_config(doc: dict) -> ModelSpec:
     if not isinstance(type_name, str) or type_name not in _BUILDERS:
         raise ValueError(f"unknown model type {type_name!r}")
     one_asset, correlated, keys = _BUILDERS[type_name]
+    _declared("model.params", params, keys)
     missing = [k for k in keys if params.get(k) is None]
     if missing:
         raise ValueError(f"params.{missing[0]} (numeric) required for type {type_name!r}")

@@ -12,13 +12,16 @@ Gaussians are produced by the inverse normal CDF applied to 53-bit
 uniforms in the open interval (0, 1), so each draw depends only on its
 own address. The keyed generator imports numpy.random's Philox and
 SeedSequence, and normal_block scipy.special's ndtri, on first use, so
-importing this module loads neither numpy.random nor scipy.
+importing this module loads neither numpy.random nor scipy. _key derives
+each address's key once and caches it read-only: the spans of a step share it.
 
 The ``context`` integer separates streams that must not be correlated,
 e.g. grids with different step counts in a refinement study.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,13 +46,20 @@ def validate_seed(seed) -> int:
     return seed
 
 
-def _keyed_generator(seed: int, substream: int, context: int, step: int,
-                     block: int) -> np.random.Philox:
-    from numpy.random import Philox, SeedSequence  # loaded on first use, not at import
+@functools.lru_cache(maxsize=256)  # every step of a grid of up to 256 steps
+def _key(seed: int, substream: int, context: int, step: int) -> np.ndarray:
+    from numpy.random import SeedSequence  # loaded on first use, not at import
     key = SeedSequence(entropy=seed,
                        spawn_key=(substream, context, step)).generate_state(2, dtype=np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+def _keyed_generator(seed: int, substream: int, context: int, step: int,
+                     block: int) -> np.random.Philox:
+    from numpy.random import Philox  # loaded on first use, not at import
     # Philox counters advance one 4-draw block per increment.
-    return Philox(counter=[block, 0, 0, 0], key=key)
+    return Philox(counter=[block, 0, 0, 0], key=_key(seed, substream, context, step))
 
 
 def uniform_block(seed: int, substream: int, context: int, step: int,

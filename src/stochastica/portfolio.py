@@ -27,6 +27,18 @@ def _json_numbers(key: str, value):
     return value
 
 
+def _declared(where: str, doc: dict, keys) -> dict:
+    """doc once every key in it is one of keys; any other is refused by name,
+    with the nearest declared key when one is close."""
+    for key in (key for key in doc if key not in keys):
+        import difflib  # only a refused key needs it
+        near = "".join(f"; did you mean {where}.{k}?"
+                       for k in difflib.get_close_matches(str(key), keys, 1))
+        raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
+                         f"{', '.join(keys)}{near}")
+    return doc
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -178,6 +190,7 @@ def load_curve(doc) -> DiscountCurve:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "t" not in entry or "r" not in entry:
             raise ValueError(f"curve[{i}] must be an object with keys 't' and 'r'")
+        _declared(f"curve[{i}]", entry, ("t", "r"))
         times.append(_json_numbers(f"curve[{i}].t", entry["t"]))
         rates.append(_json_numbers(f"curve[{i}].r", entry["r"]))
     return DiscountCurve(times=tuple(times), rates=tuple(rates))

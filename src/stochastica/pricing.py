@@ -6,9 +6,14 @@ quadrature against a Green's function lattice. All routes price in the
 risk-neutral measure: every asset drifts at the short rate and values are
 discounted expectations.
 
+The call max(s, K) - K and the put K - min(s, K) are bit for bit max(s - K, 0)
+and max(K - s, 0). numpy subtracts into max's temporary, so a call holds one
+full-size array, not two; the put's array is the right operand and gets none.
+
 The Monte Carlo route steps with mc's Euler core (_euler_batch) and keeps
 its latest simulation's terminal states: consecutive pv_mc calls on one
-path set, one per payoff, simulate once, stream payoffs excepted.
+path set, one per payoff, simulate once, stream payoffs excepted. The exact
+draw S0 exp(R(0,T) - sigma^2 T/2 + sigma sqrt(T) z) runs in place in z's buffer.
 The PDE route solves on one grid per spot, whatever the strike, starting
 from the payoff averaged over each log cell, and steps with density's
 factored theta system (_ThetaSystem), rebuilt only when sigma's values
@@ -60,13 +65,13 @@ class PayoffSpec:
 
 def call_payoff(K: float) -> PayoffSpec:
     K = float(K)
-    return PayoffSpec(terminal=lambda s: np.maximum(s - K, 0.0),
+    return PayoffSpec(terminal=lambda s: np.maximum(s, K) - K,
                       kind="call", strike=K)
 
 
 def put_payoff(K: float) -> PayoffSpec:
     K = float(K)
-    return PayoffSpec(terminal=lambda s: np.maximum(K - s, 0.0),
+    return PayoffSpec(terminal=lambda s: K - np.minimum(s, K),
                       kind="put", strike=K)
 
 
@@ -302,8 +307,9 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
     def draw() -> np.ndarray:
         sigma = rn.family.sigma
         z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n_paths, 1)[:, 0]
-        return start[0] * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
-                                 + sigma * math.sqrt(T) * z)
+        z *= sigma * math.sqrt(T)
+        z += curve.integral(0.0, T) - 0.5 * sigma * sigma * T
+        return np.multiply(np.exp(z, out=z), start[0], out=z)
 
     def march() -> np.ndarray:
         grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)

@@ -764,6 +764,31 @@ def test_a_key_a_settings_object_does_not_declare_exits_2_naming_it(tmp_path, ca
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"model": {"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2, "sigmaa": 0.9}}},
+     "model.params.sigmaa is not a setting of model.params, which takes mu, sigma; "
+     "did you mean model.params.sigma?"),
+    ({"model": {"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2}, "extra": 1}},
+     "model.extra is not a setting of model, which takes type, params, correlation"),
+    ({"curve": [{"t": 0.0, "r": 0.05, "x": 3}]},
+     "curve[0].x is not a setting of curve[0], which takes t, r"),
+])
+def test_a_key_the_model_or_curve_does_not_declare_exits_2_naming_it(tmp_path, capsys,
+                                                                     extra, message):
+    # each was dropped, and the run printed the clean config's body with exit 0
+    doc = dict(GBM_PRICE_DOC, method="analytic", **extra)
+    assert main(["price", "--config", write_config(tmp_path, "key.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_each_model_type_declares_its_own_params(tmp_path, capsys):
+    # a vasicek param is no gbm param
+    doc = dict(GBM_PRICE_DOC, method="analytic",
+               model={"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2, "a": 1.0}})
+    assert main(["price", "--config", write_config(tmp_path, "key.json", doc)]) == 2
+    assert "model.params.a is not a setting of model.params" in capsys.readouterr().err
+
+
 def test_price_without_settings_objects_takes_each_routes_own_defaults(tmp_path):
     doc = {k: v for k, v in GBM_PRICE_DOC.items() if k != "mc"}
     out = tmp_path / "price.json"

@@ -229,9 +229,12 @@ def test_spans_cover_every_path_once(n, threads):
 
 
 def test_spans_are_balanced_over_the_threads():
-    assert mc._spans(100000, 2) == [(0, 50000), (50000, 100000)]
-    assert mc._spans(131072, 2) == [(0, 65536), (65536, 131072)]
-    assert len(mc._spans(10**6, 3)) == 18
+    # spans of at most 32,768 paths, the same count for each thread
+    assert mc._spans(100000, 2) == [(0, 25000), (25000, 50000), (50000, 75000),
+                                    (75000, 100000)]
+    assert mc._spans(131072, 2) == [(0, 32768), (32768, 65536), (65536, 98304),
+                                    (98304, 131072)]
+    assert len(mc._spans(10**6, 3)) == 33
     assert mc._spans(1000, 4) == [(0, 1000)]
     assert mc._spans(2 * mc._MIN_SPAN - 1, 2) == [(0, 2 * mc._MIN_SPAN - 1)]
 
@@ -283,8 +286,8 @@ def test_fast_thread_switching_runs_each_span_once_and_raises_the_earliest_failu
 
 
 def test_two_thread_terminal_march_traces_at_most_six_and_a_half_mib():
-    # each of the two threads holds one 65,536-path span's state, draws and
-    # step arrays; the terminal array is 1 MiB of it
+    # each of the two threads holds one span's state, draws and step arrays;
+    # the terminal array is 1 MiB of it
     m, grid = make_gbm(0.05, 0.2), TimeGrid(0.0, 1.0 / 64, 64)
     simulate_terminal(m, 100.0, grid, 64, seed=1, threads=2)   # loads ndtri first
     tracemalloc.start()

@@ -112,3 +112,14 @@ def test_pinned_block_digests(address, normal, uniform):
 
     assert digest(noise.normal_block(*address)) == normal
     assert digest(noise.uniform_block(*address)) == uniform
+
+
+def test_the_key_is_derived_once_per_address_and_read_only():
+    from numpy.random import SeedSequence
+    key = noise._key(7, noise.EULER, 64, 5)
+    want = SeedSequence(entropy=7, spawn_key=(noise.EULER, 64, 5)).generate_state(2, np.uint64)
+    assert key.dtype == np.uint64 and key.tobytes() == want.tobytes()
+    assert noise._key(7, noise.EULER, 64, 5) is key    # every span shares it
+    assert not key.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        key[0] = 0

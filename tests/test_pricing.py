@@ -9,6 +9,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,7 +516,7 @@ def test_pv_mc_thread_count_does_not_change_values():
 
 
 def test_pv_mc_default_threads_match_one_thread():
-    # 70,000 paths make two spans at one thread and at any other count
+    # 70,000 paths make three spans at one thread and four at two
     curve = DiscountCurve(times=(0.0,), rates=(0.05,))
     args = (make_gbm(0.12, 0.2), curve, call_payoff(100.0), 100.0, 1.0, 0.25,
             70_000)
@@ -524,6 +525,19 @@ def test_pv_mc_default_threads_match_one_thread():
         pricing._clear_path_memo()
         b = pv_mc(*args, seed=5, exact_terminal=exact)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+
+def test_pv_mc_euler_on_half_size_spans_is_the_same_at_one_two_and_three_threads():
+    # on two threads 131,072 paths are four 32,768-path spans, two each
+    assert mc._spans(131_072, 2) == [(k * 32_768, (k + 1) * 32_768) for k in range(4)]
+    args = (make_gbm(0.05, 0.4), DiscountCurve.flat(0.05), call_payoff(80.0), 100.0,
+            2.0, 2.0 / 16, 131_072, 3)
+    got = set()
+    for threads in (1, 2, 3):
+        pricing._clear_path_memo()
+        est = pv_mc(*args, threads=threads, exact_terminal=False)
+        got.add((est.mean, est.std_error))
+    assert len(got) == 1
 
 
 _STREAM = PayoffSpec(terminal=lambda s: np.maximum(s - 100.0, 0.0),
@@ -1147,3 +1161,74 @@ def test_pv_green_warns_when_payoff_leaks():
     g = greens_function(rn, curve, 0.0, S0, T, 1.0 / 64, half_width=3.5)
     with pytest.warns(RuntimeWarning, match="leak"):
         pv_green(g, call_payoff(100.0))
+
+
+# ---------------------------------------------------------------------------
+# Full-size temporaries: the same bits from fewer arrays
+
+
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   1e-310, -1e-310, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("K", [5e-324, 1e-300, 0.5, 80.0, 100.0, 120.0, 1e300, 1e308])
+def test_one_temporary_call_and_put_keep_the_bits_of_the_textbook_forms(K):
+    # the one-temporary forms must give the textbook forms' bits, NaN signs included
+    sample = np.random.default_rng(3).lognormal(math.log(100.0), 0.4, 100_000)
+    s = np.concatenate([_EDGES, np.nextafter(K, [-np.inf, np.inf]), [K], sample])
+    with np.errstate(over="ignore"):    # K - s overflows at s = -1e308, as it should
+        pairs = ((call_payoff(K).terminal(s), np.maximum(s - K, 0.0)),
+                 (put_payoff(K).terminal(s), np.maximum(K - s, 0.0)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("curve", [DiscountCurve.flat(0.05),
+                                   DiscountCurve(times=(0.0, 0.5), rates=(0.03, 0.07))],
+                         ids=["flat", "two-rate"])
+def test_exact_pv_mc_keeps_the_bits_of_the_textbook_draw(curve):
+    # the in-place draw must give the out-of-place expression's bits
+    sigma, T, K, n, seed = 0.4, 2.0, 80.0, 200_000, 3
+    pricing._clear_path_memo()
+    est = pv_mc(make_gbm(0.05, sigma), curve, call_payoff(K), 100.0, T, T, n, seed)
+    assert est.metadata["sampler"] == "exact-terminal"
+    z = noise.normal_block(seed, noise.TERMINAL, 1, 0, 0, n, 1)[:, 0]
+    s = 100.0 * np.exp(curve.integral(0.0, T) - 0.5 * sigma * sigma * T
+                       + sigma * math.sqrt(T) * z)
+    v = curve.discount(0.0, T) * np.maximum(s - K, 0.0)
+    assert (est.mean, est.std_error) == _mean_and_se(v)
+
+
+def _traced_peak_mib(run) -> float:
+    """tracemalloc's peak over run(), after a warm-up call: first-use imports
+    and caches are not the route's memory. Each run starts with no path memo."""
+    pricing._clear_path_memo()
+    run()
+    pricing._clear_path_memo()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+        pricing._clear_path_memo()
+
+
+_BUDGET_CALL = (make_gbm(0.05, 0.4), DiscountCurve.flat(0.05), call_payoff(80.0), 100.0, 2.0)
+_BUDGET_RUNS = {
+    "euler-1-thread": lambda m, c, p, S0, T: pv_mc(m, c, p, S0, T, T / 64, 131_072, 3,
+                                                   threads=1, exact_terminal=False),
+    "euler-2-threads": lambda m, c, p, S0, T: pv_mc(m, c, p, S0, T, T / 64, 131_072, 3,
+                                                    threads=2, exact_terminal=False),
+    "exact": lambda m, c, p, S0, T: pv_mc(m, c, p, S0, T, T, 200_000, 3),
+    "pde": lambda m, c, p, S0, T: pv_pde(p, c, 0.4, S0, T),
+}
+
+
+@pytest.mark.parametrize("route, budget", [
+    ("euler-1-thread", 3.4), ("euler-2-threads", 4.0), ("exact", 5.2), ("pde", 1.3)])
+def test_each_pricing_route_keeps_its_traced_memory_budget(route, budget):
+    # these peaks repeat to the KB, and one more full-size temporary in a payoff
+    # call, the exact draw or a span's arrays (0.5 to 1.5 MiB here) breaks a budget
+    peak = _traced_peak_mib(lambda: _BUDGET_RUNS[route](*_BUDGET_CALL))
+    assert peak <= budget, f"traced peak {peak:.3f} MiB over the {budget} MiB budget"
