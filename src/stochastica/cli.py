@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: simulate | density | price | greeks | hedge | index | check,
-one row each of the command table _COMMANDS. main loads the config and
-resolves the format, and the seed and thread count of the three commands
-that sample noise (only they take --seed and --threads), for the handler.
+one row each of the command table _COMMANDS. main loads the config, refuses
+a key the command's row does not declare, and resolves the format, and the
+seed and thread count of the three commands that sample noise (only they
+take --seed and --threads), for the handler.
 Each handler computes its JSON document and its CSV body; main writes the
 body the format picks and the sidecar, then fails a check suite that failed.
 _section reads a settings object (pde, green, mc, resolution, grid), refuses
@@ -458,6 +459,7 @@ def cmd_hedge(args, cfg: dict) -> tuple:
         where = f"config.instruments[{i}]"
         if not isinstance(row, dict):
             raise ValueError(f"{where} must be an object")
+        _declared(where, row, ("name", "delta", "kappa", "gamma"))
         delta, kappa, gamma = (
             _require_finite(f"{where}.{greek}",
                             _require(row, greek, float, "a sensitivity", where=where))
@@ -559,15 +561,22 @@ def cmd_check(args, cfg: dict) -> tuple:
 
 
 # name: (handler, default format, whether it samples noise and so takes
-# --seed and --threads and records the seed in the sidecar, help text)
+# --seed and --threads and records the seed in the sidecar, help text, the
+# config keys the handler reads; format, and seed and threads where it samples)
 _COMMANDS = {
-    "simulate": (cmd_simulate, "csv", True, "sample Euler paths and summary statistics"),
-    "density": (cmd_density, "csv", False, "tabulate a terminal density by one or more methods"),
-    "price": (cmd_price, "json", True, "value a payoff by analytic, pde, green or mc routes"),
-    "greeks": (cmd_greeks, "json", False, "closed-form call sensitivities"),
-    "hedge": (cmd_hedge, "json", False, "solve for sensitivity-neutral position sizes"),
-    "index": (cmd_index, "json", False, "variance-minimizing index weights"),
-    "check": (cmd_check, "json", True, "run the cross-method agreement suite"),
+    "simulate": (cmd_simulate, "csv", True, "sample Euler paths and summary statistics",
+                 ("model", "S0", "t0", "dt", "n_steps", "n_paths", "include_paths")),
+    "density": (cmd_density, "csv", False, "tabulate a terminal density by one or more methods",
+                ("model", "S0", "t", "method", "resolution", "grid")),
+    "price": (cmd_price, "json", True, "value a payoff by analytic, pde, green or mc routes",
+              ("model", "curve", "payoff", "S0", "T", "method", "pde", "green", "mc")),
+    "greeks": (cmd_greeks, "json", False, "closed-form call sensitivities",
+               ("S", "K", "r", "sigma", "t")),
+    "hedge": (cmd_hedge, "json", False, "solve for sensitivity-neutral position sizes",
+              ("instruments", "targets", "normalization", "values")),
+    "index": (cmd_index, "json", False, "variance-minimizing index weights",
+              ("prices", "sigmas")),
+    "check": (cmd_check, "json", True, "run the cross-method agreement suite", ()),
 }
 
 
@@ -576,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochastica",
         description="Simulate diffusions, evolve densities, price and hedge.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, default_format, samples, help_text) in _COMMANDS.items():
+    for name, (_, default_format, samples, help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -594,9 +603,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, default_format, samples, _ = _COMMANDS[args.command]
+    handler, default_format, samples, _, keys = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
+        cfg = _declared("config", _load_config(args.config),
+                        keys + ("format", "seed", "threads")[:3 if samples else 1])
         fmt = args.format or cfg.get("format") or default_format
         if fmt not in _FORMATS:
             raise ValueError(f"config.format must be one of {_FORMATS}, not {fmt!r}")

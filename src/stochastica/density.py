@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalError
 from .mc import TimeGrid, _int_at_least
 from .models import BM, GBM, ModelSpec, Vasicek, model_hash  # benchmark tracer counts its calls
-from .portfolio import _require_finite, _require_positive
+from .portfolio import _require_finite, _require_grid, _require_positive
 
 _MASS_TOL = 1e-3          # allowed |trapezoid mass - 1| for a density grid
 _NEG_CLAMP = 1e-12        # negatives within this fraction of peak are zeroed
@@ -86,12 +86,10 @@ class DensityGrid:
 
     def __post_init__(self):
         _require_finite("t", self.t)
-        s = np.asarray(self.s_values, dtype=float)
+        s = _require_grid("s_values", self.s_values, 3)
         p = np.array(self.p_values, dtype=float)
-        if s.ndim != 1 or s.size < 3 or p.shape != s.shape:
-            raise ValueError("s_values and p_values must be 1-D arrays of equal length >= 3")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        if p.shape != s.shape:
+            raise ValueError(f"p_values must match s_values in shape, got {p.shape}")
         _check_densities(s, p)
         # a read-only grid that owns its memory, as a DensityGrid's, is shared
         if s.flags.writeable or not s.flags.owndata:
@@ -157,9 +155,7 @@ def point_mass_on_grid(s_values, center: float, t: float = 0.0) -> DensityGrid:
     while staying resolvable by the solvers; the discrete values are
     rescaled so the trapezoid mass is exactly 1.
     """
-    s = np.asarray(s_values, dtype=float)
-    if s.ndim != 1 or s.size < 5:
-        raise ValueError("grid must be a 1-D array with at least 5 nodes")
+    s = _require_grid("s_values", s_values, 5)
     if not (s[0] <= center <= s[-1]):
         raise ValueError("center must lie inside the grid")
     h = float(np.min(np.diff(s)))
@@ -715,9 +711,7 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     n_steps = _int_at_least("n_steps", n_steps, 1)
-    s = np.asarray(s_values, dtype=float)
-    if s.ndim != 1 or s.size < 3 or not np.all(np.diff(s) > 0):
-        raise ValueError("s_values must be a strictly increasing grid of >= 3 nodes")
+    s = _require_grid("s_values", s_values, 3)
     h = _require_uniform(s)
     u = np.asarray(terminal(s) if callable(terminal) else terminal, dtype=float)
     if u.shape != s.shape:

@@ -37,7 +37,7 @@ import numpy as np
 from . import noise
 from .errors import NumericalError
 from .models import ModelSpec, model_hash
-from .portfolio import _require_positive
+from .portfolio import _require_finite, _require_positive
 
 _DEFAULT_MEMORY_LIMIT = 4 << 30  # bytes of path storage allowed in one batch
 _CHUNK = 1 << 15                 # most paths in one span of work
@@ -67,8 +67,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not np.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
+        _require_finite("t0", self.t0)
         _require_positive("dt", self.dt)
         object.__setattr__(self, "n_steps", _int_at_least("n_steps", self.n_steps, 1))
 
@@ -309,15 +308,21 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sqrt(var / n))
 
 
+def _estimate(values: np.ndarray, what: str, n_paths: int, **metadata) -> MCEstimate:
+    """The MCEstimate of n_paths paths' finite values (a payoff may give one for
+    all); a value that is not finite is a NumericalError naming what produced it."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} produced non-finite values")
+    mean, se = _mean_and_se(values)
+    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, metadata=metadata)
+
+
 def expectation(f, batch: PathBatch) -> MCEstimate:
     """Estimate E f over the batch; f maps paths (n,steps+1,dim) -> (n,) values."""
     values = np.asarray(f(batch.paths), dtype=float)
     if values.shape != (batch.n_paths,):
         raise ValueError("functional must return one value per path")
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("functional produced non-finite values")
-    mean, se = _mean_and_se(values)
-    return MCEstimate(mean=mean, std_error=se, n_paths=batch.n_paths)
+    return _estimate(values, "functional", batch.n_paths)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import DiscountCurve, _declared, _json_numbers, _require_finite
+from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite, _require_grid,
+                        _require_nonnegative, _require_positive)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +188,10 @@ def model_hash(model: "ModelSpec | dict") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _require_sigma(sigma: float) -> float:
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0:
-        raise ValueError("sigma must be finite and >= 0")
-    return sigma
-
-
 def make_bm(mu: float, sigma: float) -> ModelSpec:
     """Arithmetic Brownian motion: constant drift and volatility."""
     mu = _require_finite("mu", mu)
-    sigma = _require_sigma(sigma)
+    sigma = _require_nonnegative("sigma", sigma)
 
     def drift(t, S):
         return np.full_like(S, mu)
@@ -212,7 +206,7 @@ def make_bm(mu: float, sigma: float) -> ModelSpec:
 def make_gbm(mu: float, sigma: float) -> ModelSpec:
     """Geometric Brownian motion: drift mu*S, volatility sigma*S."""
     mu = _require_finite("mu", mu)
-    sigma = _require_sigma(sigma)
+    sigma = _require_nonnegative("sigma", sigma)
 
     def drift(t, S):
         return mu * S
@@ -226,11 +220,9 @@ def make_gbm(mu: float, sigma: float) -> ModelSpec:
 
 def make_vasicek(a: float, b: float, sigma: float) -> ModelSpec:
     """Mean-reverting rate model: drift a*(b - S), constant volatility."""
-    a = _require_finite("a", a)
+    a = _require_positive("mean-reversion speed a", a)
     b = _require_finite("b", b)
-    sigma = _require_sigma(sigma)
-    if not a > 0:
-        raise ValueError("mean-reversion speed a must be positive")
+    sigma = _require_nonnegative("sigma", sigma)
 
     def drift(t, S):
         return a * (b - S)
@@ -244,11 +236,9 @@ def make_vasicek(a: float, b: float, sigma: float) -> ModelSpec:
 
 def make_custom_grid(s_values, drift_values, vol_values) -> ModelSpec:
     """1-D model with drift/vol tabulated on a price grid (linear interpolation)."""
-    s = np.asarray(s_values, dtype=float)
+    s = _require_grid("s_values", s_values, 2)
     dv = np.asarray(drift_values, dtype=float)
     vv = np.asarray(vol_values, dtype=float)
-    if s.ndim != 1 or s.size < 2 or np.any(np.diff(s) <= 0):
-        raise ValueError("s_values must be a strictly increasing 1-D grid")
     if dv.shape != s.shape or vv.shape != s.shape:
         raise ValueError("drift_values and vol_values must match s_values in shape")
     if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(vv))):

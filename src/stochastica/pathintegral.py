@@ -28,12 +28,12 @@ import numpy as np
 
 from . import noise
 from .errors import NumericalError
-from .mc import _CHUNK, MCEstimate, _check_finite_step, _int_at_least, _mean_and_se, _step_count
+from .mc import _CHUNK, MCEstimate, _check_finite_step, _estimate, _int_at_least, _step_count
 from .density import (DensityGrid, TransitionMatrix, quadrature_apply, trapezoid_weights,
                       _check_densities, _fixed_maps, _point_source,
                       _require_vanishing_edges, _Reused)
 from .models import ModelSpec, model_hash, risk_neutralize  # benchmark tracer counts model_hash
-from .portfolio import DiscountCurve, _require_finite, _require_positive
+from .portfolio import DiscountCurve, _require_finite, _require_grid, _require_positive
 
 _WINDOW_STD = 8.0   # kernel row support: +- this many std around the drifted center
 _LEAK_LIMIT = 0.01  # cumulative truncated mass that aborts propagation
@@ -99,10 +99,7 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values) -> Transitio
     """
     from scipy import sparse
 
-    src = np.asarray(source_values, dtype=float)
-    if not np.all(np.diff(src) > 0):
-        raise ValueError("kernel_matrix needs a strictly increasing "
-                         "grid to locate the kernel windows")
+    src = _require_grid("source_values", source_values, 0)
     mean = kernel.mean(t, src)
     std = kernel.std(t, src)
     if np.any(std == 0):
@@ -295,8 +292,9 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
 
     Uses its own noise substream, so estimates are independent of the
     mc-engine path simulator while following the same discrete law.
-    f maps an array of terminal values to an array of per-path values;
-    f of a constant array must be defined (used for the trivial check).
+    f is called once per chunk of paths, on its 1-D float array of terminal
+    values, and returns one value per path (or one for them all) as floats;
+    a value that is not finite is a NumericalError.
     """
     seed = noise.validate_seed(seed)
     _require_finite("t0", t0)
@@ -318,8 +316,4 @@ def pi_expectation(model: ModelSpec, f, t0: float, S0: float, T: float,
             s = kernel.mean(t_m, s) + kernel.std(t_m, s) * z
             _check_finite_step(s, m + 1, lo)
         values[lo:hi] = np.asarray(f(s), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("functional produced non-finite values")
-    mean, se = _mean_and_se(values)
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      metadata={"method": "pathintegral"})
+    return _estimate(values, "functional", n_paths, method="pathintegral")

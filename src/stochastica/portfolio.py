@@ -53,6 +53,24 @@ def _require_positive(name: str, value: float) -> float:
     return number
 
 
+def _require_nonnegative(name: str, value: float) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return number
+
+
+def _require_grid(name: str, values, min_nodes: int):
+    """values as a float array once they are a strictly increasing 1-D grid of
+    min_nodes or more nodes; a NaN node fails the comparison and is refused."""
+    import numpy as np  # only the grid routes, which have loaded it, call this
+    s = np.asarray(values, dtype=float)
+    if s.ndim != 1 or s.size < min_nodes or not np.all(np.diff(s) > 0):
+        raise ValueError(f"{name} must be a strictly increasing 1-D grid of >= {min_nodes} "
+                         f"nodes, got {np.array2string(s, threshold=8)}")
+    return s
+
+
 @dataclass(frozen=True, slots=True)
 class Cashflow:
     """A fixed amount of numeraire paid at a fixed future time (years)."""
@@ -62,8 +80,7 @@ class Cashflow:
 
     def __post_init__(self):
         _require_finite("amount", self.amount)
-        if _require_finite("t", self.t) < 0:
-            raise ValueError("cashflow time must be >= 0")
+        _require_nonnegative("t", self.t)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,12 @@ from . import noise
 from .density import (GridFunction, _ThetaSystem, _grid_nodes, _Reused,
                       trapezoid_weights)
 from .errors import NumericalError
-from .mc import (MCEstimate, TimeGrid, _batch_args, _euler_batch, _int_at_least,
-                 _mean_and_se, _step_count)
+from .mc import (MCEstimate, TimeGrid, _batch_args, _estimate, _euler_batch, _int_at_least,
+                 _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import DiscountCurve, _json_numbers, _require_finite, _require_positive
+from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite, _require_grid,
+                        _require_nonnegative, _require_positive)
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -84,10 +85,8 @@ def digital_payoff(K: float) -> PayoffSpec:
 
 def table_payoff(s_values, payoff_values) -> PayoffSpec:
     """Custom payoff tabulated on a price grid, linearly interpolated."""
-    s = np.asarray(s_values, dtype=float)
+    s = _require_grid("payoff table s_values", s_values, 2)
     v = np.asarray(payoff_values, dtype=float)
-    if s.ndim != 1 or s.size < 2 or np.any(np.diff(s) <= 0):
-        raise ValueError("payoff table grid must be strictly increasing")
     if v.shape != s.shape or not np.all(np.isfinite(v)):
         raise ValueError("payoff table values must be finite and match the grid")
     return PayoffSpec(terminal=lambda q: np.interp(q, s, v), kind="custom")
@@ -98,10 +97,7 @@ def payoff_from_config(doc: dict) -> PayoffSpec:
     "table": {"s": [...], "values": [...]}}; any other key is refused."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("payoff must be an object with a 'kind' key")
-    unknown = [key for key in doc if key not in ("kind", "strike", "table")]
-    if unknown:
-        raise ValueError(f"unknown payoff key {unknown[0]!r}: a payoff takes "
-                         "kind, strike and table only")
+    _declared("payoff", doc, ("kind", "strike", "table"))
     kind = doc["kind"]
     if kind in ("call", "put", "digital"):
         if doc.get("strike") is None:
@@ -152,10 +148,8 @@ class BSParams:
             _require_finite(name, getattr(self, name))
         if not (self.S > 0 and self.K > 0):
             raise ValueError("S and K must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        _require_nonnegative("sigma", self.sigma)
+        _require_nonnegative("t", self.t)
 
     @property
     def d_plus(self) -> float:
@@ -327,10 +321,7 @@ def pv_mc(model: ModelSpec, curve: DiscountCurve, payoff, S0: float, T: float,
                               payoff.stream is None)
     v = disc_T * np.asarray(payoff.terminal(states.copy()), dtype=float)
     v = v if payoff.stream is None else v + acc
-    if not np.all(np.isfinite(v)):
-        raise NumericalError("payoff produced non-finite values")
-    mean, se = _mean_and_se(v)
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, metadata=metadata)
+    return _estimate(v, "payoff", n_paths, **metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -646,7 +646,7 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
     ("price", {"method": "green", "green": {"dt": None}}, "config.green.dt"),
     ("price", {"mc": 5}, "config.mc"),
     ("price", {"payoff": {"kind": "call", "strike": 100.0, "stream": {"rate": 1.0}}},
-     "payoff key 'stream'"),
+     "payoff.stream is not a setting of payoff"),
     ("hedge", {"instruments": [dict(HEDGE_DOC["instruments"][0], delta=None),
                                HEDGE_DOC["instruments"][1]]},
      "config.instruments[0].delta"),
@@ -779,6 +779,71 @@ def test_a_key_the_model_or_curve_does_not_declare_exits_2_naming_it(tmp_path, c
     doc = dict(GBM_PRICE_DOC, method="analytic", **extra)
     assert main(["price", "--config", write_config(tmp_path, "key.json", doc)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_PRICE_KEYS = "model, curve, payoff, S0, T, method, pde, green, mc, format, seed, threads"
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    # priced by the analytic route only
+    ("price", {"methd": "mc"},
+     f"config.methd is not a setting of config, which takes {_PRICE_KEYS}; "
+     "did you mean config.method?"),
+    # ran with seed 0
+    ("price", {"sead": 4},
+     f"config.sead is not a setting of config, which takes {_PRICE_KEYS}; "
+     "did you mean config.seed?"),
+    # a density setting and a hedge setting that price does not read
+    ("price", {"grid": {"n_node": 5}},
+     f"config.grid is not a setting of config, which takes {_PRICE_KEYS}"),
+    ("price", {"normalization": 3},
+     f"config.normalization is not a setting of config, which takes {_PRICE_KEYS}"),
+    ("index", {"extra": 1},
+     "config.extra is not a setting of config, which takes prices, sigmas, format"),
+    # only the three commands that sample noise take a seed
+    ("greeks", {"seed": 3},
+     "config.seed is not a setting of config, which takes S, K, r, sigma, t, format"),
+    # a sensitivity neutralize does not know was dropped
+    ("hedge", {"instruments": [dict(HEDGE_DOC["instruments"][0], vega=3),
+                               HEDGE_DOC["instruments"][1]]},
+     "config.instruments[0].vega is not a setting of config.instruments[0], which "
+     "takes name, delta, kappa, gamma"),
+])
+def test_a_top_level_or_instrument_key_a_command_does_not_read_exits_2(tmp_path, capsys,
+                                                                       command, extra,
+                                                                       message):
+    # each of these exited 0 with the key ignored
+    base = {"price": dict(GBM_PRICE_DOC, method="analytic"), "index": INDEX_DOC,
+            "greeks": GREEKS_DOC, "hedge": HEDGE_DOC}[command]
+    doc = dict(base, **extra)
+    assert main([command, "--config", write_config(tmp_path, "key.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_benchmark_cli_config_keeps_to_its_commands_declared_keys(tmp_path,
+                                                                        monkeypatch):
+    # a key declaration that dropped a key the benchmark writes would fail
+    # every cli_session call; the benchmark's own files are only read here
+    import importlib.util
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark")
+    monkeypatch.syspath_prepend(bench)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    session = workloads.CliSession(small=True)
+    seen = set()
+    for seed in (1, 2):
+        for call in session.build(seed, str(tmp_path)):
+            command = call.argv[0]
+            _, _, samples, _, keys = cli._COMMANDS[command]
+            declared = set(keys) | {"format"} | ({"seed", "threads"} if samples else set())
+            with open(call.argv[call.argv.index("--config") + 1], encoding="utf-8") as fh:
+                assert set(json.load(fh)) <= declared, call.argv
+            seen.add(command)
+    assert seen == set(cli._COMMANDS)
 
 
 def test_each_model_type_declares_its_own_params(tmp_path, capsys):

@@ -146,18 +146,22 @@ def test_vasicek_maps():
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("name, build", [
-    ("mu", lambda v: make_bm(v, 0.3)),
-    ("mu", lambda v: make_gbm(v, 0.2)),
-    ("a", lambda v: make_vasicek(v, 0.05, 0.02)),
-    ("b", lambda v: make_vasicek(1.0, v, 0.02)),
-    (r"mus\[1\]", lambda v: make_correlated_bm([0.0, v], [0.2, 0.3], [[1, 0], [0, 1]])),
-    (r"sigmas\[0\]", lambda v: make_correlated_gbm([0.0, 0.0], [v, 0.3], [[1, 0], [0, 1]])),
+@pytest.mark.parametrize("rule, build", [
+    ("mu must be finite", lambda v: make_bm(v, 0.3)),
+    ("mu must be finite", lambda v: make_gbm(v, 0.2)),
+    # a, which must be positive, is refused as density_vasicek refuses it
+    ("mean-reversion speed a must be finite and positive",
+     lambda v: make_vasicek(v, 0.05, 0.02)),
+    ("b must be finite", lambda v: make_vasicek(1.0, v, 0.02)),
+    (r"mus\[1\] must be finite",
+     lambda v: make_correlated_bm([0.0, v], [0.2, 0.3], [[1, 0], [0, 1]])),
+    (r"sigmas\[0\] must be finite",
+     lambda v: make_correlated_gbm([0.0, 0.0], [v, 0.3], [[1, 0], [0, 1]])),
 ], ids=["bm mu", "gbm mu", "vasicek a", "vasicek b", "correlated mus", "correlated sigmas"])
-def test_builders_refuse_a_non_finite_parameter_by_name(name, build, value):
+def test_builders_refuse_a_non_finite_parameter_by_name(rule, build, value):
     # these used to build a model whose densities were nan, or whose grid
     # was refused as "degenerate support"; a nan sigma passed sigma < 0
-    with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+    with pytest.raises(ValueError, match=rf"^{rule}, got "):
         build(value)
 
 

@@ -14,11 +14,23 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from stochastica import (
+    BSParams,
     Cashflow,
+    DensityGrid,
     DiscountCurve,
+    TimeGrid,
     fixed_loan_coupon,
     fixed_loan_schedule,
+    kernel_matrix,
+    kolmogorov_backward,
+    make_bm,
+    make_custom_grid,
+    make_gbm,
+    make_vasicek,
+    one_step_kernel,
+    point_mass_on_grid,
     pv_deterministic,
+    table_payoff,
     zero_coupon_price,
 )
 
@@ -198,3 +210,75 @@ def test_curve_refuses_a_non_finite_time_by_name(call, name):
     # last rate, 0.08
     with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# one refusal rule per condition
+
+
+_GRID_SITES = {
+    # a uniform density of unit mass on a grid of unit steps
+    "DensityGrid": ("s_values", 3, lambda s: DensityGrid(
+        s, np.full(len(s), 1.0 / (len(s) - 1)), 0.0)),
+    "point_mass_on_grid": ("s_values", 5, lambda s: point_mass_on_grid(s, 2.0)),
+    "kolmogorov_backward": ("s_values", 3, lambda s: kolmogorov_backward(
+        make_bm(0.0, 1.0), np.ones(len(s)), s, 0.0, 1.0, n_steps=2)),
+    "kernel_matrix": ("source_values", 0, lambda s: kernel_matrix(
+        one_step_kernel(make_bm(0.0, 1.0), 0.0, 0.01), 0.0, s)),
+    "table_payoff": ("payoff table s_values", 2, lambda s: table_payoff(s, np.ones(len(s)))),
+    "make_custom_grid": ("s_values", 2, lambda s: make_custom_grid(
+        s, np.zeros(len(s)), np.ones(len(s)))),
+}
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0, 3.0, 4.0], [0.0, 1.0, 2.0, 4.0, 3.0],
+                                  # a NaN node passed DensityGrid, table_payoff and
+                                  # make_custom_grid, which then gave NaN masses and values
+                                  [0.0, 1.0, math.nan, 3.0, 4.0]],
+                         ids=["repeated node", "decreasing node", "NaN node"])
+@pytest.mark.parametrize("site", sorted(_GRID_SITES))
+def test_each_grid_route_refuses_a_grid_that_is_not_strictly_increasing_by_name(site, grid):
+    name, min_nodes, build = _GRID_SITES[site]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a strictly increasing 1-D grid of >= {min_nodes} nodes, got [")):
+        build(grid)
+
+
+@pytest.mark.parametrize("site", sorted(s for s in _GRID_SITES if _GRID_SITES[s][1]))
+def test_each_grid_route_refuses_too_few_nodes_at_its_own_minimum(site):
+    name, min_nodes, build = _GRID_SITES[site]
+    build(np.arange(float(min_nodes)))  # the fewest it takes
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a strictly increasing")):
+        build(np.arange(min_nodes - 1.0))
+
+
+@pytest.mark.parametrize("value", [-0.5, -math.inf, math.nan])
+@pytest.mark.parametrize("name, build", [
+    ("sigma", lambda v: make_bm(0.0, v)),
+    ("sigma", lambda v: make_gbm(0.0, v)),
+    ("sigma", lambda v: make_vasicek(1.0, 0.0, v)),
+    ("t", lambda v: Cashflow(1.0, v)),
+], ids=["bm sigma", "gbm sigma", "vasicek sigma", "cashflow t"])
+def test_a_non_negative_input_is_refused_with_one_wording(name, build, value):
+    # the cashflow said "cashflow time must be >= 0", the builders named no value
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and >= 0, got {value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("name", ["sigma", "t"])
+def test_bsparams_refuses_a_negative_sigma_or_t_with_the_same_wording(name):
+    inputs = dict(S=100.0, K=100.0, r=0.05, sigma=0.2, t=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and >= 0, got -1.0")):
+        BSParams(**dict(inputs, **{name: -1.0}))
+    # the finite check still comes first
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
+        BSParams(**dict(inputs, **{name: math.nan}))
+
+
+def test_time_grid_start_and_vasicek_speed_name_their_value():
+    with pytest.raises(ValueError, match=re.escape("t0 must be finite, got nan")):
+        TimeGrid(math.nan, 0.1, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "mean-reversion speed a must be finite and positive, got 0.0")):
+        make_vasicek(0.0, 0.05, 0.02)
