@@ -6,12 +6,13 @@ monotone maps, a conservative finite-difference solver for the forward
 and quadrature composition of transition densities. The forward and
 backward solvers and pricing.pv_pde share one theta step, _ThetaSystem:
 one gttrs solve a step, factored (LAPACK gttrf) at most once per theta, the
-bits of solve_banded on the one-solve right-hand side. Each solver builds
-its own coefficients and runs its own checks. The one rule for when a
-march reuses its operator lives here, in _Reused: those two solvers,
-pricing.pv_pde and the pathintegral lattice rebuild only when the maps
-they read on the grid change, bit for bit, and read maps free of t once.
-The forward march checks each density slice as it makes it.
+bits of solve_banded on the one-solve right-hand side. The backward solver
+and pv_pde march one operator, _backward_march (a u'' + b u' - c u, edges
+at u'' = k u'); c, k, grid and checks are each route's own. The one rule
+for when a march reuses its operator lives here, in _Reused: the grid
+marches and the pathintegral lattice rebuild only when the maps they read
+on the grid change, bit for bit, and read maps free of t once. The forward
+march checks each density slice as it makes it.
 
 Grid densities are plain values-per-unit-price on a strictly increasing
 grid; all integrals are trapezoid sums with the weights of the grid the
@@ -533,6 +534,34 @@ class _ThetaSystem:
         return x
 
 
+def _backward_march(maps, fixed: bool, c: float, k: float, h: float, u: np.ndarray,
+                    t1: float, dt: float, n_steps: int, what: str, source=None):
+    """Yield (m, t, u) after each step m of du/dtau = a u'' + b u' - c u from u at t1, at
+    t = t1 - (m + 1/2) dt, on a grid of spacing h: central differences, (a, b) = maps(t)
+    (read once if fixed) and the optional source(t) added to the right-hand side; each
+    edge's ghost node meets u'' = k u'. Non-finite values are a NumericalError of `what` solve."""
+    def system(t: float, a: np.ndarray, b: np.ndarray) -> _ThetaSystem:
+        lower, diag, upper = np.zeros((3, u.size))
+        upper[1:-1] = a[1:-1] / (h * h) + b[1:-1] / (2 * h)
+        lower[1:-1] = a[1:-1] / (h * h) - b[1:-1] / (2 * h)
+        diag[1:-1] = -2 * a[1:-1] / (h * h) - c
+        # the ghost node is alpha u_edge + beta u_inner; the top edge is the bottom with -h
+        for i, inner, g in ((0, upper, h), (-1, lower, -h)):
+            alpha = 2.0 / (1.0 + 0.5 * k * g)
+            beta = -(1.0 - 0.5 * k * g) / (1.0 + 0.5 * k * g)
+            diag[i] = a[i] * (alpha - 2) / (h * h) - b[i] * alpha / (2 * g) - c
+            inner[i] = a[i] * (1 + beta) / (h * h) + b[i] * (1 - beta) / (2 * g)
+        return _ThetaSystem(lower, diag, upper, dt)
+
+    operator = _Reused(system, maps, fixed)
+    for m in range(n_steps):
+        t = t1 - (m + 0.5) * dt
+        u = operator(t).step(u, m, None if source is None else source(t))
+        if not np.isfinite(u).all():
+            raise NumericalError(f"{what} solve produced non-finite values at step {m + 1}")
+        yield m, t, u
+
+
 def _require_vanishing_edges(p: np.ndarray, remedy: str = "") -> None:
     """An initial density must vanish (<= 1e-8 of its peak) at both edges. With
     no remedy given, a start under 1.5 cells wide (as point_mass_on_grid makes
@@ -700,9 +729,9 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
     """Conditional expectation u(t0, S0) = E[terminal(S_t1) | S_t0 = S0].
 
     Marches du/dtau = mu du/dS + sigma^2/2 d2u/dS2 from the terminal data
-    back to t0 on the given grid. Edge rows use one-sided first derivatives
-    from zero-curvature extrapolation, so constants and linear functions
-    pass through to rounding.
+    back to t0 on the given grid, by the operator pv_pde marches too, with
+    c = 0 and k = 0: zero curvature at the edges, whose rows are then
+    one-sided slopes, so constants and linear functions pass through to rounding.
     """
     if model.dim != 1:
         raise ValueError("backward solver handles one-dimensional models")
@@ -721,29 +750,13 @@ def kolmogorov_backward(model: ModelSpec, terminal, s_values, t0: float,
 
     dt = (t1 - t0) / n_steps
     tv0 = float(np.abs(np.diff(u)).sum())
-
-    def stencil(tau, mu, d):
-        lower, diag, upper = np.zeros((3, s.size))
-        # interior: central first and second differences
-        upper[1:-1] = mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-        lower[1:-1] = -mu[1:-1] / (2 * h) + d[1:-1] / (h * h)
-        diag[1:-1] = -2 * d[1:-1] / (h * h)
-        # edges: zero curvature, one-sided slope
-        diag[0], upper[0] = -mu[0] / h, mu[0] / h
-        diag[-1], lower[-1] = mu[-1] / h, -mu[-1] / h
-        return _ThetaSystem(lower, diag, upper, dt)
-
-    operator = _Reused(stencil, lambda t: (model.mu1(t, s), 0.5 * model.sigma1(t, s) ** 2),
-                       _fixed_maps(model))
-    for m in range(n_steps):
-        u = operator(t1 - (m + 0.5) * dt).step(u, m)
-        if not np.isfinite(u).all():
-            raise NumericalError(f"backward solve produced non-finite values at step {m + 1}")
+    for m, tau, u in _backward_march(
+            lambda t: (0.5 * model.sigma1(t, s) ** 2, model.mu1(t, s)), _fixed_maps(model),
+            0.0, 0.0, h, u, t1, dt, n_steps, "backward"):
         tv = float(np.abs(np.diff(u)).sum())
         scale = float(np.abs(u).max())
         if tv > 10.0 * tv0 and tv > 1e-9 * max(1.0, scale):
             # central differences keep an M-matrix only while |mu| h / sigma^2 <= 1
-            tau = t1 - (m + 0.5) * dt
             peclet = float(np.max(np.abs(model.mu1(tau, s)) * h / model.sigma1(tau, s) ** 2))
             raise NumericalError(
                 f"total variation grew {tv / max(tv0, 1e-300):.3g}x at step {m + 1}: " + (

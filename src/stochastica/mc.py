@@ -67,8 +67,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        _require_finite("t0", self.t0)
-        _require_positive("dt", self.dt)
+        object.__setattr__(self, "t0", _require_finite("t0", self.t0))
+        object.__setattr__(self, "dt", _require_positive("dt", self.dt))
         object.__setattr__(self, "n_steps", _int_at_least("n_steps", self.n_steps, 1))
 
     def time(self, m: int) -> float:

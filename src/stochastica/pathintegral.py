@@ -95,11 +95,11 @@ def kernel_matrix(kernel: ShortTimeKernel, t: float, source_values) -> Transitio
     between center -+ 8 std, found by binary search and widened by one node
     per side, so the |z| test alone decides the window. The trapezoid mass
     of each row before normalization is recorded in raw_row_mass for leak
-    accounting. The grid must be strictly increasing.
+    accounting. The grid must be strictly increasing, of >= 2 nodes.
     """
     from scipy import sparse
 
-    src = _require_grid("source_values", source_values, 0)
+    src = _require_grid("source_values", source_values, 2)
     mean = kernel.mean(t, src)
     std = kernel.std(t, src)
     if np.any(std == 0):

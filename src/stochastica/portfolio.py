@@ -79,8 +79,8 @@ class Cashflow:
     t: float
 
     def __post_init__(self):
-        _require_finite("amount", self.amount)
-        _require_nonnegative("t", self.t)
+        object.__setattr__(self, "amount", _require_finite("amount", self.amount))
+        object.__setattr__(self, "t", _require_nonnegative("t", self.t))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ its latest simulation's terminal states: consecutive pv_mc calls on one
 path set, one per payoff, simulate once, stream payoffs excepted. The exact
 draw S0 exp(R(0,T) - sigma^2 T/2 + sigma sqrt(T) z) runs in place in z's buffer.
 The PDE route solves on one grid per spot, whatever the strike, starting
-from the payoff averaged over each log cell, and steps with density's
-factored theta system (_ThetaSystem), rebuilt only when sigma's values
-change, by the one reuse rule of the grid marches, density._Reused. The
-routes share these numerical primitives but never call each other.
+from the payoff averaged over each log cell, and marches density's backward
+operator (_backward_march) with c = r and zero price curvature at the edges;
+it rebuilds only when sigma's values change, by the grid marches' reuse rule.
+The routes share these numerical primitives but never call each other.
 
 scipy is imported inside the functions that use it (scipy.special in
 norm_cdf), so importing this module loads no scipy.
@@ -34,9 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import noise
-from .density import (GridFunction, _ThetaSystem, _grid_nodes, _Reused,
-                      trapezoid_weights)
-from .errors import NumericalError
+from .density import GridFunction, _backward_march, _grid_nodes, trapezoid_weights
 from .mc import (MCEstimate, TimeGrid, _batch_args, _estimate, _euler_batch, _int_at_least,
                  _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
@@ -145,7 +143,7 @@ class BSParams:
 
     def __post_init__(self):
         for name in ("S", "K", "r", "sigma", "t"):
-            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not (self.S > 0 and self.K > 0):
             raise ValueError("S and K must be positive")
         _require_nonnegative("sigma", self.sigma)
@@ -394,34 +392,16 @@ def pv_pde(payoff: PayoffSpec, curve: DiscountCurve, sigma, S0: float,
     cell = np.exp(x[:, None] + h * u).ravel()
     f = _finite_payoff("terminal", payoff.terminal(cell)).reshape(n, _CELL_POINTS).mean(axis=1)
 
-    # ghost-node elimination coefficients for zero price-curvature edges
-    alpha = 2.0 / (1.0 + 0.5 * h)
-    beta = -(1.0 - 0.5 * h) / (1.0 + 0.5 * h)
-    gamma_c = 2.0 / (1.0 - 0.5 * h)
-    delta_c = -(1.0 + 0.5 * h) / (1.0 - 0.5 * h)
+    def maps(tau: float):
+        a = 0.5 * sig_fn(tau, s) ** 2
+        return a, r - a
 
-    def system(tau: float, sig_m: np.ndarray) -> _ThetaSystem:
-        a = 0.5 * sig_m ** 2
-        b = r - 0.5 * sig_m ** 2
-        lower, diag, upper = np.zeros((3, n))
-        upper[1:-1] = a[1:-1] / (h * h) + b[1:-1] / (2 * h)
-        lower[1:-1] = a[1:-1] / (h * h) - b[1:-1] / (2 * h)
-        diag[1:-1] = -2 * a[1:-1] / (h * h) - r
-        diag[0] = a[0] * (alpha - 2) / (h * h) - b[0] * alpha / (2 * h) - r
-        upper[0] = a[0] * (1 + beta) / (h * h) + b[0] * (1 - beta) / (2 * h)
-        diag[-1] = a[-1] * (gamma_c - 2) / (h * h) + b[-1] * gamma_c / (2 * h) - r
-        lower[-1] = a[-1] * (1 + delta_c) / (h * h) + b[-1] * (delta_c - 1) / (2 * h)
-        return _ThetaSystem(lower, diag, upper, dt)
-
-    operator = _Reused(system, lambda tau: (sig_fn(tau, s),), not callable(sigma))
-    for m in range(n_steps):
-        tau = T - (m + 0.5) * dt
-        source = None if payoff.stream is None \
-            else dt * _finite_payoff("stream", payoff.stream(tau, s))
-        f = operator(tau).step(f, m, source)
-        if not np.isfinite(f).all():
-            raise NumericalError(
-                f"pricing solve produced non-finite values at step {m + 1}")
+    source = None if payoff.stream is None \
+        else lambda tau: dt * _finite_payoff("stream", payoff.stream(tau, s))
+    # zero curvature in price S = e^x at the edges is u'' = u' in x = ln S
+    for *_, f in _backward_march(maps, not callable(sigma), r, 1.0, h, f, T, dt, n_steps,
+                                 "pricing", source):
+        pass
     return GridFunction(s_values=s, values=f)
 
 

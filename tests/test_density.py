@@ -38,7 +38,7 @@ from stochastica import (
     pv_pde,
     risk_neutralize,
 )
-from stochastica import density, pathintegral, pricing
+from stochastica import density, pathintegral
 from stochastica.density import _check_densities, _ThetaSystem, trapezoid_weights
 from stochastica.models import GBM, Family
 from stochastica.errors import NumericalError
@@ -207,6 +207,9 @@ def test_point_mass_on_grid_concentration():
     assert np.sum((w * g.p_values)[near]) >= 0.99
     with pytest.raises(ValueError):
         point_mass_on_grid(s, 11.0)
+    # just outside, the regularized point still has unit mass on the grid
+    with pytest.raises(ValueError, match=r"^center must lie inside the grid$"):
+        point_mass_on_grid(s, 10.01)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,13 @@ def test_change_of_variable_rejects_non_monotone():
     shifted = DensityGrid(s_values=g.s_values + 0.01, p_values=g.p_values, t=g.t)
     with pytest.raises(ValueError, match="not monotone"):
         change_of_variable(shifted, lambda x: x ** 2, lambda x: 2 * x)
+    # an infinite derivative where the density vanishes leaves the mass at 1
+    s = np.linspace(0.0, 4.0, 401)
+    bump = DensityGrid(s, np.exp(-0.5 * ((s - 2.0) / 0.3) ** 2) / (0.3 * math.sqrt(2 * math.pi)),
+                       0.0)
+    with np.errstate(divide="ignore"), pytest.raises(
+            ValueError, match=r"^dYdx must be finite and nonzero on the grid$"):
+        change_of_variable(bump, np.sqrt, lambda x: 0.5 / np.sqrt(x))
 
 
 def test_change_of_variable_asks_to_sample_an_analytic_density():
@@ -718,7 +728,7 @@ def test_reused_operators_equal_a_rebuild_every_step_bit_for_bit(kind, monkeypat
     def rebuild_every_step(build, inputs, fixed):
         return lambda t: builds.append(t) or build(t, *inputs(t))
 
-    for module in (density, pathintegral, pricing):
+    for module in (density, pathintegral):
         monkeypatch.setattr(module, "_Reused", rebuild_every_step)
     want = {}
     for name, run in solvers().items():

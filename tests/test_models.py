@@ -98,6 +98,9 @@ def test_volatility_matrix_cross_terms():
                                atol=1e-12)
     with pytest.raises(ValueError):
         volatility_matrix(np.array([0.2, 0.3, 0.4]), eig)
+    # one scale broadcasts over both assets
+    with pytest.raises(ValueError, match=r"^z must have length 2$"):
+        volatility_matrix(np.array([0.2]), eig)
 
 
 @settings(max_examples=100, deadline=None)

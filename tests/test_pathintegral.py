@@ -106,10 +106,11 @@ def test_kernel_matrix_rows_normalized():
 
 
 def test_kernel_matrix_rejects_uncovered_grid():
-    # a one-node grid has trapezoid weight 0, so its row has no mass
-    k = one_step_kernel(make_bm(0.0, 0.1), 0.0, 0.01)
+    # a drift of 1 a step carries the top node's row off the grid, so it has
+    # no mass (a one-node grid, which did the same, is refused by name now)
+    k = one_step_kernel(make_bm(100.0, 0.1), 0.0, 0.01)
     with pytest.raises(NumericalError, match="does not cover the one-step transition"):
-        kernel_matrix(k, 0.0, np.array([0.0]))
+        kernel_matrix(k, 0.0, np.array([0.0, 1.0]))
 
 
 def dense_kernel_reference(kernel, t, s):
@@ -454,7 +455,7 @@ def test_greens_times_and_shapes():
                                rtol=1e-15)
     with pytest.raises(ValueError):
         greens_function(model, curve, 0.0, 50.0, 1.0, 0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^t must exceed t0$"):
         greens_function(model, curve, 1.0, 50.0, 1.0, 0.125)
 
 
@@ -546,7 +547,7 @@ def test_pi_expectation_matches_discrete_gbm_mean():
 def test_pi_expectation_validation():
     model = make_gbm(0.05, 0.2)
     f = lambda s: s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^T must exceed t0$"):
         pi_expectation(model, f, 0.0, 100.0, 0.0, 0.25, 100, seed=0)
     with pytest.raises(ValueError):
         pi_expectation(model, f, 0.0, 100.0, 1.0, 0.3, 100, seed=0)

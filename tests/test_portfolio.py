@@ -19,6 +19,7 @@ from stochastica import (
     DensityGrid,
     DiscountCurve,
     TimeGrid,
+    bs_price,
     fixed_loan_coupon,
     fixed_loan_schedule,
     kernel_matrix,
@@ -58,7 +59,7 @@ def test_zero_coupon_price():
     assert zero_coupon_price(curve, 0.0, 0.0) == 1.0
     assert zero_coupon_price(curve, 1.0, 3.0) == pytest.approx(1.1 ** -2,
                                                                rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need T >= t$"):
         zero_coupon_price(curve, 2.0, 1.0)
 
 
@@ -103,7 +104,7 @@ def test_coupon_trivial_cases():
 
 
 def test_coupon_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need T > dt \(at least one coupon before maturity\)$"):
         fixed_loan_coupon(100.0, 0.0, 0.05, 1.0, 1.0)
     with pytest.raises(ValueError):
         fixed_loan_coupon(100.0, 0.0, 0.05, 1.0, 4.5)
@@ -184,6 +185,9 @@ def test_cashflow_validation():
 def test_curve_validation():
     with pytest.raises(ValueError):
         DiscountCurve(times=(1.0, 0.0), rates=(0.01, 0.02))
+    # increasing times that leave [0, 0.5) without a rate
+    with pytest.raises(ValueError, match=r"^curve must start at t=0$"):
+        DiscountCurve(times=(0.5, 1.0), rates=(0.01, 0.02))
     with pytest.raises(ValueError):
         DiscountCurve(times=(0.0,), rates=(float("inf"),))
     curve = DiscountCurve.flat(0.05)
@@ -223,7 +227,7 @@ _GRID_SITES = {
     "point_mass_on_grid": ("s_values", 5, lambda s: point_mass_on_grid(s, 2.0)),
     "kolmogorov_backward": ("s_values", 3, lambda s: kolmogorov_backward(
         make_bm(0.0, 1.0), np.ones(len(s)), s, 0.0, 1.0, n_steps=2)),
-    "kernel_matrix": ("source_values", 0, lambda s: kernel_matrix(
+    "kernel_matrix": ("source_values", 2, lambda s: kernel_matrix(
         one_step_kernel(make_bm(0.0, 1.0), 0.0, 0.01), 0.0, s)),
     "table_payoff": ("payoff table s_values", 2, lambda s: table_payoff(s, np.ones(len(s)))),
     "make_custom_grid": ("s_values", 2, lambda s: make_custom_grid(
@@ -252,6 +256,14 @@ def test_each_grid_route_refuses_too_few_nodes_at_its_own_minimum(site):
         build(np.arange(min_nodes - 1.0))
 
 
+@pytest.mark.parametrize("s, shown", [([], "[]"), ([1.0], "[1.]")], ids=["no node", "one node"])
+def test_kernel_matrix_refuses_a_grid_of_fewer_than_two_nodes(s, shown):
+    # no node returned an empty TransitionMatrix, one node raised a NumericalError
+    with pytest.raises(ValueError, match=re.escape(
+            f"source_values must be a strictly increasing 1-D grid of >= 2 nodes, got {shown}")):
+        kernel_matrix(one_step_kernel(make_bm(0.0, 1.0), 0.0, 0.01), 0.0, s)
+
+
 @pytest.mark.parametrize("value", [-0.5, -math.inf, math.nan])
 @pytest.mark.parametrize("name, build", [
     ("sigma", lambda v: make_bm(0.0, v)),
@@ -274,6 +286,18 @@ def test_bsparams_refuses_a_negative_sigma_or_t_with_the_same_wording(name):
     # the finite check still comes first
     with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
         BSParams(**dict(inputs, **{name: math.nan}))
+
+
+def test_the_scalar_sites_keep_the_float_they_checked():
+    # a string that float() reads passed the checks and was kept as given:
+    # time(1) and the price then raised a TypeError
+    assert TimeGrid("1.0", 0.1, 2).time(1) == 1.1
+    assert TimeGrid(0.0, "0.5", 2).t_end == 1.0
+    assert bs_price(BSParams(100.0, 100.0, 0.05, "0.2", 1.0)) == bs_price(
+        BSParams(100.0, 100.0, 0.05, 0.2, 1.0))
+    assert Cashflow("2.5", "0.5") == Cashflow(2.5, 0.5)
+    # a float keeps its bits, the sign of zero included
+    assert math.copysign(1.0, TimeGrid(-0.0, 0.1, 2).t0) == -1.0
 
 
 def test_time_grid_start_and_vasicek_speed_name_their_value():

@@ -40,7 +40,7 @@ from stochastica import (
     risk_neutralize,
     table_payoff,
 )
-from stochastica import mc, noise, pathintegral, pricing
+from stochastica import density, mc, noise, pathintegral, pricing
 from stochastica.cli import main
 from stochastica.mc import TimeGrid, _mean_and_se, simulate_terminal
 from stochastica.models import GBM, model_hash
@@ -1036,12 +1036,12 @@ def theta_builds(monkeypatch):
     """Counts the theta systems pv_pde builds."""
     builds = []
 
-    class Counted(pricing._ThetaSystem):
+    class Counted(density._ThetaSystem):
         def __init__(self, *args):
             builds.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(pricing, "_ThetaSystem", Counted)
+    monkeypatch.setattr(density, "_ThetaSystem", Counted)
     return builds
 
 

@@ -188,7 +188,10 @@ def test_neutralize_validation():
         neutralize([a], targets=("kappa",))
     with pytest.raises(ValueError, match="normalization"):
         neutralize([a, b], targets=("kappa",), normalization="none")
-    with pytest.raises(ValueError, match="values"):
+    # with values given, an unknown normalization would be read as "value"
+    with pytest.raises(ValueError, match=r"^normalization must be 'first' or 'value'$"):
+        neutralize([a, b], targets=("kappa",), normalization="none", values=[1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^normalization='value' requires values$"):
         neutralize([a, b], targets=("kappa",), normalization="value")
     with pytest.raises(ValueError, match="one entry"):
         neutralize([a, b], targets=("kappa",), normalization="value",

@@ -17,10 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
     (["step_scaling.py", "--paths", "2000"], "step refinement"),
 ])
 def test_script_runs_and_prints_its_table(argv, header):
+    proc = _run(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout
+
+
+def test_output_digest_repeats_itself_byte_for_byte():
+    first, second = _run(["output_digest.py"]), _run(["output_digest.py"])
+    assert first.returncode == 0, first.stderr
+    assert len(first.stdout.splitlines()) == 6  # one line per route
+    assert second.stdout == first.stdout
+
+
+def _run(argv):
+    """A script of scripts/ in a fresh interpreter, on this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert header in proc.stdout
