@@ -15,6 +15,7 @@ import importlib
 
 # Each public name, by the module that defines it.
 _EXPORTS = {
+    "cli": ["load_curve", "load_model_config", "payoff_from_config"],
     "density": ["AnalyticDensity1D", "DensityGrid", "GridFunction", "PointMass",
                 "TransitionMatrix", "change_of_variable", "compose_transition",
                 "density_bm", "density_gbm", "density_vasicek", "evolve_density",
@@ -22,23 +23,21 @@ _EXPORTS = {
     "errors": ["NumericalError"],
     "mc": ["MCEstimate", "PathBatch", "TimeGrid", "expectation", "export_paths_csv",
            "ito_check", "scaling_check", "simulate_paths", "simulate_terminal"],
-    "models": ["CovarianceSpec", "ModelSpec", "diagonalize_covariance", "load_model_config",
-               "make_bm", "make_correlated_bm", "make_correlated_gbm", "make_custom_grid",
-               "make_gbm", "make_vasicek", "model_hash", "risk_neutralize",
-               "volatility_matrix"],
+    "models": ["CovarianceSpec", "ModelSpec", "diagonalize_covariance", "make_bm",
+               "make_correlated_bm", "make_correlated_gbm", "make_custom_grid", "make_gbm",
+               "make_vasicek", "model_hash", "risk_neutralize", "volatility_matrix"],
     "pathintegral": ["GreensFunction", "ShortTimeKernel", "greens_function",
                      "kernel_matrix", "one_step_kernel", "pi_expectation", "propagate"],
     "portfolio": ["Cashflow", "DiscountCurve", "fixed_loan_coupon", "fixed_loan_schedule",
-                  "load_curve", "pv_deterministic", "zero_coupon_price"],
+                  "pv_deterministic", "zero_coupon_price"],
     "pricing": ["BSParams", "GreeksReport", "PayoffSpec", "bs_greeks", "bs_price",
-                "call_payoff", "digital_payoff", "norm_cdf", "norm_pdf",
-                "payoff_from_config", "put_payoff", "pv_green", "pv_mc", "pv_pde",
-                "table_payoff"],
+                "call_payoff", "digital_payoff", "norm_cdf", "norm_pdf", "put_payoff",
+                "pv_green", "pv_mc", "pv_pde", "table_payoff"],
     "risk": ["HedgeReport", "IndexInputs", "IndexWeights", "Instrument", "hedge_report_doc",
              "index_weights", "neutralize", "portfolio_variance"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "noise"}
+_SUBMODULES = {*_EXPORTS, "noise"}
 
 __version__ = "0.1.0"
 

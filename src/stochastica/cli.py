@@ -7,8 +7,10 @@ seed and thread count of the three commands that sample noise (only they
 take --seed and --threads), for the handler.
 Each handler computes its JSON document and its CSV body; main writes the
 body the format picks and the sidecar, then fails a check suite that failed.
-_section reads a settings object (pde, green, mc, resolution, grid), refuses
-keys it does not declare and leaves entries not given to the route's defaults.
+This module owns the config format: load_model_config, load_curve,
+payoff_from_config and _section (pde, green, mc, resolution, grid) read each
+key by _require and refuse undeclared keys by _declared; _section leaves
+entries not given to the route's defaults.
 Every run is a pure function of the JSON config file plus flag overrides
 (flags win): identical inputs give byte-identical output bodies, with
 wall-clock metadata confined to a sidecar file. Floats print with 17
@@ -41,11 +43,10 @@ import numpy as np
 from .errors import NumericalError
 from .mc import (_CHUNK, TimeGrid, _int_at_least, _mean_and_se, _resolve_threads,
                  export_paths_csv, fmt17, simulate_paths)
-from .models import (GBM, load_model_config, make_bm, make_gbm, make_vasicek,
-                     model_hash)
+from .models import (GBM, ModelSpec, make_bm, make_correlated_bm, make_correlated_gbm,
+                     make_custom_grid, make_gbm, make_vasicek, model_hash)
 from .noise import validate_seed
-from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite,
-                        _require_positive, load_curve)
+from .portfolio import DiscountCurve, _require_finite, _require_positive
 
 _FORMATS = ("csv", "json")
 _DENSITY_METHODS = ("analytic", "fokker-planck", "path-integral")
@@ -173,6 +174,30 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _json_numbers(key: str, value):
+    """value as given if it is a JSON number or an array of them, nested or
+    not; float() and numpy would read a string such as "1" as a number, and
+    true or false as 1 or 0, so anything else is refused by key."""
+    if isinstance(value, list):
+        for v in value:
+            _json_numbers(key, v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return value
+
+
+def _declared(where: str, doc: dict, keys) -> dict:
+    """doc once every key in it is one of keys; any other is refused by name,
+    with the nearest declared key when one is close."""
+    for key in (key for key in doc if key not in keys):
+        import difflib  # only a refused key needs it
+        near = "".join(f"; did you mean {where}.{k}?"
+                       for k in difflib.get_close_matches(str(key), keys, 1))
+        raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
+                         f"{', '.join(keys)}{near}")
+    return doc
+
+
 def _require(cfg: dict, key: str, kind, what: str = "", default=...,
              where: str = "config"):
     """cfg[key], else default, of JSON kind; an error names the key as
@@ -225,13 +250,80 @@ def _dt_from(sub: dict, T: float, n_steps: int) -> float:
     return sub.pop("dt", T / n)
 
 
+# type -> (one-asset builder, correlated builder or None, its params)
+_BUILDERS = {
+    "bm": (make_bm, make_correlated_bm, ("mu", "sigma")),
+    "gbm": (make_gbm, make_correlated_gbm, ("mu", "sigma")),
+    "vasicek": (make_vasicek, None, ("a", "b", "sigma")),
+    "custom-grid": (make_custom_grid, None, ("s", "drift", "vol")),
+}
+
+
+def load_model_config(doc: dict) -> ModelSpec:
+    """A ModelSpec from config.model, {"type": ..., "params": {...}, "correlation":
+    [[...]]}; a correlated or custom-grid model's params are arrays, any other's numbers."""
+    where = "config.model"
+    doc = _declared(where, _require({"model": doc}, "model", dict, "model config"),
+                    ("type", "params", "correlation"))
+    type_name = _require(doc, "type", str, where=where)
+    if type_name not in _BUILDERS:
+        raise ValueError(f"{where}.type must be one of {', '.join(_BUILDERS)}, "
+                         f"not {type_name!r}")
+    one_asset, correlated, keys = _BUILDERS[type_name]
+    params = _declared(f"{where}.params", _require(doc, "params", dict, where=where), keys)
+    if doc.get("correlation") is None:
+        kind = list[float] if type_name == "custom-grid" else float
+        return one_asset(*(_require(params, k, kind, where=f"{where}.params") for k in keys))
+    if correlated is None:
+        raise ValueError(f"{where}.correlation: correlated {type_name} models are not supported")
+    return correlated(*(_require(params, k, list[float], where=f"{where}.params") for k in keys),
+                      _require(doc, "correlation", list[float], where=where))
+
+
+def load_curve(doc) -> DiscountCurve:
+    """A DiscountCurve from config.curve as a list, [{"t": years, "r": rate}, ...]."""
+    points = _require({"curve": doc}, "curve", list)
+    if not points:
+        raise ValueError("config.curve must be a non-empty array of {t, r} points")
+    times, rates = [], []
+    for i, point in enumerate(points):
+        where = f"config.curve[{i}]"
+        if not isinstance(point, dict):  # present, so a null point is no object either
+            raise ValueError(f"{where} must be an object, not {point!r}")
+        _declared(where, point, ("t", "r"))
+        times.append(_require(point, "t", float, where=where))
+        rates.append(_require(point, "r", float, where=where))
+    return DiscountCurve(times=tuple(times), rates=tuple(rates))
+
+
+def payoff_from_config(doc: dict):
+    """A PayoffSpec from config.payoff: {"kind": "call", "put" or "digital", "strike": K}
+    or {"kind": "custom", "table": {"s": [...], "values": [...]}}."""
+    from . import pricing as pricing_mod
+    where = "config.payoff"
+    doc = _require({"payoff": doc}, "payoff", dict, "payoff config")
+    kind = _require(doc, "kind", str, where=where)
+    makers = {"call": pricing_mod.call_payoff, "put": pricing_mod.put_payoff,
+              "digital": pricing_mod.digital_payoff}
+    if kind in makers:
+        _declared(where, doc, ("kind", "strike"))
+        return makers[kind](_require(doc, "strike", float, where=where))
+    if kind != "custom":
+        raise ValueError(f"{where}.kind must be one of call, put, digital, custom, "
+                         f"not {kind!r}")
+    _declared(where, doc, ("kind", "table"))
+    table = _declared(f"{where}.table", _require(doc, "table", dict, "an {s, values} object",
+                                                 where=where), ("s", "values"))
+    return pricing_mod.table_payoff(*(_require(table, key, list[float], where=f"{where}.table")
+                                      for key in ("s", "values")))
+
+
 def _curve_from_config(cfg: dict) -> DiscountCurve:
-    doc = cfg.get("curve")
-    if doc is None:
-        raise ValueError("config.curve is required (a rate or a [{t, r}] list)")
-    if isinstance(doc, (int, float)):
+    if isinstance(cfg.get("curve"), (int, float)):
         return DiscountCurve.flat(_require(cfg, "curve", float))
-    return load_curve(doc)
+    if cfg.get("curve") is None:  # null reads as absent, as a null model or payoff does
+        raise ValueError("config.curve is required (a rate or a [{t, r}] list)")
+    return load_curve(_require(cfg, "curve", list))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +331,7 @@ def _curve_from_config(cfg: dict) -> DiscountCurve:
 
 
 def cmd_simulate(args, cfg: dict) -> tuple:
-    model = load_model_config(_require(cfg, "model", dict, "model config"))
+    model = load_model_config(cfg.get("model"))
     S0 = _require(cfg, "S0", float, "initial state")
     grid = TimeGrid(t0=_require(cfg, "t0", float, default=0.0),
                     dt=_require(cfg, "dt", float, "step size"),
@@ -318,7 +410,7 @@ def _density_by_method(method: str, model, S0: float, t: float,
 
 def cmd_density(args, cfg: dict) -> tuple:
     from . import density as density_mod
-    model = load_model_config(_require(cfg, "model", dict, "model config"))
+    model = load_model_config(cfg.get("model"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "initial state"))
     t = _require_positive("config.t", _require(cfg, "t", float, "target time"))
     methods = cfg.get("method", "analytic")
@@ -390,11 +482,9 @@ def _price_one(method: str, model, curve: DiscountCurve,
 
 
 def cmd_price(args, cfg: dict) -> tuple:
-    from . import pricing as pricing_mod
-    model = load_model_config(_require(cfg, "model", dict, "model config"))
+    model = load_model_config(cfg.get("model"))
     curve = _curve_from_config(cfg)
-    payoff = pricing_mod.payoff_from_config(
-        _require(cfg, "payoff", dict, "payoff config"))
+    payoff = payoff_from_config(cfg.get("payoff"))
     S0 = _require_finite("config.S0", _require(cfg, "S0", float, "spot"))
     T = _require_finite("config.T", _require(cfg, "T", float, "horizon"))
     method = _require(cfg, "method", str, default="analytic")

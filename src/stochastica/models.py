@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite, _require_grid,
-                        _require_nonnegative, _require_positive)
+from .portfolio import (DiscountCurve, _require_finite, _require_grid, _require_nonnegative,
+                        _require_positive)
 
 
 # ---------------------------------------------------------------------------
@@ -423,40 +423,3 @@ def risk_neutralize(model: ModelSpec, curve: DiscountCurve,
     config["risk_neutral"] = True
     return ModelSpec(dim=model.dim, noise_dim=model.noise_dim, drift=drift,
                      vol=model.vol, family=family, config=config, risk_neutral=True)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-
-
-# type -> (one-asset builder, correlated builder or None, required params)
-_BUILDERS = {
-    "bm": (make_bm, make_correlated_bm, ("mu", "sigma")),
-    "gbm": (make_gbm, make_correlated_gbm, ("mu", "sigma")),
-    "vasicek": (make_vasicek, None, ("a", "b", "sigma")),
-    "custom-grid": (make_custom_grid, None, ("s", "drift", "vol")),
-}
-
-
-def load_model_config(doc: dict) -> ModelSpec:
-    """Build a ModelSpec from {"type": ..., "params": {...}, "correlation": ...}."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ValueError("model config must be an object with a 'type' key")
-    _declared("model", doc, ("type", "params", "correlation"))
-    type_name = doc["type"]
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("model params must be an object")
-    if not isinstance(type_name, str) or type_name not in _BUILDERS:
-        raise ValueError(f"unknown model type {type_name!r}")
-    one_asset, correlated, keys = _BUILDERS[type_name]
-    _declared("model.params", params, keys)
-    missing = [k for k in keys if params.get(k) is None]
-    if missing:
-        raise ValueError(f"params.{missing[0]} (numeric) required for type {type_name!r}")
-    args = [_json_numbers(f"params.{k}", params[k]) for k in keys]
-    if doc.get("correlation") is None:
-        return one_asset(*args)
-    if correlated is None:
-        raise ValueError(f"correlated {type_name} models are not supported")
-    return correlated(*args, _json_numbers("correlation", doc["correlation"]))

@@ -5,7 +5,7 @@ discounting against a piecewise-constant rate curve, zero-coupon bond
 prices and the fixed-rate loan coupon.
 
 All types are immutable after construction and safe to share between
-workers.
+workers. No config format lives here: cli reads a curve's JSON.
 """
 
 from __future__ import annotations
@@ -13,30 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-
-def _json_numbers(key: str, value):
-    """value as given if it is a JSON number or an array of them, nested or
-    not; float() and numpy would read a string such as "1" as a number, and
-    true or false as 1 or 0, so anything else is refused by key."""
-    if isinstance(value, list):
-        for v in value:
-            _json_numbers(key, v)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, not {value!r}")
-    return value
-
-
-def _declared(where: str, doc: dict, keys) -> dict:
-    """doc once every key in it is one of keys; any other is refused by name,
-    with the nearest declared key when one is close."""
-    for key in (key for key in doc if key not in keys):
-        import difflib  # only a refused key needs it
-        near = "".join(f"; did you mean {where}.{k}?"
-                       for k in difflib.get_close_matches(str(key), keys, 1))
-        raise ValueError(f"{where}.{key} is not a setting of {where}, which takes "
-                         f"{', '.join(keys)}{near}")
-    return doc
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -193,21 +169,3 @@ def fixed_loan_schedule(X: float, X_r: float, r: float, dt: float, T: float) -> 
 def pv_deterministic(cashflows, curve: DiscountCurve) -> float:
     """Present value at t=0 of a list of deterministic cashflows."""
     return sum(cf.amount * curve.discount(0.0, cf.t) for cf in cashflows)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-
-
-def load_curve(doc) -> DiscountCurve:
-    """Build a DiscountCurve from [{"t": years, "r": rate}, ...]."""
-    if not isinstance(doc, list) or not doc:
-        raise ValueError("curve must be a non-empty list of {t, r} entries")
-    times, rates = [], []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or "t" not in entry or "r" not in entry:
-            raise ValueError(f"curve[{i}] must be an object with keys 't' and 'r'")
-        _declared(f"curve[{i}]", entry, ("t", "r"))
-        times.append(_json_numbers(f"curve[{i}].t", entry["t"]))
-        rates.append(_json_numbers(f"curve[{i}].r", entry["r"]))
-    return DiscountCurve(times=tuple(times), rates=tuple(rates))

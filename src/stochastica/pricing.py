@@ -39,8 +39,8 @@ from .mc import (MCEstimate, TimeGrid, _batch_args, _estimate, _euler_batch, _in
                  _step_count)
 from .models import GBM, ModelSpec, model_hash, risk_neutralize
 from .pathintegral import GreensFunction
-from .portfolio import (DiscountCurve, _declared, _json_numbers, _require_finite, _require_grid,
-                        _require_nonnegative, _require_positive)
+from .portfolio import (DiscountCurve, _require_finite, _require_grid, _require_nonnegative,
+                        _require_positive)
 
 _PAYOFF_KINDS = ("call", "put", "digital", "custom")
 
@@ -88,28 +88,6 @@ def table_payoff(s_values, payoff_values) -> PayoffSpec:
     if v.shape != s.shape or not np.all(np.isfinite(v)):
         raise ValueError("payoff table values must be finite and match the grid")
     return PayoffSpec(terminal=lambda q: np.interp(q, s, v), kind="custom")
-
-
-def payoff_from_config(doc: dict) -> PayoffSpec:
-    """A payoff from {"kind": ..., "strike": ...} or {"kind": "custom",
-    "table": {"s": [...], "values": [...]}}; any other key is refused."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("payoff must be an object with a 'kind' key")
-    _declared("payoff", doc, ("kind", "strike", "table"))
-    kind = doc["kind"]
-    if kind in ("call", "put", "digital"):
-        if doc.get("strike") is None:
-            raise ValueError(f"payoff.strike (a number) required for kind {kind!r}")
-        maker = {"call": call_payoff, "put": put_payoff,
-                 "digital": digital_payoff}[kind]
-        return maker(_json_numbers("payoff.strike", doc["strike"]))
-    if kind == "custom":
-        table = doc.get("table")
-        if not isinstance(table, dict) or "s" not in table or "values" not in table:
-            raise ValueError("custom payoff needs table: {s: [...], values: [...]}")
-        return table_payoff(_json_numbers("payoff.table.s", table["s"]),
-                            _json_numbers("payoff.table.values", table["values"]))
-    raise ValueError(f"unknown payoff kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -646,7 +646,7 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
     ("price", {"method": "green", "green": {"dt": None}}, "config.green.dt"),
     ("price", {"mc": 5}, "config.mc"),
     ("price", {"payoff": {"kind": "call", "strike": 100.0, "stream": {"rate": 1.0}}},
-     "payoff.stream is not a setting of payoff"),
+     "config.payoff.stream is not a setting of config.payoff"),
     ("hedge", {"instruments": [dict(HEDGE_DOC["instruments"][0], delta=None),
                                HEDGE_DOC["instruments"][1]]},
      "config.instruments[0].delta"),
@@ -710,6 +710,33 @@ INDEX_DOC = {"prices": [100.0, 50.0], "sigmas": [0.2, 0.3]}
     # a method that is no string failed as unhashable, with a traceback and exit 1
     ("price", {"method": ["pde"]}, "error: config.method must be a string, not ['pde']\n"),
     ("price", {"method": {"a": 1}}, "error: config.method must be a string, not {'a': 1}\n"),
+    # float() was handed a list: a TypeError, a traceback and exit 1
+    ("simulate", {"model": {"type": "gbm", "params": {"mu": [0.1, 0.2], "sigma": 0.2}}},
+     "error: config.model.params.mu must be a number, not [0.1, 0.2]\n"),
+    ("density", {"model": {"type": "vasicek", "params": {"a": [1.0], "b": 0.05,
+                                                         "sigma": 0.02}}},
+     "error: config.model.params.a must be a number, not [1.0]\n"),
+    ("price", {"curve": [{"t": [0.0], "r": 0.05}]},
+     "error: config.curve[0].t must be a number, not [0.0]\n"),
+    ("price", {"payoff": {"kind": "call", "strike": [100.0]}},
+     "error: config.payoff.strike must be a number, not [100.0]\n"),
+    # a payoff key its kind does not take was read past, and mc priced with exit 0
+    ("price", {"payoff": {"kind": "custom", "table": {
+        "s": [50.0, 100.0, 150.0], "values": [0.0, 0.0, 50.0], "valuez": [1.0]}}},
+     "error: config.payoff.table.valuez is not a setting of config.payoff.table, which takes "
+     "s, values; did you mean config.payoff.table.values?\n"),
+    ("price", {"payoff": {"kind": "call", "strike": 100.0,
+                          "table": {"s": [50.0, 150.0], "values": [0.0, 50.0]}}},
+     "error: config.payoff.table is not a setting of config.payoff, which takes kind, "
+     "strike\n"),
+    ("price", {"payoff": {"kind": "custom", "strike": 100.0,
+                          "table": {"s": [50.0, 150.0], "values": [0.0, 50.0]}}},
+     "error: config.payoff.strike is not a setting of config.payoff, which takes kind, "
+     "table\n"),
+    # a null curve reads as absent, as a null model or payoff does; a null point is present
+    ("price", {"curve": None},
+     "error: config.curve is required (a rate or a [{t, r}] list)\n"),
+    ("price", {"curve": [None]}, "error: config.curve[0] must be an object, not None\n"),
 ])
 def test_malformed_settings_exit_2_naming_the_key(tmp_path, capsys, command,
                                                   extra, key):
@@ -766,12 +793,13 @@ def test_a_key_a_settings_object_does_not_declare_exits_2_naming_it(tmp_path, ca
 
 @pytest.mark.parametrize("extra, message", [
     ({"model": {"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2, "sigmaa": 0.9}}},
-     "model.params.sigmaa is not a setting of model.params, which takes mu, sigma; "
-     "did you mean model.params.sigma?"),
+     "config.model.params.sigmaa is not a setting of config.model.params, which takes mu, "
+     "sigma; did you mean config.model.params.sigma?"),
     ({"model": {"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2}, "extra": 1}},
-     "model.extra is not a setting of model, which takes type, params, correlation"),
+     "config.model.extra is not a setting of config.model, which takes type, params, "
+     "correlation"),
     ({"curve": [{"t": 0.0, "r": 0.05, "x": 3}]},
-     "curve[0].x is not a setting of curve[0], which takes t, r"),
+     "config.curve[0].x is not a setting of config.curve[0], which takes t, r"),
 ])
 def test_a_key_the_model_or_curve_does_not_declare_exits_2_naming_it(tmp_path, capsys,
                                                                      extra, message):
@@ -823,17 +851,12 @@ def test_a_top_level_or_instrument_key_a_command_does_not_read_exits_2(tmp_path,
 def test_every_benchmark_cli_config_keeps_to_its_commands_declared_keys(tmp_path,
                                                                         monkeypatch):
     # a key declaration that dropped a key the benchmark writes would fail
-    # every cli_session call; the benchmark's own files are only read here
-    import importlib.util
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark")
-    monkeypatch.syspath_prepend(bench)
+    # every cli_session call; the benchmark's own files are only read here,
+    # through the loader of scripts/cli_digest.py
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_workloads", os.path.join(bench, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    session = workloads.CliSession(small=True)
+    from cli_digest import load_workloads
+    session = load_workloads().CliSession(small=True)
     seen = set()
     for seed in (1, 2):
         for call in session.build(seed, str(tmp_path)):
@@ -851,7 +874,8 @@ def test_each_model_type_declares_its_own_params(tmp_path, capsys):
     doc = dict(GBM_PRICE_DOC, method="analytic",
                model={"type": "gbm", "params": {"mu": 0.05, "sigma": 0.2, "a": 1.0}})
     assert main(["price", "--config", write_config(tmp_path, "key.json", doc)]) == 2
-    assert "model.params.a is not a setting of model.params" in capsys.readouterr().err
+    assert ("config.model.params.a is not a setting of config.model.params"
+            in capsys.readouterr().err)
 
 
 def test_price_without_settings_objects_takes_each_routes_own_defaults(tmp_path):

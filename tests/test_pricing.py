@@ -314,7 +314,7 @@ def test_payoff_from_config():
         payoff_from_config({"strike": 90.0})
     with pytest.raises(ValueError, match="strike"):
         payoff_from_config({"kind": "call"})
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match="must be one of"):
         payoff_from_config({"kind": "asian", "strike": 90.0})
     with pytest.raises(ValueError, match="table"):
         payoff_from_config({"kind": "custom"})

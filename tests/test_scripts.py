@@ -29,6 +29,13 @@ def test_output_digest_repeats_itself_byte_for_byte():
     assert second.stdout == first.stdout
 
 
+def test_cli_digest_repeats_itself_byte_for_byte():
+    first, second = _run(["cli_digest.py", "1"]), _run(["cli_digest.py", "1"])
+    assert first.returncode == 0, first.stderr
+    assert len(first.stdout.splitlines()) == 8  # one line per cli_session call
+    assert second.stdout == first.stdout
+
+
 def _run(argv):
     """A script of scripts/ in a fresh interpreter, on this checkout's src."""
     env = dict(os.environ)
